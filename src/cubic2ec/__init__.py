@@ -45,6 +45,7 @@ from .errors import (
     BaseCaseFailure,
     GlueFailure,
     GraphFormatError,
+    InvariantViolation,
     Lemma3Violation,
     LiftFailure,
     PatternMismatch,

@@ -27,7 +27,7 @@ from .combine import (
     support_bound,
     verify_certificate,
 )
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InvariantViolation
 from .graphs import BUILTIN_NAMES, Graph, builtin, parse_edge_list, parse_graph6
 
 EXIT_OK = 0
@@ -48,7 +48,6 @@ class RunConfig:
     output: str | None
     max_n: int | None
     jobs: int
-    verbosity: int
 
 
 def _add_source_flags(p: argparse.ArgumentParser, g6_only: bool = False):
@@ -108,7 +107,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         output=getattr(args, "output", None),
         max_n=getattr(args, "max_n", None),
         jobs=getattr(args, "jobs", 1),
-        verbosity=args.verbose,
     )
 
 
@@ -121,15 +119,9 @@ def _load_graph(cfg: RunConfig) -> Graph:
             if line.strip():
                 return parse_graph6(line)
         raise GraphFormatError(f"no graph6 line in {cfg.g6_path}")
-    assert cfg.edges_path
+    if not cfg.edges_path:
+        raise InvariantViolation("no graph source was given")
     return parse_edge_list(Path(cfg.edges_path).read_text())
-
-
-def _emit(cfg: RunConfig, text: str):
-    if cfg.output:
-        Path(cfg.output).write_text(text)
-    # certificates without -o are not written anywhere; the summary line is
-    # the stdout contract
 
 
 def cmd_certify(cfg: RunConfig) -> int:
@@ -285,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (RuntimeError, AssertionError) as exc:
+    except RuntimeError as exc:  # InvariantViolation included
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

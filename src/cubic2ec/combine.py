@@ -15,8 +15,11 @@ graph size:
   back, and average the per-pivot combinations over all pivots; pad any
   deficient edge back up to 7/9.
 
-All arithmetic is exact (fractions.Fraction); no floats anywhere in the
-certification path.  The recursion memoizes on canonical forms, so the
+All arithmetic is exact; no floats anywhere in the certification path.
+Weights are fractions.Fraction, and sums over many weights (occurrence
+vectors, deduplication, the sum == 1 checks) are taken over integer
+numerators on the weights' common denominator, converted back to one
+Fraction per result.  The recursion memoizes on canonical forms, so the
 same reduced graph is certified once per isomorphism class.
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +37,7 @@ from .enumeration import connected_cubic_graphs
 from .errors import (
     BaseCaseFailure,
     GlueFailure,
+    InvariantViolation,
     LiftFailure,
     PatternMismatch,
 )
@@ -122,9 +127,10 @@ def combination(host: Graph, raw_entries, check: bool = True) -> ConvexCombinati
     Weights must be positive rationals summing to exactly 1; with
     ``check`` every member must be a spanning 2EC subgraph of the host.
     """
-    acc: dict[tuple[int, ...], Fraction] = {}
+    weights: list[Fraction] = []
+    keys: list[tuple[int, ...]] = []
     for weight, edge_ids in raw_entries:
-        w = Fraction(weight)
+        w = weight if type(weight) is Fraction else Fraction(weight)
         if w < 0:
             raise ValueError("weights must be nonnegative")
         if w == 0:
@@ -132,29 +138,55 @@ def combination(host: Graph, raw_entries, check: bool = True) -> ConvexCombinati
         key = tuple(sorted(set(edge_ids)))
         if key and not (0 <= key[0] and key[-1] < host.m):
             raise ValueError(f"edge id out of range in entry {key}")
-        acc[key] = acc.get(key, Fraction(0)) + w
-    if not acc:
+        weights.append(w)
+        keys.append(key)
+    if not keys:
         raise ValueError("a convex combination needs at least one entry")
+    nums, den = _numerators(weights)
+    acc: dict[tuple[int, ...], int] = {}
+    for key, num in zip(keys, nums):
+        acc[key] = acc.get(key, 0) + num
     total = sum(acc.values())
-    if total != 1:
-        raise ValueError(f"weights must sum to 1 exactly (got {total})")
-    entries = tuple(sorted(acc.items(), key=lambda kv: kv[0]))
+    if total != den:
+        raise ValueError(
+            f"weights must sum to 1 exactly (got {Fraction(total, den)})"
+        )
+    entries = sorted(acc.items())
     if check:
         for key, _ in entries:
             if not connectivity.is_2ec(host, key):
                 raise ValueError(
                     f"entry {key} is not a spanning 2-edge-connected subgraph"
                 )
-    return ConvexCombination(host, tuple((w, k) for k, w in entries))
+    return ConvexCombination(
+        host, tuple((Fraction(num, den), k) for k, num in entries)
+    )
+
+
+def _numerators(weights) -> tuple[list[int], int]:
+    """Rational weights as integer numerators over their common denominator.
+
+    Returns ``(nums, den)`` with ``weights[i] == nums[i] / den``, where
+    ``den`` is the lcm of the denominators, so sums of weights become sums
+    of ints.
+    """
+    den = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
+def _occurrences(m: int, entries) -> tuple[Fraction, ...]:
+    """Per-edge weight sums of (weight, edge ids) entries over m edges."""
+    nums, den = _numerators([w for w, _ in entries])
+    occ = [0] * m
+    for num, (_, es) in zip(nums, entries):
+        for e in es:
+            occ[e] += num
+    return tuple(Fraction(x, den) for x in occ)
 
 
 def edge_occurrences(c: ConvexCombination) -> tuple[Fraction, ...]:
     """Per-edge total weight sum over the members containing the edge."""
-    occ = [Fraction(0)] * c.host.m
-    for w, es in c.entries:
-        for e in es:
-            occ[e] += w
-    return tuple(occ)
+    return _occurrences(c.host.m, c.entries)
 
 
 def average(parts) -> ConvexCombination:
@@ -202,12 +234,23 @@ def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
                 work.append([take, es | {e}])
                 deficit -= take
             i += 1
-        assert deficit == 0, f"padding could not reach target on edge {e}"
+        if deficit != 0:
+            raise InvariantViolation(
+                f"padding could not reach target on edge {e}"
+            )
     out = combination(
         c.host, ((w, tuple(sorted(es))) for w, es in work if w > 0), check=False
     )
-    assert all(v == target for v in edge_occurrences(out))
+    _check_uniform(out, target)
     return out
+
+
+def _check_uniform(c: ConvexCombination, target: Fraction):
+    bad = [e for e, v in enumerate(edge_occurrences(c)) if v != target]
+    if bad:
+        raise InvariantViolation(
+            f"edges {bad[:3]} have occurrence other than {target}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +312,7 @@ def base_case_combination(g: Graph) -> ConvexCombination:
     comb = combination(
         g, ((w, sub) for w, sub in zip(lam, subgraphs) if w > 0)
     )
-    assert all(v == TARGET for v in edge_occurrences(comb))
+    _check_uniform(comb, TARGET)
     return comb
 
 
@@ -305,12 +348,21 @@ def lift(child_combination: ConvexCombination, red: Reduction) -> ConvexCombinat
     return combination(red.parent, raw, check=False)
 
 
-def _case1_target_occurrences(g: Graph, uv: int) -> list[Fraction]:
-    """The piecewise occurrence vector produced by one pivot reduction."""
+def _case1_expectation(
+    g: Graph, uv: int
+) -> tuple[Case1Profile, list[Fraction]]:
+    """The pivot's profile and the piecewise occurrence vector that one
+    pivot reduction must produce.
+
+    Each other edge is classed by k, the number of the four edges at the
+    pivot's ends (the half edges) that it touches: k = 2 counts into t,
+    k = 1 into r.
+    """
     u, v = g.endpoints(uv)
     half = [e for e in g.incident(u) + g.incident(v) if e != uv]
     halfset = set(half)
     half_ends = [set(g.endpoints(h)) for h in half]
+    t = r = 0
     out = []
     for e in range(g.m):
         if e == uv:
@@ -322,29 +374,14 @@ def _case1_target_occurrences(g: Graph, uv: int) -> list[Fraction]:
             k = sum(1 for he in half_ends if he & ends)
             if k >= 2:
                 out.append(Fraction(1))
+                if k == 2:
+                    t += 1
             elif k == 1:
                 out.append(Fraction(8, 9))
+                r += 1
             else:
                 out.append(TARGET)
-    return out
-
-
-def _case1_profile(g: Graph, uv: int) -> Case1Profile:
-    u, v = g.endpoints(uv)
-    half = [e for e in g.incident(u) + g.incident(v) if e != uv]
-    halfset = set(half)
-    half_ends = [set(g.endpoints(h)) for h in half]
-    t = r = 0
-    for e in range(g.m):
-        if e == uv or e in halfset:
-            continue
-        ends = set(g.endpoints(e))
-        k = sum(1 for he in half_ends if he & ends)
-        if k == 2:
-            t += 1
-        elif k == 1:
-            r += 1
-    return Case1Profile(pivot=uv, t=t, r=r)
+    return Case1Profile(pivot=uv, t=t, r=r), out
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +476,10 @@ def glue(
                     | to_parent(red2, lst2[j][1])
                 )
                 # both sides agree on the cut pattern by construction
-                assert glued & cut_edges == present
+                if glued & cut_edges != present:
+                    raise InvariantViolation(
+                        "glued member disagrees with its cut pattern"
+                    )
                 gk = tuple(sorted(glued))
                 if not connectivity.is_2ec(parent, gk):
                     raise GlueFailure(
@@ -452,11 +492,10 @@ def glue(
                 i += 1
             if lst2[j][0] == 0:
                 j += 1
-        assert all(t[0] == 0 for t in lst1[i:]) and all(
-            t[0] == 0 for t in lst2[j:]
-        ), "pattern class weights fell out of alignment"
+        if any(t[0] != 0 for t in lst1[i:]) or any(t[0] != 0 for t in lst2[j:]):
+            raise InvariantViolation("pattern class weights fell out of alignment")
     out = combination(parent, raw, check=False)
-    assert all(v == TARGET for v in edge_occurrences(out))
+    _check_uniform(out, TARGET)
     return out
 
 
@@ -487,8 +526,7 @@ class Certifier:
         self._validate_input(g)
         key, _ = canonical_form(g)
         comb = self._combination(g)
-        occ = edge_occurrences(comb)
-        assert all(v == TARGET for v in occ)
+        _check_uniform(comb, TARGET)
         return Certificate(
             graph=g, combination=comb, target=TARGET, trace=self._trace_closure(key)
         )
@@ -533,7 +571,10 @@ class Certifier:
         return _map_combination(comb_k, g, perm), key
 
     def _build(self, K: Graph, key: str) -> tuple[ConvexCombination, dict]:
-        assert K.is_cubic and connectivity.edge_connectivity(K) >= 3
+        if not K.is_cubic or connectivity.edge_connectivity(K) < 3:
+            raise InvariantViolation(
+                f"canonical graph {key} is not cubic 3-edge-connected"
+            )
         cut = connectivity.find_essential_3cut(K)
         if cut is not None:
             log.debug("case 2 at n=%d (%s)", K.n, key)
@@ -559,19 +600,23 @@ class Certifier:
         child_keys = []
         lifted = []
         for red in (red_a, red_b):
-            assert connectivity.edge_connectivity(red.child) >= 3, (
-                "safe-pair child must stay 3-edge-connected"
-            )
+            if connectivity.edge_connectivity(red.child) < 3:
+                raise InvariantViolation(
+                    "safe-pair child must stay 3-edge-connected"
+                )
             child_comb, child_key = self._combination_with_key(red.child)
             child_keys.append(child_key)
             lifted.append(lift(child_comb, red))
         comb = average([(Fraction(1, 2), lifted[0]), (Fraction(1, 2), lifted[1])])
-        expected = _case1_target_occurrences(g, uv)
-        assert list(edge_occurrences(comb)) == expected, (
-            f"pivot {uv}: occurrences deviate from the piecewise profile"
-        )
-        profile = _case1_profile(g, uv)
-        assert 2 * profile.t + profile.r == 8
+        profile, expected = _case1_expectation(g, uv)
+        if list(edge_occurrences(comb)) != expected:
+            raise InvariantViolation(
+                f"pivot {uv}: occurrences deviate from the piecewise profile"
+            )
+        if 2 * profile.t + profile.r != 8:
+            raise InvariantViolation(
+                f"pivot {uv}: 2t + r = {2 * profile.t + profile.r}, not 8"
+            )
         return comb, profile, (decision, child_keys)
 
     def _case1(self, K: Graph, key: str) -> tuple[ConvexCombination, dict]:
@@ -604,10 +649,14 @@ class Certifier:
             closed_form = TARGET + Fraction(
                 2 * profiles[e].t + profiles[e].r - 8, 9 * m
             )
-            assert occ[e] == closed_form, (
-                f"edge {e}: averaged occurrence {occ[e]} != closed form"
-            )
-            assert occ[e] <= TARGET
+            if occ[e] != closed_form:
+                raise InvariantViolation(
+                    f"edge {e}: averaged occurrence {occ[e]} != closed form"
+                )
+            if occ[e] > TARGET:
+                raise InvariantViolation(
+                    f"edge {e}: averaged occurrence {occ[e]} exceeds {TARGET}"
+                )
         final = pad_to_uniform(avg, TARGET)
         record = {
             "kind": "case1",
@@ -623,9 +672,10 @@ class Certifier:
         red_in = contract_shore(K, cut, "inside")
         red_out = contract_shore(K, cut, "outside")
         for red in (red_in, red_out):
-            assert connectivity.edge_connectivity(red.child) >= 3, (
-                "contracted shore must stay 3-edge-connected"
-            )
+            if connectivity.edge_connectivity(red.child) < 3:
+                raise InvariantViolation(
+                    "contracted shore must stay 3-edge-connected"
+                )
         c_in, key_in = self._combination_with_key(red_in.child)
         c_out, key_out = self._combination_with_key(red_out.child)
         comb = glue(c_in, c_out, red_in, red_out)
@@ -706,10 +756,15 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
         cert.graph.n == g.n and cert.graph.edges == g.edges,
         "certificate edge list matches the graph",
     )
-    entries = cert.combination.entries
+    # exact rationals from here on, whatever numeric type the entries carry
+    entries = tuple(
+        (w if type(w) is Fraction else Fraction(w), es)
+        for w, es in cert.combination.entries
+    )
     add("has_entries", len(entries) > 0, f"{len(entries)} entries")
     add("weights_positive", all(w > 0 for w, _ in entries), "")
-    total = sum((w for w, _ in entries), Fraction(0))
+    nums, den = _numerators([w for w, _ in entries])
+    total = Fraction(sum(nums), den)
     add("weights_sum_to_one", total == 1, f"sum = {total}")
     add("target_is_7_9", cert.target == TARGET, f"target = {cert.target}")
     valid_ids = all(
@@ -720,10 +775,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     twoec = all(connectivity.is_2ec(g, es) for _, es in entries) if valid_ids else False
     add("members_spanning_2ec", twoec, "")
     if valid_ids:
-        occ = [Fraction(0)] * g.m
-        for w, es in entries:
-            for e in es:
-                occ[e] += w
+        occ = _occurrences(g.m, entries)
         uniform = all(v == cert.target for v in occ)
         bad = [e for e, v in enumerate(occ) if v != cert.target][:3]
         add(

@@ -1,9 +1,13 @@
 """Edge-connectivity queries, essential-cut detection, and safe pairs.
 
-Cut existence queries use exhaustive shore enumeration over bitmasks
-(n <= 20), which answers "does ANY cut with these properties exist"
-exactly — a min-cut algorithm only exhibits one minimizer.  Shores are
-canonical: always the side not containing vertex 0.
+Cut existence queries visit every shore (n <= 20), which answers "does
+ANY cut with these properties exist" exactly — a min-cut algorithm only
+exhibits one minimizer.  Shores are canonical: always the side not
+containing vertex 0.  One Gray-code walk visits them all: consecutive
+shores differ in one vertex, so each step updates the crossing edge mask
+with one XOR of that vertex's incidence mask instead of a scan over all
+edges.  The cuts a query keeps are sorted by shore, so every output is
+in ascending shore order.
 """
 
 from __future__ import annotations
@@ -124,38 +128,53 @@ def is_essential_cut(g: Graph, cut: Cut) -> bool:
     return _is_essential_mask(g, mask)
 
 
-@lru_cache(maxsize=512)
-def _cuts_up_to_4(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """All canonical shores with |crossing| <= 4 as (shore, crossing, size)."""
-    _guard_size(g)
-    out = []
-    for mask in range(1, 1 << (g.n - 1)):
-        shore = mask << 1  # vertex 0 never in the shore
-        cross = _crossing_mask(g, shore)
-        size = cross.bit_count()
-        if size <= 4:
-            out.append((shore, cross, size))
-    return tuple(out)
+def _walk_cuts(
+    g: Graph, max_size: int
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """One walk over every canonical shore.
 
-
-@lru_cache(maxsize=512)
-def _min_cut_size(g: Graph) -> int:
+    Returns the min cut size, and every cut with |crossing| <= max_size
+    as (shore, crossing, size) in ascending shore order.  The shore >> 1
+    code runs through the Gray code i ^ (i >> 1): step i flips bit
+    (i & -i) of the code, i.e. vertex (i & -i).bit_length(), never vertex
+    0, and the edges whose crossing status changes are exactly those at
+    the flipped vertex.
+    """
     _guard_size(g)
+    inc = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        inc[u] ^= 1 << e
+        inc[v] ^= 1 << e
     best = g.m + 1
-    for mask in range(1, 1 << (g.n - 1)):
-        size = _crossing_mask(g, mask << 1).bit_count()
+    found = []
+    code = cross = 0
+    for i in range(1, 1 << (g.n - 1)):
+        low = i & -i
+        code ^= low
+        cross ^= inc[low.bit_length()]
+        size = cross.bit_count()
         if size < best:
             best = size
-            if best == 0:
-                break
-    return best
+        if size <= max_size:
+            found.append((code, cross, size))
+    found.sort()
+    return best, [(code << 1, cross, size) for code, cross, size in found]
 
 
-def _mask_to_cut(g: Graph, shore_mask: int) -> Cut:
-    return Cut(
-        tuple(_iter_bits(shore_mask)),
-        tuple(_iter_bits(_crossing_mask(g, shore_mask))),
-    )
+@lru_cache(maxsize=512)
+def _cut_summary(g: Graph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Min cut size, and all canonical shores with |crossing| <= 4 as
+    (shore, crossing, size) in ascending shore order."""
+    best, small = _walk_cuts(g, 4)
+    return best, tuple(small)
+
+
+def _cuts_up_to_4(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    return _cut_summary(g)[1]
+
+
+def _mask_cut(shore_mask: int, cross_mask: int) -> Cut:
+    return Cut(tuple(_iter_bits(shore_mask)), tuple(_iter_bits(cross_mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +235,7 @@ def edge_connectivity(g: Graph) -> int:
     """Minimum cut size over all shores; 0 for a disconnected graph."""
     if g.n < 2:
         raise ValueError("edge connectivity needs n >= 2")
-    return _min_cut_size(g)
+    return _cut_summary(g)[0]
 
 
 def enumerate_cuts(g: Graph, max_size: int) -> list[Cut]:
@@ -224,16 +243,8 @@ def enumerate_cuts(g: Graph, max_size: int) -> list[Cut]:
     {S, complement} pair, in ascending shore-bitmask order."""
     if g.n < 2:
         raise ValueError("cut enumeration needs n >= 2")
-    _guard_size(g)
-    out = []
-    for mask in range(1, 1 << (g.n - 1)):
-        shore = mask << 1
-        cross = _crossing_mask(g, shore)
-        if cross.bit_count() <= max_size:
-            out.append(
-                Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cross)))
-            )
-    return out
+    _, cuts = _walk_cuts(g, max_size)
+    return [_mask_cut(shore, cross) for shore, cross, _ in cuts]
 
 
 def find_essential_3cut(g: Graph) -> Cut | None:
@@ -247,10 +258,10 @@ def find_essential_3cut(g: Graph) -> Cut | None:
         if size == 3 and _is_essential_mask(g, shore):
             key = (shore.bit_count(), shore)
             if best is None or key < best[0]:
-                best = (key, shore)
+                best = (key, shore, cross)
     if best is None:
         return None
-    return _mask_to_cut(g, best[1])
+    return _mask_cut(best[1], best[2])
 
 
 def is_essentially_4ec(g: Graph) -> bool:
@@ -293,10 +304,10 @@ def essential_4cut_with_pair(
             continue
         key = (shore.bit_count(), shore)
         if best is None or key < best[0]:
-            best = (key, shore)
+            best = (key, shore, cross)
     if best is None:
         return None
-    return _mask_to_cut(g, best[1])
+    return _mask_cut(best[1], best[2])
 
 
 def _pivot_context(g: Graph, uv: int):

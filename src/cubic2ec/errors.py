@@ -53,3 +53,11 @@ class GlueFailure(RuntimeError):
     def __init__(self, message: str, edges=()):
         super().__init__(message)
         self.edges = tuple(edges)
+
+
+class InvariantViolation(RuntimeError):
+    """An invariant the construction or an oracle relies on does not hold.
+
+    Raised by explicit checks rather than ``assert``, so the proof's
+    invariants are enforced under ``python -O`` as well.
+    """

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import GraphFormatError, StructuralViolation
+from .errors import GraphFormatError, InvariantViolation, StructuralViolation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .connectivity import Cut
@@ -345,7 +345,10 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
         if s in done:
             continue
         rem = [f for f in g.incident(s) if f not in removed]
-        assert len(rem) == 2
+        if len(rem) != 2:
+            raise InvariantViolation(
+                f"suppressed vertex {s} keeps {len(rem)} edges, expected 2"
+            )
         end_a, path_a = walk(s, rem[0])
         end_b, path_b = walk(s, rem[1])
         chain = list(reversed(path_a)) + path_b
@@ -384,12 +387,19 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
         for f in g.incident(v)
         if f not in removed
     )
-    # sanity: forced edges are exactly the smoothed path edges
-    assert forced_include == {f for _, path in merged for f in path}
+    if forced_include != {f for _, path in merged for f in path}:
+        raise InvariantViolation(
+            "forced edges differ from the smoothed path edges"
+        )
 
     child = Graph(len(survivors), tuple(child_edges))
-    assert child.is_cubic, "smoothing must yield a cubic child"
-    assert child.n == g.n - 4 and child.m == g.m - 6
+    if not child.is_cubic:
+        raise InvariantViolation("smoothing must yield a cubic child")
+    if child.n != g.n - 4 or child.m != g.m - 6:
+        raise InvariantViolation(
+            f"smoothing must remove 4 vertices and 6 edges "
+            f"(got n={child.n}, m={child.m} from n={g.n}, m={g.m})"
+        )
 
     return Reduction(
         kind="case1_removal",
@@ -455,7 +465,8 @@ def contract_shore(g: Graph, cut: "Cut", side: str) -> Reduction:
         # edges entirely on the contracted side vanish from this child
 
     child = Graph(len(kept) + 1, tuple(child_edges))
-    assert child.is_cubic, "contraction must yield a cubic child"
+    if not child.is_cubic:
+        raise InvariantViolation("contraction must yield a cubic child")
 
     # provenance covers only the kept side plus the cut; pad the Reduction
     # coverage check by marking the vanished edges as excluded-for-this-child.

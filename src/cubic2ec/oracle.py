@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from . import connectivity
 from .combine import Subgraph
-from .connectivity import Cut, _crossing_mask, _iter_bits
+from .connectivity import Cut, _iter_bits, _walk_cuts
+from .errors import InvariantViolation
 from .exact_lp import solve_cut_lp
 from .graphs import Graph
 
@@ -106,7 +107,8 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
             rec(pos + 1, in_mask, reduced)
 
     rec(0, 0, full)
-    assert best_set is not None, "2EC input must admit a solution"
+    if best_set is None:
+        raise InvariantViolation("2EC input must admit a solution")
     witness = tuple(_iter_bits(best_set))
     return best_size, Subgraph(g, witness)
 
@@ -122,24 +124,24 @@ def lp_bound(g: Graph) -> LpSolution:
     _guard(g)
     if connectivity.edge_connectivity(g) < 2:
         raise ValueError("cut LP is infeasible: graph is not 2-edge-connected")
-    masks = []
-    shores = []
-    for mask in range(1, 1 << (g.n - 1)):
-        shore = mask << 1
-        shores.append(shore)
-        masks.append(_crossing_mask(g, shore))
-    value, x = solve_cut_lp(g.m, masks)
+    _, cuts = _walk_cuts(g, g.m)
+    value, x = solve_cut_lp(g.m, [cmask for _, cmask, _ in cuts])
     # independent feasibility re-check of the returned point
-    assert all(0 <= xe <= 1 for xe in x)
+    if not all(0 <= xe <= 1 for xe in x):
+        raise InvariantViolation("returned LP point leaves the unit box")
     tight = []
-    for shore, cmask in zip(shores, masks):
+    for shore, cmask, _ in cuts:
         s = sum((x[e] for e in _iter_bits(cmask)), Fraction(0))
-        assert s >= 2, "returned LP point violates a cut constraint"
+        if s < 2:
+            raise InvariantViolation(
+                "returned LP point violates a cut constraint"
+            )
         if s == 2:
             tight.append(
                 Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cmask)))
             )
-    assert sum(x, Fraction(0)) == value
+    if sum(x, Fraction(0)) != value:
+        raise InvariantViolation("LP value differs from the sum of its point")
     return LpSolution(value=value, x=tuple(x), tight_cuts=tuple(tight))
 
 

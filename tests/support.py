@@ -1,8 +1,9 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately avoid the package's own code paths: max-flow for edge
-connectivity, BFS for girth, exhaustive subset scans for minimum 2EC, and
-a row-by-row graph6 encoder.
+connectivity, BFS for girth, exhaustive subset scans for minimum 2EC, a
+row-by-row graph6 encoder, an edge scan per shore for cut crossing sets,
+and Fraction-by-Fraction weight sums for edge occurrences.
 """
 
 from __future__ import annotations
@@ -194,3 +195,30 @@ def pattern_weights_at_vertex(comb, v):
             assert len(missing) == 1, "a 2EC member omits two edges at a vertex"
             omit[missing[0]] += w
     return omit, full
+
+
+def reference_crossing_mask(g, shore_mask: int) -> int:
+    """Crossing edge mask of one shore by a scan over every edge."""
+    out = 0
+    for e, (u, v) in enumerate(g.edges):
+        if ((shore_mask >> u) ^ (shore_mask >> v)) & 1:
+            out |= 1 << e
+    return out
+
+
+def reference_shore_scan(g) -> list[tuple[int, int]]:
+    """(shore, crossing mask) of every canonical shore (vertex 0 outside),
+    in ascending shore order, one edge scan per shore."""
+    return [
+        (mask << 1, reference_crossing_mask(g, mask << 1))
+        for mask in range(1, 1 << (g.n - 1))
+    ]
+
+
+def reference_edge_occurrences(comb) -> tuple[Fraction, ...]:
+    """Per-edge weight sums, adding one Fraction per member and edge."""
+    occ = [Fraction(0)] * comb.host.m
+    for w, es in comb.entries:
+        for e in es:
+            occ[e] += w
+    return tuple(occ)

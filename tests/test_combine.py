@@ -336,6 +336,15 @@ def test_verify_flags_tampered_weight(petersen, certifier):
     assert "occurrences_uniform" in failed
 
 
+def test_verify_reports_float_weights_exactly(k4):
+    members = k4_cycles(k4) + [tuple(range(6))]
+    comb = ConvexCombination(k4, tuple((0.25, es) for es in members))
+    report = verify_certificate(k4, Certificate(k4, comb, TARGET, ()))
+    checks = {c.name: c for c in report.checks}
+    assert checks["weights_sum_to_one"].passed
+    assert not checks["occurrences_uniform"].passed
+
+
 def test_verify_flags_bridge_member(k4):
     tree = (0, 1, 2)
     comb = ConvexCombination(k4, ((F(1), tree),))
