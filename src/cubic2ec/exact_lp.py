@@ -8,7 +8,10 @@ Two small solvers:
   ``min sum x  s.t.  x(delta(S)) >= 2 for all S, 0 <= x <= 1``.  The dual
   has one row per edge, so the basis stays tiny while every cut
   constraint is present as a column from the start.  Bland's rule
-  throughout, so runs are deterministic and cycle-free.
+  throughout, so runs are deterministic and cycle-free.  It serves only
+  inputs outside the cubic 3-edge-connected class: there
+  :func:`cubic2ec.oracle.lp_bound` proves the value n in closed form, and
+  the tests keep this solver as the reference for that closed form.
 """
 
 from __future__ import annotations

@@ -11,8 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connectivity
-from .combine import Subgraph
-from .connectivity import Cut, _iter_bits, _walk_cuts
+from .combine import Subgraph, _numerators
+from .connectivity import (
+    Cut,
+    _cut_summary,
+    _iter_bits,
+    _mask_cut,
+    _walk_cuts,
+)
 from .errors import InvariantViolation
 from .exact_lp import solve_cut_lp
 from .graphs import Graph
@@ -25,7 +31,10 @@ class LpSolution:
     """Exact optimum of the cut LP with its solution vector.
 
     ``x[e]`` is the exact value on edge e; ``tight_cuts`` lists every
-    enumerated cut whose constraint holds with equality.
+    enumerated cut whose constraint holds with equality, in ascending
+    shore order.  On a cubic 3-edge-connected graph ``x`` is the uniform
+    optimum 2/3 and ``tight_cuts`` are the cuts with exactly 3 edges;
+    on any other input ``x`` is the optimal vertex the simplex reaches.
     """
 
     value: Fraction
@@ -114,35 +123,79 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
 
 
 def lp_bound(g: Graph) -> LpSolution:
-    """Exact optimum of the cut LP over the full enumerated constraint set.
+    """Exact optimum of the cut LP ``min sum x : x(delta(S)) >= 2, 0 <= x <= 1``.
 
-    Every cut (one shore per complement pair) is a constraint from the
-    start; the optimal solution is re-verified against all of them, and
-    optimality is certified by the exact optimal basis reached under
-    Bland's rule.
+    Two paths, chosen by the input alone:
+
+    * cubic and 3-edge-connected: the value is n, proved by a checked
+      primal-dual pair (:func:`_cubic_3ec_lp`) without solving anything;
+    * any other 2-edge-connected graph: every cut (one shore per
+      complement pair) is a constraint from the start, optimality is
+      certified by the exact optimal basis Bland's rule reaches, and the
+      returned point is re-checked against every cut.
     """
     _guard(g)
-    if connectivity.edge_connectivity(g) < 2:
+    lam = connectivity.edge_connectivity(g)
+    if lam < 2:
         raise ValueError("cut LP is infeasible: graph is not 2-edge-connected")
+    if g.is_cubic and lam >= 3:
+        return _cubic_3ec_lp(g)
     _, cuts = _walk_cuts(g, g.m)
     value, x = solve_cut_lp(g.m, [cmask for _, cmask, _ in cuts])
     # independent feasibility re-check of the returned point
     if not all(0 <= xe <= 1 for xe in x):
         raise InvariantViolation("returned LP point leaves the unit box")
+    nums, den = _numerators(x)
+    two_den = 2 * den
     tight = []
     for shore, cmask, _ in cuts:
-        s = sum((x[e] for e in _iter_bits(cmask)), Fraction(0))
-        if s < 2:
+        s = sum(nums[e] for e in _iter_bits(cmask))
+        if s < two_den:
             raise InvariantViolation(
                 "returned LP point violates a cut constraint"
             )
-        if s == 2:
-            tight.append(
-                Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cmask)))
-            )
+        if s == two_den:
+            tight.append(_mask_cut(shore, cmask))
     if sum(x, Fraction(0)) != value:
         raise InvariantViolation("LP value differs from the sum of its point")
     return LpSolution(value=value, x=tuple(x), tight_cuts=tuple(tight))
+
+
+def _cubic_3ec_lp(g: Graph) -> LpSolution:
+    """The cut LP of a cubic 3-edge-connected graph in closed form.
+
+    Primal: x = 2/3 on every edge meets every cut constraint, since every
+    cut has at least 3 edges, and has value 2m/3 = n.  Dual: 1/2 on the
+    constraint of every vertex star covers each edge exactly once, since
+    each edge lies in the stars of its two endpoints, and has value
+    2 * n/2 = n.  Equal values prove both optimal.  Every step is checked
+    here, so the result does not rest on the caller's path choice.
+    """
+    n, m = g.n, g.m
+    if not g.is_cubic:
+        raise InvariantViolation("closed-form cut LP needs a cubic graph")
+    lam, small_cuts = _cut_summary(g)
+    if lam < 3:
+        raise InvariantViolation("closed-form cut LP needs every cut >= 3 edges")
+    if 2 * m != 3 * n:
+        raise InvariantViolation("cubic graph with 2m != 3n")
+    cover = [0] * m
+    for v in range(n):
+        for e in g.incident(v):
+            cover[e] += 1
+    if any(c != 2 for c in cover):
+        raise InvariantViolation("an edge is not in exactly two vertex stars")
+    x = (Fraction(2, 3),) * m
+    y = Fraction(1, 2)
+    value = sum(x, Fraction(0))
+    if value != 2 * y * n:
+        raise InvariantViolation("primal value differs from the dual value")
+    tight = tuple(
+        _mask_cut(shore, cmask)
+        for shore, cmask, size in small_cuts
+        if size == 3
+    )
+    return LpSolution(value=value, x=x, tight_cuts=tight)
 
 
 def integrality_gap(g: Graph) -> GapReport:

@@ -70,6 +70,15 @@ def test_opt_lp_gap_values(capsys):
     assert run(capsys, "gap", "--graph", "petersen")[1].strip() == "11/10"
 
 
+def test_lp_reads_non_cubic_edge_list(tmp_path, capsys):
+    path = tmp_path / "k5.txt"
+    path.write_text(
+        "5 10\n" + "".join(f"{i} {j}\n" for i in range(5) for j in range(i + 1, 5))
+    )
+    code, stdout, _ = run(capsys, "lp", "--edges", str(path))
+    assert code == 0 and stdout == "5\n"
+
+
 def test_gap_reads_graph6_file(tmp_path, capsys):
     path = tmp_path / "p.g6"
     path.write_text(to_graph6(builtin("petersen")) + "\n")

@@ -1,5 +1,6 @@
-"""The Gray-code shore walk and the integer-numerator weight sums against
-the per-shore edge scan and the Fraction loop they replaced."""
+"""The Gray-code shore walk, the integer-numerator weight sums and the
+closed-form cut LP against the per-shore edge scan, the Fraction loop and
+the full-enumeration simplex they replaced."""
 
 from fractions import Fraction
 
@@ -13,13 +14,17 @@ from support import (
 from cubic2ec import (
     Cut,
     Graph,
+    builtin,
     combination,
     edge_connectivity,
     edge_occurrences,
     enumerate_cuts,
+    lp_bound,
     two_ec_spanning_subgraphs,
 )
-from cubic2ec.connectivity import _cuts_up_to_4, _iter_bits
+from cubic2ec import oracle
+from cubic2ec.connectivity import _cuts_up_to_4, _iter_bits, _walk_cuts
+from cubic2ec.exact_lp import solve_cut_lp
 
 F = Fraction
 
@@ -134,3 +139,22 @@ def test_random_weights_match_fraction_loop(prism, data):
         expected[es] = expected.get(es, F(0)) + w
     assert comb.entries == tuple((w, es) for es, w in sorted(expected.items()))
     assert edge_occurrences(comb) == reference_edge_occurrences(comb)
+
+
+def refuse(*_):
+    raise AssertionError("the closed form must not enumerate or solve")
+
+
+def test_closed_form_lp_matches_simplex(corpus, monkeypatch):
+    monkeypatch.setattr(oracle, "solve_cut_lp", refuse)
+    monkeypatch.setattr(oracle, "_walk_cuts", refuse)
+    for g in corpus + [builtin("k4"), builtin("petersen")]:
+        sol = lp_bound(g)
+        _, cuts = _walk_cuts(g, g.m)
+        value, _ = solve_cut_lp(g.m, [cmask for _, cmask, _ in cuts])
+        assert sol.value == value == g.n
+        for _, cross in reference_shore_scan(g):
+            assert sum(sol.x[e] for e in _iter_bits(cross)) >= 2
+        assert sol.tight_cuts == tuple(
+            c for c in enumerate_cuts(g, 3) if len(c.crossing) == 3
+        )

@@ -32,6 +32,12 @@ def test_certify_petersen_under_optimize():
     assert proc.stdout.strip() == "n=10 entries=132 min_support=11 bound=11"
 
 
+def test_closed_form_lp_petersen_under_optimize():
+    proc = run_optimized("-m", "cubic2ec.cli", "lp", "--graph", "petersen")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "10"
+
+
 FORCED_MISMATCH = """
 import sys
 from fractions import Fraction

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from support import brute_force_min_2ec, reference_is_2ec
+from support import brute_force_min_2ec, reference_is_2ec, reference_shore_scan
 
 from cubic2ec import (
     Graph,
+    edge_connectivity,
     exact_opt,
     integrality_gap,
     lp_bound,
@@ -12,6 +13,10 @@ from cubic2ec import (
     min_support_subgraph,
     support_bound,
 )
+from cubic2ec import oracle
+from cubic2ec.connectivity import _iter_bits
+from cubic2ec.errors import InvariantViolation
+from cubic2ec.exact_lp import solve_cut_lp
 
 F = Fraction
 
@@ -81,6 +86,66 @@ def test_lp_rejects_non_2ec():
     path = Graph(4, ((0, 1), (1, 2), (2, 3)))
     with pytest.raises(ValueError):
         lp_bound(path)
+
+
+def complete(n):
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def k4_minus_edge(o):
+    return [
+        (o + a, o + b) for a in range(4) for b in range(a + 1, 4) if (a, b) != (0, 1)
+    ]
+
+
+C5 = Graph(5, tuple((i, (i + 1) % 5) for i in range(5)))
+# cubic, n = 8: two copies of K4 minus an edge joined by a 2-edge cut
+TWO_K4_MINUS_EDGE = Graph(
+    8, tuple(k4_minus_edge(0) + k4_minus_edge(4) + [(0, 4), (1, 5)])
+)
+
+
+@pytest.mark.parametrize(
+    "g, lam, value",
+    [(C5, 2, 5), (complete(5), 4, 5), (TWO_K4_MINUS_EDGE, 2, 8)],
+    ids=["c5", "k5", "two_k4_minus_edge"],
+)
+def test_lp_fallback_outside_cubic_3ec(g, lam, value, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_cut_lp(*args)
+
+    monkeypatch.setattr(oracle, "solve_cut_lp", counted)
+    assert edge_connectivity(g) == lam
+    sol = lp_bound(g)
+    assert sol.value == value
+    assert len(calls) == 1
+    # the integer re-check against a Fraction sum per shore
+    sums = [
+        (shore, sum(sol.x[e] for e in _iter_bits(cross)))
+        for shore, cross in reference_shore_scan(g)
+    ]
+    assert all(s >= 2 for _, s in sums)
+    assert [c.shore for c in sol.tight_cuts] == [
+        tuple(_iter_bits(shore)) for shore, s in sums if s == 2
+    ]
+
+
+def test_lp_fallback_rejects_an_infeasible_point(monkeypatch):
+    monkeypatch.setattr(
+        oracle, "solve_cut_lp", lambda m, masks: (F(5), (F(1, 2),) + (F(1),) * 4)
+    )
+    with pytest.raises(InvariantViolation, match="violates a cut constraint"):
+        lp_bound(C5)
+
+
+def test_closed_form_checks_its_own_preconditions():
+    with pytest.raises(InvariantViolation, match="every cut >= 3 edges"):
+        oracle._cubic_3ec_lp(TWO_K4_MINUS_EDGE)
+    with pytest.raises(InvariantViolation, match="cubic"):
+        oracle._cubic_3ec_lp(complete(5))
 
 
 # gap --------------------------------------------------------------------------
