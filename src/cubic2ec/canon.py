@@ -2,8 +2,11 @@
 
 Desk-scale individualization-refinement: refine the vertex partition by
 neighbor-cell counts, branch on the first non-singleton cell, and take the
-minimum adjacency encoding over all discrete leaves.  Quadratic per leaf;
-adequate for the n <= 20 graphs this package handles.
+minimum adjacency encoding over all discrete leaves.  A leaf's encoding is
+one integer holding the upper-triangle adjacency bits in graph6 order, built
+with one shift per edge.  Children of the root that lie in the orbit of an
+explored child under automorphisms found so far are skipped.  Adequate for
+the n <= 20 graphs this package handles.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from .graphs import Graph, parse_graph6, to_graph6
 
 def _refine(cells: tuple[tuple[int, ...], ...], nbrs) -> tuple[tuple[int, ...], ...]:
     cells = list(cells)
+    pos = [0] * len(nbrs)
     while True:
-        pos = {}
         for ci, cell in enumerate(cells):
             for v in cell:
                 pos[v] = ci
+        k = len(cells)
         new_cells: list[tuple[int, ...]] = []
         changed = False
         for cell in cells:
@@ -28,12 +32,14 @@ def _refine(cells: tuple[tuple[int, ...], ...], nbrs) -> tuple[tuple[int, ...], 
                 continue
             sig: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                counts = [0] * len(cells)
+                counts = [0] * k
                 for w in nbrs[v]:
                     counts[pos[w]] += 1
                 sig.setdefault(tuple(counts), []).append(v)
-            if len(sig) > 1:
-                changed = True
+            if len(sig) == 1:
+                new_cells.append(cell)
+                continue
+            changed = True
             for key in sorted(sig):
                 new_cells.append(tuple(sig[key]))
         cells = new_cells
@@ -41,19 +47,20 @@ def _refine(cells: tuple[tuple[int, ...], ...], nbrs) -> tuple[tuple[int, ...], 
             return tuple(cells)
 
 
-def _encode(g: Graph, order: tuple[int, ...]) -> bytes:
-    """Upper-triangle adjacency bits of g relabeled by position in order."""
-    bits = []
-    for col in range(1, g.n):
-        vc = order[col]
-        for row in range(col):
-            bits.append(1 if g.has_edge(order[row], vc) else 0)
-    while len(bits) % 8:
-        bits.append(0)
-    return bytes(
-        sum(b << (7 - k) for k, b in enumerate(bits[i : i + 8]))
-        for i in range(0, len(bits), 8)
+def _individualize(cells, target: int, v: int):
+    cell = cells[target]
+    return (
+        cells[:target]
+        + ((v,), tuple(u for u in cell if u != v))
+        + cells[target + 1 :]
     )
+
+
+def _first_split(cells) -> int | None:
+    for ci, cell in enumerate(cells):
+        if len(cell) > 1:
+            return ci
+    return None
 
 
 @lru_cache(maxsize=4096)
@@ -63,41 +70,84 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
     ``perm[v]`` is the canonical index of vertex ``v``.  Isomorphic graphs
     produce identical keys, and applying ``perm`` to ``g`` reproduces
     ``parse_graph6(key)`` exactly.
+
+    The key is the least leaf encoding of the individualization-refinement
+    tree.  Edge {u, v} at leaf positions p < q sets bit
+    ``n(n-1)/2 - 1 - (q(q-1)/2 + p)`` of the encoding, the graph6 bit order,
+    so comparing the integers compares the graph6 adjacency strings.
+    ``perm`` is the first least leaf in search order (ties never replace the
+    best), which root-orbit pruning preserves.
     """
     n = g.n
     if n < 1:
         raise ValueError("canonical_form requires n >= 1")
     nbrs = [g.neighbors(v) for v in range(n)]
-    best: list = [None, None]  # encoding bytes, order (position -> old vertex)
+    edges = g.edges
+    top = n * (n - 1) // 2 - 1
+    best_enc = -1
+    best_order: tuple[int, ...] = ()
+    orbit = list(range(n))  # union-find over the automorphisms found
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    def leaf(cells):
+        nonlocal best_enc, best_order
+        order = tuple(cell[0] for cell in cells)
+        at = [0] * n
+        for position, old in enumerate(order):
+            at[old] = position
+        enc = 0
+        for u, v in edges:
+            p, q = at[u], at[v]
+            if p > q:
+                p, q = q, p
+            enc |= 1 << (top - (q * (q - 1) // 2 + p))
+        if best_enc < 0 or enc < best_enc:
+            best_enc, best_order = enc, order
+        elif enc == best_enc:
+            # best_order[i] -> order[i] maps g onto itself: an automorphism
+            for a, b in zip(best_order, order):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    orbit[max(ra, rb)] = min(ra, rb)
 
     def search(cells):
         cells = _refine(cells, nbrs)
-        target = None
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = ci
-                break
+        target = _first_split(cells)
         if target is None:
-            order = tuple(cell[0] for cell in cells)
-            enc = _encode(g, order)
-            if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, order
+            leaf(cells)
             return
-        cell = cells[target]
-        for v in cell:
-            split = (
-                cells[:target]
-                + ((v,), tuple(u for u in cell if u != v))
-                + cells[target + 1 :]
-            )
-            search(split)
+        for v in cells[target]:
+            search(_individualize(cells, target, v))
 
-    search((tuple(range(n)),))
-    order = best[1]
+    root = _refine((tuple(range(n)),), nbrs)
+    target = _first_split(root)
+    if target is None:
+        leaf(root)
+    else:
+        # Root-orbit pruning.  The root partition is invariant under every
+        # automorphism and refinement is equivariant, so for an automorphism
+        # gamma the subtree below gamma(u) is gamma's image of the subtree
+        # below u, with the same leaf encodings.  A child in the orbit of an
+        # explored child (under the group the recorded automorphisms
+        # generate) therefore holds no leaf strictly below the current best.
+        # Ties never replace the best, so perm stays the first least leaf in
+        # search order; _map_combination pulls cached combinations back
+        # through perm, and another tied leaf would change the certificate.
+        explored: set[int] = set()
+        for v in root[target]:
+            if any(find(v) == find(u) for u in explored):
+                continue
+            explored.add(v)
+            search(_individualize(root, target, v))
     perm = [0] * n
-    for position, old in enumerate(order):
+    for position, old in enumerate(best_order):
         perm[old] = position
-    canon = Graph(n, tuple((perm[u], perm[v]) for u, v in g.edges))
+    canon = Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
     return to_graph6(canon), tuple(perm)
 
 

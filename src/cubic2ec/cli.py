@@ -13,7 +13,6 @@ import json
 import logging
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -47,7 +46,6 @@ class RunConfig:
     certificate: str | None
     output: str | None
     max_n: int | None
-    jobs: int
 
 
 def _add_source_flags(p: argparse.ArgumentParser, g6_only: bool = False):
@@ -89,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(sp, g6_only=True)
     sp.add_argument("-o", "--output", help="write CSV here (default stdout)")
     sp.add_argument("--max-n", type=int, default=combine.DEFAULT_MAX_N)
-    sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("lemma3", help="exhaustive safe-pair verification")
     _add_source_flags(sp)
@@ -106,7 +103,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         certificate=getattr(args, "cert", None),
         output=getattr(args, "output", None),
         max_n=getattr(args, "max_n", None),
-        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -235,11 +231,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if ln.strip()
     ]
     certifier = Certifier(max_n=cfg.max_n or combine.DEFAULT_MAX_N)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda ln: _sweep_row(certifier, ln), lines))
-    else:
-        rows = [_sweep_row(certifier, ln) for ln in lines]
+    rows = [_sweep_row(certifier, ln) for ln in lines]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -524,8 +524,7 @@ class Certifier:
     def certify(self, g: Graph) -> Certificate:
         """Certificate with every edge at exactly 7/9."""
         self._validate_input(g)
-        key, _ = canonical_form(g)
-        comb = self._combination(g)
+        comb, key = self._combination_with_key(g)
         _check_uniform(comb, TARGET)
         return Certificate(
             graph=g, combination=comb, target=TARGET, trace=self._trace_closure(key)
@@ -556,10 +555,6 @@ class Certifier:
             )
         if connectivity.edge_connectivity(g) < 3:
             raise ValueError("input graph must be 3-edge-connected")
-
-    def _combination(self, g: Graph) -> ConvexCombination:
-        comb, _ = self._combination_with_key(g)
-        return comb
 
     def _combination_with_key(self, g: Graph) -> tuple[ConvexCombination, str]:
         key, perm = canonical_form(g)
@@ -720,17 +715,17 @@ def _map_combination(
     return combination(g, raw, check=False)
 
 
-_shared = Certifier()
-
-
 def certify(g: Graph, certifier: Certifier | None = None) -> Certificate:
-    return (certifier or _shared).certify(g)
+    """``certifier.certify(g)``, with a fresh Certifier when none is given."""
+    return (certifier or Certifier()).certify(g)
 
 
 def reduce_case1(
     g: Graph, uv: int, certifier: Certifier | None = None
 ) -> tuple[ConvexCombination, Case1Profile]:
-    return (certifier or _shared).reduce_case1(g, uv)
+    """``certifier.reduce_case1(g, uv)``, with a fresh Certifier when none
+    is given."""
+    return (certifier or Certifier()).reduce_case1(g, uv)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 These deliberately avoid the package's own code paths: max-flow for edge
 connectivity, BFS for girth, exhaustive subset scans for minimum 2EC, a
 row-by-row graph6 encoder, an edge scan per shore for cut crossing sets,
-and Fraction-by-Fraction weight sums for edge occurrences.
+Fraction-by-Fraction weight sums for edge occurrences, and a canonical
+form that visits every leaf of its search tree.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 def maxflow_edge_connectivity(g) -> int:
@@ -222,3 +224,80 @@ def reference_edge_occurrences(comb) -> tuple[Fraction, ...]:
         for e in es:
             occ[e] += w
     return tuple(occ)
+
+
+def _reference_refine(cells, nbrs):
+    cells = list(cells)
+    while True:
+        pos = {}
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                pos[v] = ci
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                counts = [0] * len(cells)
+                for w in nbrs[v]:
+                    counts[pos[w]] += 1
+                sig.setdefault(tuple(counts), []).append(v)
+            if len(sig) > 1:
+                changed = True
+            for key in sorted(sig):
+                new_cells.append(tuple(sig[key]))
+        cells = new_cells
+        if not changed:
+            return tuple(cells)
+
+
+def _reference_encode(g, order) -> bytes:
+    """Upper-triangle adjacency bits of g relabeled by position in order."""
+    bits = []
+    for col in range(1, g.n):
+        vc = order[col]
+        for row in range(col):
+            bits.append(1 if g.has_edge(order[row], vc) else 0)
+    while len(bits) % 8:
+        bits.append(0)
+    return bytes(
+        sum(b << (7 - k) for k, b in enumerate(bits[i : i + 8]))
+        for i in range(0, len(bits), 8)
+    )
+
+
+def reference_canonical_form(g) -> tuple[str, tuple[int, ...]]:
+    """(key, perm) from the full individualization-refinement tree: every
+    leaf is visited and encoded as bytes, and the first least leaf wins."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    best = [None, None]
+
+    def search(cells):
+        cells = _reference_refine(cells, nbrs)
+        target = next((ci for ci, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            order = tuple(cell[0] for cell in cells)
+            enc = _reference_encode(g, order)
+            if best[0] is None or enc < best[0]:
+                best[0], best[1] = enc, order
+            return
+        cell = cells[target]
+        for v in cell:
+            search(
+                cells[:target]
+                + ((v,), tuple(u for u in cell if u != v))
+                + cells[target + 1 :]
+            )
+
+    search((tuple(range(n)),))
+    perm = [0] * n
+    for position, old in enumerate(best[1]):
+        perm[old] = position
+    relabeled = SimpleNamespace(
+        n=n, edges=[(perm[u], perm[v]) for u, v in g.edges]
+    )
+    return reference_graph6(relabeled), tuple(perm)

@@ -242,6 +242,7 @@ def test_reduce_case1_preconditions(prism, k33, certifier):
 def test_certify_k4_support_meets_bound(k4):
     cert = certify(k4)
     assert len(min_support_subgraph(cert).edges) <= support_bound(4) == 4
+    assert certificate_to_json(cert) == certificate_to_json(Certifier().certify(k4))
 
 
 def test_certify_petersen(petersen, certifier):

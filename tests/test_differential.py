@@ -1,20 +1,24 @@
-"""The Gray-code shore walk, the integer-numerator weight sums and the
-closed-form cut LP against the per-shore edge scan, the Fraction loop and
-the full-enumeration simplex they replaced."""
+"""The Gray-code shore walk, the integer-numerator weight sums, the
+closed-form cut LP and the pruned canonical form against the per-shore edge
+scan, the Fraction loop, the full-enumeration simplex and the full search
+tree they replaced."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from support import (
+    reference_canonical_form,
     reference_edge_occurrences,
     reference_shore_scan,
 )
 
 from cubic2ec import (
+    Certifier,
     Cut,
     Graph,
     builtin,
+    canonical_form,
     combination,
     edge_connectivity,
     edge_occurrences,
@@ -22,7 +26,7 @@ from cubic2ec import (
     lp_bound,
     two_ec_spanning_subgraphs,
 )
-from cubic2ec import oracle
+from cubic2ec import combine, oracle
 from cubic2ec.connectivity import _cuts_up_to_4, _iter_bits, _walk_cuts
 from cubic2ec.exact_lp import solve_cut_lp
 
@@ -158,3 +162,84 @@ def test_closed_form_lp_matches_simplex(corpus, monkeypatch):
         assert sol.tight_cuts == tuple(
             c for c in enumerate_cuts(g, 3) if len(c.crossing) == 3
         )
+
+
+# canonical form ---------------------------------------------------------------
+
+
+def test_canonical_form_matches_full_search_on_certified_graphs(corpus, monkeypatch):
+    seen = []  # every graph canonical_form receives while certifying the corpus
+
+    def record(g):
+        seen.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(combine, "canonical_form", record)
+    certifier = Certifier()
+    for g in corpus:
+        certifier.certify(g)
+    monkeypatch.undo()
+    graphs = list(dict.fromkeys(corpus + seen))
+    assert len(graphs) > len(corpus)
+    for g in graphs:
+        assert canonical_form(g) == reference_canonical_form(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_form_matches_full_search_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    h = relabel(g, perm, order)
+    assert canonical_form(h) == reference_canonical_form(h)
+
+
+def cycle(n):
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
+def heawood():
+    """The 14-cycle plus the chords (i, i + 5) from even i."""
+    pairs = [(i, (i + 1) % 14) for i in range(14)]
+    pairs += [(i, i + 5) for i in range(0, 14, 2)]
+    return Graph(14, tuple((i, j % 14) for i, j in pairs))
+
+
+def generalized_petersen(n, k):
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    pairs += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, tuple(pairs))
+
+
+# Large automorphism groups and deep branching: most leaves tie with the
+# least one, so these are where a pruning or tie-breaking fault shows in perm.
+SYMMETRIC = {
+    "C9": cycle(9),
+    "C12": cycle(12),
+    "K6": complete(6),
+    "K3,3": complete_bipartite(3, 3),
+    "K4,4": complete_bipartite(4, 4),
+    "cube": Graph(8, tuple((i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b)),
+    "heawood": heawood(),
+    "GP(8,3)": generalized_petersen(8, 3),
+    "GP(9,2)": generalized_petersen(9, 2),
+    "empty1": Graph(1, ()),
+    "empty2": Graph(2, ()),
+    "K2": Graph(2, ((0, 1),)),
+    "empty5": Graph(5, ()),
+    "matching": Graph(8, tuple((2 * i, 2 * i + 1) for i in range(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_form_matches_full_search_on_symmetric_graphs(name):
+    g = SYMMETRIC[name]
+    assert canonical_form(g) == reference_canonical_form(g)
+    rotate = tuple((i + 1) % g.n for i in range(g.n))
+    h = relabel(g, rotate, range(g.m)[::-1])
+    assert canonical_form(h) == reference_canonical_form(h)
