@@ -45,10 +45,10 @@ def main() -> int:
         lp = lp_bound(g).value
         gap = Fraction(opt) / lp
         cert = certifier.certify(g)
-        assert set(edge_occurrences(cert.combination)) == {TARGET}
+        uniform = set(edge_occurrences(cert.combination)) == {TARGET}
         support = len(min_support_subgraph(cert).edges)
         bound = support_bound(g.n)
-        ok = lp <= opt <= support <= bound
+        ok = uniform and lp <= opt <= support <= bound
         if e4 and g.n > 6:
             ok = ok and not verify_lemma3(g).violations
         failures += not ok

@@ -42,13 +42,9 @@ from .connectivity import (
 )
 from .enumeration import connected_cubic_graphs
 from .errors import (
-    BaseCaseFailure,
-    GlueFailure,
     GraphFormatError,
     InvariantViolation,
     Lemma3Violation,
-    LiftFailure,
-    PatternMismatch,
     StructuralViolation,
 )
 from .graphs import (

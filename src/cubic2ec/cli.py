@@ -13,7 +13,6 @@ import json
 import logging
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,17 +34,6 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 log = logging.getLogger("cubic2ec")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    builtin: str | None
-    g6_path: str | None
-    edges_path: str | None
-    certificate: str | None
-    output: str | None
-    max_n: int | None
 
 
 def _add_source_flags(p: argparse.ArgumentParser, g6_only: bool = False):
@@ -94,39 +82,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        builtin=getattr(args, "graph", None),
-        g6_path=getattr(args, "g6", None),
-        edges_path=getattr(args, "edges", None),
-        certificate=getattr(args, "cert", None),
-        output=getattr(args, "output", None),
-        max_n=getattr(args, "max_n", None),
-    )
-
-
-def _load_graph(cfg: RunConfig) -> Graph:
-    if cfg.builtin:
-        return builtin(cfg.builtin)
-    if cfg.g6_path:
-        text = Path(cfg.g6_path).read_text()
+def _load_graph(args: argparse.Namespace) -> Graph:
+    if args.graph:
+        return builtin(args.graph)
+    if args.g6:
+        text = Path(args.g6).read_text()
         for line in text.splitlines():
             if line.strip():
                 return parse_graph6(line)
-        raise GraphFormatError(f"no graph6 line in {cfg.g6_path}")
-    if not cfg.edges_path:
+        raise GraphFormatError(f"no graph6 line in {args.g6}")
+    if not args.edges:
         raise InvariantViolation("no graph source was given")
-    return parse_edge_list(Path(cfg.edges_path).read_text())
+    return parse_edge_list(Path(args.edges).read_text())
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    certifier = Certifier(max_n=cfg.max_n or combine.DEFAULT_MAX_N)
+def cmd_certify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    certifier = Certifier(max_n=args.max_n or combine.DEFAULT_MAX_N)
     cert = certifier.certify(g)
     support = min_support_subgraph(cert)
-    if cfg.output:
-        Path(cfg.output).write_text(certificate_to_json(cert))
+    if args.output:
+        Path(args.output).write_text(certificate_to_json(cert))
     print(
         f"n={g.n} entries={len(cert.combination.entries)} "
         f"min_support={len(support.edges)} bound={support_bound(g.n)}"
@@ -134,9 +110,9 @@ def cmd_certify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    cert = certificate_from_json(Path(cfg.certificate).read_text())
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    cert = certificate_from_json(Path(args.cert).read_text())
     report = verify_certificate(g, cert)
     doc = {
         "ok": report.ok,
@@ -149,22 +125,22 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def cmd_value(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.max_n is not None and g.n > cfg.max_n:
-        raise ValueError(f"n={g.n} exceeds --max-n {cfg.max_n}")
-    if cfg.command == "opt":
+def cmd_value(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    if g.n > args.max_n:
+        raise ValueError(f"n={g.n} exceeds --max-n {args.max_n}")
+    if args.command == "opt":
         value, _ = oracle.exact_opt(g)
         print(value)
-    elif cfg.command == "lp":
+    elif args.command == "lp":
         print(oracle.lp_bound(g).value)
     else:
         print(oracle.integrality_gap(g).gap)
     return EXIT_OK
 
 
-def cmd_lemma3(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def cmd_lemma3(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     report = connectivity.verify_lemma3(g)
     doc = {
         "configurations": report.configurations,
@@ -224,13 +200,13 @@ def _sweep_row(certifier: Certifier, line: str) -> dict:
     return row
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [
         ln.strip()
-        for ln in Path(cfg.g6_path).read_text().splitlines()
+        for ln in Path(args.g6).read_text().splitlines()
         if ln.strip()
     ]
-    certifier = Certifier(max_n=cfg.max_n or combine.DEFAULT_MAX_N)
+    certifier = Certifier(max_n=args.max_n or combine.DEFAULT_MAX_N)
     rows = [_sweep_row(certifier, ln) for ln in lines]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
@@ -238,8 +214,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for row in rows:
         writer.writerow(row)
     text = buf.getvalue()
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     violated = any(r["bound_ok"] == "false" for r in rows) or any(
@@ -263,9 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, format="%(name)s: %(message)s")
-    cfg = _config(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -34,13 +34,7 @@ from fractions import Fraction
 from . import connectivity
 from .canon import canonical_form, canonical_graph
 from .enumeration import connected_cubic_graphs
-from .errors import (
-    BaseCaseFailure,
-    GlueFailure,
-    InvariantViolation,
-    LiftFailure,
-    PatternMismatch,
-)
+from .errors import InvariantViolation
 from .exact_lp import feasible_basic_solution
 from .graphs import Graph, Reduction, contract_shore, remove_edges_and_smooth
 
@@ -306,7 +300,7 @@ def base_case_combination(g: Graph) -> ConvexCombination:
     rhs = [TARGET] * g.m + [Fraction(1)]
     lam = feasible_basic_solution(rows, rhs)
     if lam is None:
-        raise BaseCaseFailure(
+        raise InvariantViolation(
             f"no uniform-{TARGET} combination exists for this base graph"
         )
     comb = combination(
@@ -341,8 +335,8 @@ def lift(child_combination: ConvexCombination, red: Reduction) -> ConvexCombinat
         parent_edges -= red.forced_exclude
         key = tuple(sorted(parent_edges))
         if not connectivity.is_2ec(red.parent, key):
-            raise LiftFailure(
-                "lifted subgraph is not spanning 2-edge-connected", edges=key
+            raise InvariantViolation(
+                f"lifted subgraph {key} is not spanning 2-edge-connected"
             )
         raw.append((w, key))
     return combination(red.parent, raw, check=False)
@@ -407,8 +401,8 @@ def _pattern_classes(comb: ConvexCombination, red: Reduction):
     for w, es in comb.entries:
         omitted = [pe for pe in pseudo_edges if pe not in es]
         if len(omitted) > 1:
-            raise PatternMismatch(
-                f"a member omits {len(omitted)} pseudo-vertex edges"
+            raise InvariantViolation(
+                f"member {es} omits {len(omitted)} pseudo-vertex edges"
             )
         key = corr[omitted[0]] if omitted else None
         classes[key].append((w, es))
@@ -416,7 +410,7 @@ def _pattern_classes(comb: ConvexCombination, red: Reduction):
         want = _PATTERN_FULL if key is None else _PATTERN_OMIT
         got = sum((w for w, _ in entries), Fraction(0))
         if got != want:
-            raise PatternMismatch(
+            raise InvariantViolation(
                 f"pattern weight for {'all-present' if key is None else f'omit edge {key}'}"
                 f" is {got}, expected {want}"
             )
@@ -482,8 +476,8 @@ def glue(
                     )
                 gk = tuple(sorted(glued))
                 if not connectivity.is_2ec(parent, gk):
-                    raise GlueFailure(
-                        "glued subgraph is not spanning 2-edge-connected", edges=gk
+                    raise InvariantViolation(
+                        f"glued subgraph {gk} is not spanning 2-edge-connected"
                     )
                 raw.append((w, gk))
             lst1[i][0] -= w
@@ -816,33 +810,51 @@ def certificate_to_json(cert: Certificate) -> str:
             {"weight": _frac_str(w), "edges": list(es)}
             for w, es in cert.combination.entries
         ],
-        "trace": [_plain(r) for r in cert.trace],
+        "trace": list(cert.trace),
         "min_support_size": len(min_support_subgraph(cert).edges),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
+def _field(name: str, parse, value):
+    """``parse(value)``, with a malformed value reported as a ValueError
+    that names the certificate field."""
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as e:
+        raise ValueError(f"certificate field {name!r} is malformed ({e!r})") from None
+
+
+def _edge_pairs(edges) -> tuple[tuple[int, int], ...]:
+    return tuple((int(u), int(v)) for u, v in edges)
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate without validating it (the verifier does that)."""
+    """Parse a certificate without validating it (the verifier does that).
+
+    A document that does not have the certificate's shape raises a
+    ValueError naming the bad field.
+    """
     doc = json.loads(text)
-    graph = Graph(int(doc["n"]), tuple((int(u), int(v)) for u, v in doc["edges"]))
+    if not isinstance(doc, dict):
+        raise ValueError("certificate must be a JSON object")
+    for name in ("n", "edges", "entries"):
+        if name not in doc:
+            raise ValueError(f"certificate has no {name!r} field")
+    n = _field("n", int, doc["n"])
+    graph = Graph(n, _field("edges", _edge_pairs, doc["edges"]))
     entries = tuple(
-        (_parse_frac(ent["weight"]), tuple(int(e) for e in ent["edges"]))
-        for ent in doc["entries"]
+        (
+            _field(f"entries[{i}].weight", lambda e: _parse_frac(e["weight"]), ent),
+            _field(f"entries[{i}].edges", lambda e: tuple(map(int, e["edges"])), ent),
+        )
+        for i, ent in enumerate(_field("entries", list, doc["entries"]))
     )
     comb = ConvexCombination(graph, entries)
     return Certificate(
         graph=graph,
         combination=comb,
-        target=_parse_frac(doc.get("target", "7/9")),
-        trace=tuple(doc.get("trace", ())),
+        target=_field("target", _parse_frac, doc.get("target", "7/9")),
+        trace=_field("trace", tuple, doc.get("trace", ())),
         declared_min_support=doc.get("min_support_size"),
     )

@@ -8,13 +8,18 @@ shores differ in one vertex, so each step updates the crossing edge mask
 with one XOR of that vertex's incidence mask instead of a scan over all
 edges.  The cuts a query keeps are sorted by shore, so every output is
 in ascending shore order.
+
+The essential cuts are indexed once per graph: one cached
+:class:`CutIndex` holds the min cut size, the cuts of size <= 4 and the
+essential 3- and 4-cuts, so every cut query reads it instead of
+rescanning the cuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import Lemma3Violation
 from .graphs import Graph
@@ -93,18 +98,34 @@ def _crossing_mask(g: Graph, shore_mask: int) -> int:
     return out
 
 
-def _has_internal_edge(g: Graph, vmask: int) -> bool:
-    for u, v in g.edges:
-        if (vmask >> u) & 1 and (vmask >> v) & 1:
-            return True
-    return False
+def _is_essential_mask(g: Graph, shore_mask: int, cross_mask: int) -> bool:
+    """Both sides of the cut have at least two vertices and an edge inside.
 
-
-def _is_essential_mask(g: Graph, shore_mask: int) -> bool:
+    A side's degree sum counts each edge inside it twice and each crossing
+    edge once, so the side has an edge inside iff the sum exceeds the cut
+    size.
+    """
     comp = ((1 << g.n) - 1) ^ shore_mask
     if shore_mask.bit_count() < 2 or comp.bit_count() < 2:
         return False
-    return _has_internal_edge(g, shore_mask) and _has_internal_edge(g, comp)
+    size = cross_mask.bit_count()
+    degrees = sum(g.degree(v) for v in _iter_bits(shore_mask))
+    return degrees > size and 2 * g.m - degrees > size
+
+
+def _shore_mask(g: Graph, shore: Iterable[int]) -> int:
+    """Bitmask of the canonical side of a vertex set: the set itself, or
+    its complement when it holds vertex 0."""
+    mask = 0
+    for v in shore:
+        mask |= 1 << v
+    if mask & 1:
+        mask ^= (1 << g.n) - 1
+    return mask
+
+
+def _mask_cut(shore_mask: int, cross_mask: int) -> Cut:
+    return Cut(tuple(_iter_bits(shore_mask)), tuple(_iter_bits(cross_mask)))
 
 
 def make_cut(g: Graph, shore: Iterable[int]) -> Cut:
@@ -112,33 +133,24 @@ def make_cut(g: Graph, shore: Iterable[int]) -> Cut:
     vs = set(shore)
     if not vs or not vs < set(range(g.n)):
         raise ValueError("shore must be a proper nonempty vertex subset")
-    if 0 in vs:
-        vs = set(range(g.n)) - vs
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    cross = _crossing_mask(g, mask)
-    return Cut(tuple(sorted(vs)), tuple(_iter_bits(cross)))
+    mask = _shore_mask(g, vs)
+    return _mask_cut(mask, _crossing_mask(g, mask))
 
 
 def is_essential_cut(g: Graph, cut: Cut) -> bool:
-    mask = 0
-    for v in cut.shore:
-        mask |= 1 << v
-    return _is_essential_mask(g, mask)
+    mask = _shore_mask(g, cut.shore)
+    return _is_essential_mask(g, mask, _crossing_mask(g, mask))
 
 
-def _walk_cuts(
-    g: Graph, max_size: int
-) -> tuple[int, list[tuple[int, int, int]]]:
+def _walk_cuts(g: Graph, max_size: int) -> tuple[int, list[tuple[int, int]]]:
     """One walk over every canonical shore.
 
     Returns the min cut size, and every cut with |crossing| <= max_size
-    as (shore, crossing, size) in ascending shore order.  The shore >> 1
-    code runs through the Gray code i ^ (i >> 1): step i flips bit
-    (i & -i) of the code, i.e. vertex (i & -i).bit_length(), never vertex
-    0, and the edges whose crossing status changes are exactly those at
-    the flipped vertex.
+    as (shore, crossing) in ascending shore order.  The shore >> 1 code
+    runs through the Gray code i ^ (i >> 1): step i flips bit (i & -i) of
+    the code, i.e. vertex (i & -i).bit_length(), never vertex 0, and the
+    edges whose crossing status changes are exactly those at the flipped
+    vertex.
     """
     _guard_size(g)
     inc = [0] * g.n
@@ -156,25 +168,40 @@ def _walk_cuts(
         if size < best:
             best = size
         if size <= max_size:
-            found.append((code, cross, size))
+            found.append((code, cross))
     found.sort()
-    return best, [(code << 1, cross, size) for code, cross, size in found]
+    return best, [(code << 1, cross) for code, cross in found]
+
+
+class CutIndex(NamedTuple):
+    """The cut facts of one graph, as (shore, crossing) bitmask pairs.
+
+    ``small`` holds every canonical cut with |crossing| <= 4 in ascending
+    shore order; ``essential3`` and ``essential4`` hold the essential cuts
+    of size 3 and 4, each sorted by (|shore|, shore).
+    """
+
+    min_size: int
+    small: tuple[tuple[int, int], ...]
+    essential3: tuple[tuple[int, int], ...]
+    essential4: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=512)
-def _cut_summary(g: Graph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """Min cut size, and all canonical shores with |crossing| <= 4 as
-    (shore, crossing, size) in ascending shore order."""
+def _cut_summary(g: Graph) -> CutIndex:
+    """Index the cuts of g with one shore walk, deciding each cut's
+    essentiality once."""
     best, small = _walk_cuts(g, 4)
-    return best, tuple(small)
 
+    def essential(size: int) -> tuple[tuple[int, int], ...]:
+        found = sorted(
+            (shore.bit_count(), shore, cross)
+            for shore, cross in small
+            if cross.bit_count() == size and _is_essential_mask(g, shore, cross)
+        )
+        return tuple((shore, cross) for _, shore, cross in found)
 
-def _cuts_up_to_4(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    return _cut_summary(g)[1]
-
-
-def _mask_cut(shore_mask: int, cross_mask: int) -> Cut:
-    return Cut(tuple(_iter_bits(shore_mask)), tuple(_iter_bits(cross_mask)))
+    return CutIndex(best, tuple(small), essential(3), essential(4))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +262,7 @@ def edge_connectivity(g: Graph) -> int:
     """Minimum cut size over all shores; 0 for a disconnected graph."""
     if g.n < 2:
         raise ValueError("edge connectivity needs n >= 2")
-    return _cut_summary(g)[0]
+    return _cut_summary(g).min_size
 
 
 def enumerate_cuts(g: Graph, max_size: int) -> list[Cut]:
@@ -244,7 +271,7 @@ def enumerate_cuts(g: Graph, max_size: int) -> list[Cut]:
     if g.n < 2:
         raise ValueError("cut enumeration needs n >= 2")
     _, cuts = _walk_cuts(g, max_size)
-    return [_mask_cut(shore, cross) for shore, cross, _ in cuts]
+    return [_mask_cut(shore, cross) for shore, cross in cuts]
 
 
 def find_essential_3cut(g: Graph) -> Cut | None:
@@ -253,15 +280,8 @@ def find_essential_3cut(g: Graph) -> Cut | None:
         raise ValueError("find_essential_3cut requires a cubic graph")
     if edge_connectivity(g) < 3:
         raise ValueError("find_essential_3cut requires a 3-edge-connected graph")
-    best = None
-    for shore, cross, size in _cuts_up_to_4(g):
-        if size == 3 and _is_essential_mask(g, shore):
-            key = (shore.bit_count(), shore)
-            if best is None or key < best[0]:
-                best = (key, shore, cross)
-    if best is None:
-        return None
-    return _mask_cut(best[1], best[2])
+    found = _cut_summary(g).essential3
+    return _mask_cut(*found[0]) if found else None
 
 
 def is_essentially_4ec(g: Graph) -> bool:
@@ -285,29 +305,12 @@ def essential_4cut_with_pair(
         raise ValueError("the two edges must be distinct")
     if not g.is_cubic:
         raise ValueError("essential_4cut_with_pair requires a cubic graph")
-    excl = -1
-    if excluded_shore is not None:
-        vs = set(excluded_shore)
-        if 0 in vs:
-            vs = set(range(g.n)) - vs
-        excl = 0
-        for v in vs:
-            excl |= 1 << v
+    excl = -1 if excluded_shore is None else _shore_mask(g, excluded_shore)
     want = (1 << e1) | (1 << e2)
-    best = None
-    for shore, cross, size in _cuts_up_to_4(g):
-        if size != 4 or shore == excl:
-            continue
-        if cross & want != want:
-            continue
-        if not _is_essential_mask(g, shore):
-            continue
-        key = (shore.bit_count(), shore)
-        if best is None or key < best[0]:
-            best = (key, shore, cross)
-    if best is None:
-        return None
-    return _mask_cut(best[1], best[2])
+    for shore, cross in _cut_summary(g).essential4:
+        if cross & want == want and shore != excl:
+            return _mask_cut(shore, cross)
+    return None
 
 
 def _pivot_context(g: Graph, uv: int):

@@ -31,30 +31,6 @@ class Lemma3Violation(RuntimeError):
         self.witnesses = tuple(witnesses)
 
 
-class BaseCaseFailure(RuntimeError):
-    """No uniform-target combination exists for a base-case graph."""
-
-
-class LiftFailure(RuntimeError):
-    """A lifted subgraph is not a spanning 2-edge-connected subgraph."""
-
-    def __init__(self, message: str, edges=()):
-        super().__init__(message)
-        self.edges = tuple(edges)
-
-
-class PatternMismatch(RuntimeError):
-    """Pseudo-vertex pattern weights differ from (2/9, 2/9, 2/9, 1/3)."""
-
-
-class GlueFailure(RuntimeError):
-    """A glued subgraph is not a spanning 2-edge-connected subgraph."""
-
-    def __init__(self, message: str, edges=()):
-        super().__init__(message)
-        self.edges = tuple(edges)
-
-
 class InvariantViolation(RuntimeError):
     """An invariant the construction or an oracle relies on does not hold.
 

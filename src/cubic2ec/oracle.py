@@ -141,14 +141,14 @@ def lp_bound(g: Graph) -> LpSolution:
     if g.is_cubic and lam >= 3:
         return _cubic_3ec_lp(g)
     _, cuts = _walk_cuts(g, g.m)
-    value, x = solve_cut_lp(g.m, [cmask for _, cmask, _ in cuts])
+    value, x = solve_cut_lp(g.m, [cmask for _, cmask in cuts])
     # independent feasibility re-check of the returned point
     if not all(0 <= xe <= 1 for xe in x):
         raise InvariantViolation("returned LP point leaves the unit box")
     nums, den = _numerators(x)
     two_den = 2 * den
     tight = []
-    for shore, cmask, _ in cuts:
+    for shore, cmask in cuts:
         s = sum(nums[e] for e in _iter_bits(cmask))
         if s < two_den:
             raise InvariantViolation(
@@ -174,8 +174,8 @@ def _cubic_3ec_lp(g: Graph) -> LpSolution:
     n, m = g.n, g.m
     if not g.is_cubic:
         raise InvariantViolation("closed-form cut LP needs a cubic graph")
-    lam, small_cuts = _cut_summary(g)
-    if lam < 3:
+    cuts = _cut_summary(g)
+    if cuts.min_size < 3:
         raise InvariantViolation("closed-form cut LP needs every cut >= 3 edges")
     if 2 * m != 3 * n:
         raise InvariantViolation("cubic graph with 2m != 3n")
@@ -192,8 +192,8 @@ def _cubic_3ec_lp(g: Graph) -> LpSolution:
         raise InvariantViolation("primal value differs from the dual value")
     tight = tuple(
         _mask_cut(shore, cmask)
-        for shore, cmask, size in small_cuts
-        if size == 3
+        for shore, cmask in cuts.small
+        if cmask.bit_count() == 3
     )
     return LpSolution(value=value, x=x, tight_cuts=tight)
 

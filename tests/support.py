@@ -3,6 +3,7 @@
 These deliberately avoid the package's own code paths: max-flow for edge
 connectivity, BFS for girth, exhaustive subset scans for minimum 2EC, a
 row-by-row graph6 encoder, an edge scan per shore for cut crossing sets,
+essential-cut queries that rescan every small cut on each call,
 Fraction-by-Fraction weight sums for edge occurrences, and a canonical
 form that visits every leaf of its search tree.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from types import SimpleNamespace
+
+from cubic2ec.connectivity import Cut
 
 
 def maxflow_edge_connectivity(g) -> int:
@@ -215,6 +218,79 @@ def reference_shore_scan(g) -> list[tuple[int, int]]:
         (mask << 1, reference_crossing_mask(g, mask << 1))
         for mask in range(1, 1 << (g.n - 1))
     ]
+
+
+def reference_small_cuts(g) -> list[tuple[int, int, int]]:
+    """(shore, crossing mask, size) of every canonical cut with at most 4
+    crossing edges, in ascending shore order, from the per-shore scan."""
+    return [
+        (shore, cross, cross.bit_count())
+        for shore, cross in reference_shore_scan(g)
+        if cross.bit_count() <= 4
+    ]
+
+
+def _reference_has_internal_edge(g, vmask: int) -> bool:
+    return any((vmask >> u) & 1 and (vmask >> v) & 1 for u, v in g.edges)
+
+
+def reference_is_essential(g, shore_mask: int) -> bool:
+    """Both sides have at least two vertices and an edge inside."""
+    comp = ((1 << g.n) - 1) ^ shore_mask
+    if shore_mask.bit_count() < 2 or comp.bit_count() < 2:
+        return False
+    return _reference_has_internal_edge(g, shore_mask) and _reference_has_internal_edge(
+        g, comp
+    )
+
+
+def _reference_cut(g, shore_mask: int, cross_mask: int) -> Cut:
+    return Cut(
+        tuple(v for v in range(g.n) if (shore_mask >> v) & 1),
+        tuple(e for e in range(g.m) if (cross_mask >> e) & 1),
+    )
+
+
+def reference_essential_3cut(g, small) -> Cut | None:
+    """The essential 3-cut with the least (|shore|, shore), found by a
+    rescan of ``small`` (from :func:`reference_small_cuts`) that tests
+    each candidate's essentiality on the spot."""
+    best = None
+    for shore, cross, size in small:
+        if size == 3 and reference_is_essential(g, shore):
+            key = (shore.bit_count(), shore)
+            if best is None or key < best[0]:
+                best = (key, shore, cross)
+    if best is None:
+        return None
+    return _reference_cut(g, best[1], best[2])
+
+
+def reference_essential_4cut_with_pair(
+    g, small, e1: int, e2: int, excluded_shore=None
+) -> Cut | None:
+    """The essential 4-cut with the least (|shore|, shore) whose crossing
+    holds both edges and whose shore is not ``excluded_shore`` (either
+    side), found by the same rescan of ``small``."""
+    excl = -1
+    if excluded_shore is not None:
+        vs = set(excluded_shore)
+        if 0 in vs:
+            vs = set(range(g.n)) - vs
+        excl = sum(1 << v for v in vs)
+    want = (1 << e1) | (1 << e2)
+    best = None
+    for shore, cross, size in small:
+        if size != 4 or shore == excl or cross & want != want:
+            continue
+        if not reference_is_essential(g, shore):
+            continue
+        key = (shore.bit_count(), shore)
+        if best is None or key < best[0]:
+            best = (key, shore, cross)
+    if best is None:
+        return None
+    return _reference_cut(g, best[1], best[2])
 
 
 def reference_edge_occurrences(comb) -> tuple[Fraction, ...]:

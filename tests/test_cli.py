@@ -54,6 +54,36 @@ def test_verify_roundtrip_and_tamper(tmp_path, capsys):
     assert "weights_sum_to_one" in failed
 
 
+def drop_entries(doc):
+    return {k: v for k, v in doc.items() if k != "entries"}
+
+
+def null_first_weight(doc):
+    first = {**doc["entries"][0], "weight": None}
+    return {**doc, "entries": [first] + doc["entries"][1:]}
+
+
+# shape -> (mutation of a valid k4 certificate, text the error must name)
+MALFORMED = {
+    "no_entries": (drop_entries, "'entries'"),
+    "edges_is_int": (lambda doc: {**doc, "edges": 5}, "'edges'"),
+    "null_weight": (null_first_weight, "'entries[0].weight'"),
+    "top_level_list": (lambda doc: [doc], "JSON object"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_verify_malformed_certificate_exits_2(tmp_path, capsys, shape):
+    mutate, named = MALFORMED[shape]
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "certify", "--graph", "k4", "-o", str(cert))[0] == 0
+    cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
+    code, _, stderr = run(capsys, "verify", "--graph", "k4", "--cert", str(cert))
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert named in stderr
+
+
 def test_verify_wrong_graph_exits_1(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "--graph", "prism", "-o", str(cert))

@@ -1,16 +1,22 @@
-"""The Gray-code shore walk, the integer-numerator weight sums, the
-closed-form cut LP and the pruned canonical form against the per-shore edge
-scan, the Fraction loop, the full-enumeration simplex and the full search
-tree they replaced."""
+"""The Gray-code shore walk, the essential-cut index, the integer-numerator
+weight sums, the closed-form cut LP and the pruned canonical form against
+the per-shore edge scan, the per-query cut rescans, the Fraction loop, the
+full-enumeration simplex and the full search tree they replaced."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from support import (
     reference_canonical_form,
+    reference_crossing_mask,
     reference_edge_occurrences,
+    reference_essential_3cut,
+    reference_essential_4cut_with_pair,
+    reference_is_essential,
     reference_shore_scan,
+    reference_small_cuts,
 )
 
 from cubic2ec import (
@@ -23,11 +29,15 @@ from cubic2ec import (
     edge_connectivity,
     edge_occurrences,
     enumerate_cuts,
+    essential_4cut_with_pair,
+    find_essential_3cut,
+    is_essentially_4ec,
     lp_bound,
     two_ec_spanning_subgraphs,
+    verify_lemma3,
 )
-from cubic2ec import combine, oracle
-from cubic2ec.connectivity import _cuts_up_to_4, _iter_bits, _walk_cuts
+from cubic2ec import combine, connectivity, oracle
+from cubic2ec.connectivity import _cut_summary, _iter_bits, _walk_cuts, is_essential_cut
 from cubic2ec.exact_lp import solve_cut_lp
 
 F = Fraction
@@ -37,10 +47,8 @@ def assert_cuts_match_scan(g):
     scan = reference_shore_scan(g)
     sizes = [cross.bit_count() for _, cross in scan]
     assert edge_connectivity(g) == min(sizes)
-    assert _cuts_up_to_4(g) == tuple(
-        (shore, cross, size)
-        for (shore, cross), size in zip(scan, sizes)
-        if size <= 4
+    assert _cut_summary(g).small == tuple(
+        (shore, cross) for (shore, cross), size in zip(scan, sizes) if size <= 4
     )
     assert enumerate_cuts(g, g.m) == [
         Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cross)))
@@ -71,6 +79,9 @@ def complete(n):
 )
 def test_shore_walk_matches_scan_off_the_cubic_class(g):
     assert_cuts_match_scan(g)
+    for shore, cross in reference_shore_scan(g):
+        cut = Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cross)))
+        assert is_essential_cut(g, cut) == reference_is_essential(g, shore)
 
 
 @settings(max_examples=25, deadline=None)
@@ -80,6 +91,101 @@ def test_shore_walk_matches_scan_on_relabelings(corpus, data):
     perm = data.draw(st.permutations(range(g.n)))
     order = data.draw(st.permutations(range(g.m)))
     assert_cuts_match_scan(relabel(g, perm, order))
+
+
+# essential-cut index ----------------------------------------------------------
+
+
+def assert_index_matches_rescan(g):
+    """The index holds exactly the essential 3- and 4-cuts, and every
+    essential-cut query on g equals the per-query rescan: the 3-cut,
+    and the 4-cut of every edge pair with no shore excluded, with each
+    endpoint shore {u, v} whose cut holds the pair excluded, and with the
+    first answer's own shore excluded."""
+    small = reference_small_cuts(g)
+    index = _cut_summary(g)
+    for size, found in ((3, index.essential3), (4, index.essential4)):
+        assert sorted(found) == [
+            (shore, cross)
+            for shore, cross, k in small
+            if k == size and reference_is_essential(g, shore)
+        ]
+    if edge_connectivity(g) >= 3:
+        assert find_essential_3cut(g) == reference_essential_3cut(g, small)
+    endpoint_cuts = [
+        ((u, v), reference_crossing_mask(g, (1 << u) | (1 << v))) for u, v in g.edges
+    ]
+    for e1, e2 in itertools.combinations(range(g.m), 2):
+        found = essential_4cut_with_pair(g, e1, e2)
+        assert found == reference_essential_4cut_with_pair(g, small, e1, e2)
+        want = (1 << e1) | (1 << e2)
+        excluded = [uv for uv, cross in endpoint_cuts if cross & want == want]
+        if found is not None:
+            excluded.append(found.shore)
+        for shore in excluded:
+            assert essential_4cut_with_pair(
+                g, e1, e2, shore
+            ) == reference_essential_4cut_with_pair(g, small, e1, e2, shore)
+
+
+def test_cut_index_matches_rescan_on_corpus(corpus):
+    for g in corpus:
+        assert_index_matches_rescan(g)
+
+
+def test_cut_index_matches_rescan_on_safe_pair_graphs(corpus, monkeypatch):
+    seen = []  # every graph find_safe_pair receives while certifying the corpus
+
+    def record(g, uv):
+        seen.append(g)
+        return find_safe_pair(g, uv)
+
+    find_safe_pair = connectivity.find_safe_pair
+    monkeypatch.setattr(connectivity, "find_safe_pair", record)
+    certifier = Certifier()
+    for g in corpus:
+        certifier.certify(g)
+    monkeypatch.undo()
+    graphs = list(dict.fromkeys(seen))
+    assert len(graphs) > 0
+    for g in graphs:
+        assert_index_matches_rescan(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_cut_index_matches_rescan_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    assert_index_matches_rescan(relabel(g, perm, order))
+
+
+def test_cut_index_matches_rescan_on_cube():
+    assert_index_matches_rescan(SYMMETRIC["cube"])
+
+
+def test_verify_lemma3_matches_rescan_on_corpus(corpus, monkeypatch):
+    graphs = [g for g in corpus if g.n > 6 and is_essentially_4ec(g)]
+    assert graphs
+    reports = [verify_lemma3(g) for g in graphs]
+    small = {g: reference_small_cuts(g) for g in graphs}
+    monkeypatch.setattr(
+        connectivity,
+        "find_essential_3cut",
+        lambda g: reference_essential_3cut(g, small[g]),
+    )
+    monkeypatch.setattr(
+        connectivity,
+        "essential_4cut_with_pair",
+        lambda g, e1, e2, excluded_shore=None: reference_essential_4cut_with_pair(
+            g, small[g], e1, e2, excluded_shore
+        ),
+    )
+    assert [verify_lemma3(g) for g in graphs] == reports
+
+
+# edge occurrences -------------------------------------------------------------
 
 
 def test_occurrences_match_fraction_loop_on_corpus(corpus, certifier):
@@ -155,7 +261,7 @@ def test_closed_form_lp_matches_simplex(corpus, monkeypatch):
     for g in corpus + [builtin("k4"), builtin("petersen")]:
         sol = lp_bound(g)
         _, cuts = _walk_cuts(g, g.m)
-        value, _ = solve_cut_lp(g.m, [cmask for _, cmask, _ in cuts])
+        value, _ = solve_cut_lp(g.m, [cmask for _, cmask in cuts])
         assert sol.value == value == g.n
         for _, cross in reference_shore_scan(g):
             assert sum(sol.x[e] for e in _iter_bits(cross)) >= 2

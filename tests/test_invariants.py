@@ -76,3 +76,29 @@ def test_forced_mismatch_maps_to_exit_3_under_optimize():
     proc = run_optimized("-c", script)
     assert proc.returncode == 3
     assert "internal invariant violation" in proc.stderr
+
+
+REPRODUCE = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_bounds.py"
+
+
+def test_reproduce_bounds_under_optimize():
+    proc = run_optimized(str(REPRODUCE))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("0 invariant failures")
+
+
+SKEWED_OCCURRENCES = f"""
+import runpy
+from fractions import Fraction
+import cubic2ec
+
+honest = cubic2ec.edge_occurrences
+cubic2ec.edge_occurrences = lambda comb: (Fraction(0),) + honest(comb)[1:]
+runpy.run_path({str(REPRODUCE)!r}, run_name="__main__")
+"""
+
+
+def test_reproduce_bounds_counts_nonuniform_occurrences_under_optimize():
+    proc = run_optimized("-c", SKEWED_OCCURRENCES)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.rstrip().endswith("31 invariant failures")
