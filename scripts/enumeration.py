@@ -3,15 +3,16 @@
 Backtracking over the first deficient vertex with the neighborhood of
 vertex 0 pinned to {1, 2, 3}; duplicates are removed via canonical forms.
 Feasible for n <= 10 on a desk machine; the corpus script uses named
-constructions beyond that.
+constructions beyond that.  Used only by ``make_corpus.py``; import it with
+``src`` on the path.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .canon import canonical_form, canonical_graph
-from .graphs import Graph
+from cubic2ec.canon import canonical_form, canonical_graph
+from cubic2ec.graphs import Graph
 
 
 def _connected(n: int, adj: list[set[int]]) -> bool:

@@ -17,14 +17,16 @@ import time
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
 
 from cubic2ec.canon import canonical_form, canonical_graph
 from cubic2ec.connectivity import edge_connectivity, is_essentially_4ec
-from cubic2ec.enumeration import connected_cubic_graphs
 from cubic2ec.graphs import Graph, builtin
+from enumeration import connected_cubic_graphs
 
-OUT = Path(__file__).resolve().parent.parent / "data" / "cubic_3ec_n4_14.g6"
+OUT = HERE.parent / "data" / "cubic_3ec_n4_14.g6"
 
 
 def circular_ladder(k: int) -> Graph:

@@ -11,7 +11,6 @@ from .combine import (
     VerificationReport,
     average,
     base_case_combination,
-    base_case_graphs,
     certificate_from_json,
     certificate_to_json,
     certify,
@@ -23,7 +22,6 @@ from .combine import (
     pad_to_uniform,
     reduce_case1,
     support_bound,
-    two_ec_spanning_subgraphs,
     verify_certificate,
 )
 from .connectivity import (
@@ -40,7 +38,6 @@ from .connectivity import (
     make_cut,
     verify_lemma3,
 )
-from .enumeration import connected_cubic_graphs
 from .errors import (
     GraphFormatError,
     InvariantViolation,

@@ -98,7 +98,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    certifier = Certifier(max_n=args.max_n or combine.DEFAULT_MAX_N)
+    certifier = Certifier(max_n=args.max_n)
     cert = certifier.certify(g)
     support = min_support_subgraph(cert)
     if args.output:
@@ -206,7 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for ln in Path(args.g6).read_text().splitlines()
         if ln.strip()
     ]
-    certifier = Certifier(max_n=args.max_n or combine.DEFAULT_MAX_N)
+    certifier = Certifier(max_n=args.max_n)
     rows = [_sweep_row(certifier, ln) for ln in lines]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")

@@ -5,8 +5,8 @@ Every cubic 3-edge-connected graph admits a convex combination of
 weight exactly 7/9.  This module builds such a combination by recursion on
 graph size:
 
-* n <= 6 and essentially 4-edge-connected: exact feasibility search over
-  all 2EC spanning subgraphs.
+* n <= 6 and essentially 4-edge-connected (K4 or K3,3): a constant
+  two-entry table, re-checked on every use.
 * an essential 3-edge cut exists: contract both shores, certify the two
   children, and glue their combinations along the forced pseudo-vertex
   patterns (omit each cut edge 2/9 of the time, keep all three 1/3).
@@ -33,9 +33,7 @@ from fractions import Fraction
 
 from . import connectivity
 from .canon import canonical_form, canonical_graph
-from .enumeration import connected_cubic_graphs
 from .errors import InvariantViolation
-from .exact_lp import feasible_basic_solution
 from .graphs import Graph, Reduction, contract_shore, remove_edges_and_smooth
 
 log = logging.getLogger(__name__)
@@ -252,62 +250,49 @@ def _check_uniform(c: ConvexCombination, target: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def two_ec_spanning_subgraphs(g: Graph):
-    """All spanning 2EC edge subsets, ascending by edge bitmask.
-
-    Exhaustive over 2^m subsets; meant for the n <= 6 base cases.
-    """
-    n = g.n
-    for mask in range(1 << g.m):
-        if mask.bit_count() < n:
-            continue
-        if connectivity.is_2ec(g, mask):
-            yield tuple(
-                e for e in range(g.m) if (mask >> e) & 1
-            )
-
-
-def base_case_graphs() -> list[Graph]:
-    """Every cubic, 3-edge-connected, essentially 4EC graph with n <= 6."""
-    out = []
-    for n in (4, 6):
-        for g in connected_cubic_graphs(n):
-            if connectivity.edge_connectivity(g) >= 3 and connectivity.is_essentially_4ec(g):
-                out.append(g)
-    return out
+# The uniform-7/9 combinations of the two base graphs, K4 and K3,3 (the only
+# cubic 3-edge-connected, essentially 4-edge-connected graphs with n <= 6),
+# as (weight, edge ids) on the canonically labeled graph, keyed by canonical
+# graph6.  The tests rebuild this table by exact feasibility search over all
+# 2EC spanning subgraphs.
+_BASE_CASES = {
+    "C~": (
+        (Fraction(1, 9), (0, 1, 2, 3, 5)),
+        (Fraction(2, 9), (0, 1, 2, 4, 5)),
+        (Fraction(2, 9), (0, 1, 3, 4, 5)),
+        (Fraction(1, 9), (0, 2, 3, 4, 5)),
+        (Fraction(1, 9), (0, 2, 3, 5)),
+        (Fraction(2, 9), (1, 2, 3, 4)),
+    ),
+    "EFz_": (
+        (Fraction(1, 9), (0, 1, 2, 3, 5, 7, 8)),
+        (Fraction(2, 9), (0, 1, 2, 4, 5, 6, 8)),
+        (Fraction(1, 9), (0, 1, 3, 4, 5, 7, 8)),
+        (Fraction(1, 9), (0, 1, 3, 5, 6, 7, 8)),
+        (Fraction(2, 9), (0, 2, 3, 4, 6, 7, 8)),
+        (Fraction(2, 9), (1, 2, 3, 4, 5, 6, 7)),
+    ),
+}
 
 
 def base_case_combination(g: Graph) -> ConvexCombination:
-    """Uniform-target combination for a small graph by exact feasibility.
+    """The uniform-7/9 combination of K4 or K3,3 from the base-case table.
 
-    Solves for nonnegative weights over all 2EC spanning subgraphs with
-    per-edge occurrence exactly 7/9 and total weight 1; the first basic
-    solution in the fixed subgraph order is returned.
+    Every call re-checks the table entry (each member spanning 2EC, weights
+    summing to 1, every edge at 7/9) and maps it to g's labeling.
     """
-    if not g.is_cubic:
-        raise ValueError("base case requires a cubic graph")
-    if g.n > 6:
-        raise ValueError("base case requires n <= 6")
-    if connectivity.edge_connectivity(g) < 3:
-        raise ValueError("base case requires a 3-edge-connected graph")
-    if not connectivity.is_essentially_4ec(g):
-        raise ValueError("base case requires an essentially 4-edge-connected graph")
-    subgraphs = list(two_ec_spanning_subgraphs(g))
-    rows = []
-    for e in range(g.m):
-        rows.append([Fraction(int(e in sub)) for sub in subgraphs])
-    rows.append([Fraction(1)] * len(subgraphs))
-    rhs = [TARGET] * g.m + [Fraction(1)]
-    lam = feasible_basic_solution(rows, rhs)
-    if lam is None:
-        raise InvariantViolation(
-            f"no uniform-{TARGET} combination exists for this base graph"
+    key, perm = canonical_form(g)
+    if key not in _BASE_CASES:
+        raise ValueError(
+            "base case requires K4 or K3,3 (cubic, 3-edge-connected, "
+            "essentially 4-edge-connected, n <= 6)"
         )
-    comb = combination(
-        g, ((w, sub) for w, sub in zip(lam, subgraphs) if w > 0)
-    )
+    try:
+        comb = combination(canonical_graph(key), _BASE_CASES[key])
+    except ValueError as exc:
+        raise InvariantViolation(f"base-case table entry {key}: {exc}") from None
     _check_uniform(comb, TARGET)
-    return comb
+    return _map_combination(comb, g, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +574,6 @@ class Certifier:
         child_keys = []
         lifted = []
         for red in (red_a, red_b):
-            if connectivity.edge_connectivity(red.child) < 3:
-                raise InvariantViolation(
-                    "safe-pair child must stay 3-edge-connected"
-                )
             child_comb, child_key = self._combination_with_key(red.child)
             child_keys.append(child_key)
             lifted.append(lift(child_comb, red))
@@ -660,11 +641,6 @@ class Certifier:
     def _case2(self, K: Graph, key: str, cut) -> tuple[ConvexCombination, dict]:
         red_in = contract_shore(K, cut, "inside")
         red_out = contract_shore(K, cut, "outside")
-        for red in (red_in, red_out):
-            if connectivity.edge_connectivity(red.child) < 3:
-                raise InvariantViolation(
-                    "contracted shore must stay 3-edge-connected"
-                )
         c_in, key_in = self._combination_with_key(red_in.child)
         c_out, key_out = self._combination_with_key(red_out.child)
         comb = glue(c_in, c_out, red_in, red_out)

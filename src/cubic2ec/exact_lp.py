@@ -3,7 +3,10 @@
 Two small solvers:
 
 * :func:`feasible_basic_solution` — dense phase-1 simplex for equality
-  systems ``Ax = b, x >= 0`` with a handful of rows (base-case search).
+  systems ``Ax = b, x >= 0`` with a handful of rows.  The certifier takes
+  its base cases from a constant table, so this solver serves only as the
+  test oracle that rebuilds that table; it stays here while
+  ``perfbench/tracing.py`` still wraps it by name.
 * :func:`solve_cut_lp` — revised simplex on the dual of the cut LP
   ``min sum x  s.t.  x(delta(S)) >= 2 for all S, 0 <= x <= 1``.  The dual
   has one row per edge, so the basis stays tiny while every cut

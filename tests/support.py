@@ -4,17 +4,22 @@ These deliberately avoid the package's own code paths: max-flow for edge
 connectivity, BFS for girth, exhaustive subset scans for minimum 2EC, a
 row-by-row graph6 encoder, an edge scan per shore for cut crossing sets,
 essential-cut queries that rescan every small cut on each call,
-Fraction-by-Fraction weight sums for edge occurrences, and a canonical
-form that visits every leaf of its search tree.
+Fraction-by-Fraction weight sums for edge occurrences, a canonical
+form that visits every leaf of its search tree, a census of small cubic
+graphs over the edge subsets of K_n, and the base-case combinations by
+exact feasibility search over every 2EC spanning subgraph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 from cubic2ec.connectivity import Cut
+from cubic2ec.exact_lp import feasible_basic_solution
+from cubic2ec.graphs import Graph
 
 
 def maxflow_edge_connectivity(g) -> int:
@@ -266,6 +271,11 @@ def reference_essential_3cut(g, small) -> Cut | None:
     return _reference_cut(g, best[1], best[2])
 
 
+def reference_is_essentially_4ec(g) -> bool:
+    """No essential 3-cut in the rescan of every small cut."""
+    return reference_essential_3cut(g, reference_small_cuts(g)) is None
+
+
 def reference_essential_4cut_with_pair(
     g, small, e1: int, e2: int, excluded_shore=None
 ) -> Cut | None:
@@ -377,3 +387,48 @@ def reference_canonical_form(g) -> tuple[str, tuple[int, ...]]:
         n=n, edges=[(perm[u], perm[v]) for u, v in g.edges]
     )
     return reference_graph6(relabeled), tuple(perm)
+
+
+def reference_two_ec_spanning_subgraphs(g) -> list[tuple[int, ...]]:
+    """All spanning 2EC edge subsets, ascending by edge bitmask (2^m scan)."""
+    out = []
+    for mask in range(1 << g.m):
+        if mask.bit_count() < g.n:
+            continue
+        ids = tuple(e for e in range(g.m) if (mask >> e) & 1)
+        if reference_is_2ec(g, ids):
+            out.append(ids)
+    return out
+
+
+def reference_base_case(g) -> tuple[tuple[Fraction, tuple[int, ...]], ...] | None:
+    """Uniform-7/9 (weight, edge ids) entries for a small graph: the first
+    basic solution of the phase-1 simplex over all 2EC spanning subgraphs
+    (in bitmask order), ascending by edge tuple; None if infeasible."""
+    subgraphs = reference_two_ec_spanning_subgraphs(g)
+    rows = [[Fraction(int(e in sub)) for sub in subgraphs] for e in range(g.m)]
+    rows.append([Fraction(1)] * len(subgraphs))
+    lam = feasible_basic_solution(rows, [Fraction(7, 9)] * g.m + [Fraction(1)])
+    if lam is None:
+        return None
+    return tuple(sorted(((w, sub) for w, sub in zip(lam, subgraphs) if w > 0),
+                        key=lambda t: t[1]))
+
+
+def reference_small_cubic_graphs(n: int) -> list:
+    """One connected cubic graph per isomorphism class on n vertices, from
+    the edge subsets of K_n with 3n/2 edges, deduplicated by
+    :func:`reference_canonical_form` and sorted by its key."""
+    pairs = list(combinations(range(n), 2))
+    found = {}
+    for chosen in combinations(pairs, 3 * n // 2):
+        deg = [0] * n
+        for u, v in chosen:
+            deg[u] += 1
+            deg[v] += 1
+        if any(d != 3 for d in deg):
+            continue
+        g = Graph(n, chosen)
+        if connected_spanning(g, range(g.m)):
+            found.setdefault(reference_canonical_form(g)[0], g)
+    return [found[key] for key in sorted(found)]

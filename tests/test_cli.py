@@ -169,6 +169,19 @@ def test_sweep_is_byte_stable_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_max_n_zero_is_rejected(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(to_graph6(builtin("petersen")) + "\n")
+    for argv in (
+        ("certify", "--graph", "petersen", "--max-n", "0"),
+        ("sweep", "--g6", str(corpus), "--max-n", "0"),
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.strip() == "error: max_n must be within [4, 18]"
+
+
 def test_unknown_builtin_is_parse_error(capsys):
     with pytest.raises(SystemExit):
         main(["opt", "--graph", "heawood"])  # argparse rejects the choice

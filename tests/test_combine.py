@@ -2,16 +2,26 @@ import json
 from fractions import Fraction
 
 import pytest
-from support import pattern_weights_at_vertex, piecewise_pivot_occurrences
+from support import (
+    maxflow_edge_connectivity,
+    pattern_weights_at_vertex,
+    piecewise_pivot_occurrences,
+    reference_is_2ec,
+    reference_is_essentially_4ec,
+    reference_small_cubic_graphs,
+    reference_two_ec_spanning_subgraphs,
+)
+from test_oracle import TWO_K4_MINUS_EDGE
 
 from cubic2ec import (
     Certifier,
     ConvexCombination,
     Certificate,
+    Graph,
     TARGET,
     average,
     base_case_combination,
-    base_case_graphs,
+    builtin,
     certificate_from_json,
     certificate_to_json,
     certify,
@@ -26,9 +36,10 @@ from cubic2ec import (
     reduce_case1,
     remove_edges_and_smooth,
     support_bound,
-    two_ec_spanning_subgraphs,
     verify_certificate,
 )
+from cubic2ec import InvariantViolation, combine
+from cubic2ec.cli import main
 
 F = Fraction
 
@@ -105,15 +116,73 @@ def test_base_case_rejects_prism(prism):
 
 
 def test_base_case_census_is_two():
-    graphs = base_case_graphs()
+    graphs = [
+        g
+        for n in (4, 6)
+        for g in reference_small_cubic_graphs(n)
+        if maxflow_edge_connectivity(g) >= 3 and reference_is_essentially_4ec(g)
+    ]
     assert len(graphs) == 2
     assert sorted(g.n for g in graphs) == [4, 6]
 
 
 def test_two_ec_spanning_subgraph_counts(k4):
-    subs = list(two_ec_spanning_subgraphs(k4))
+    subs = reference_two_ec_spanning_subgraphs(k4)
     # 3 Hamiltonian cycles + 6 five-edge subsets + the full graph
     assert len(subs) == 10
+
+
+@pytest.mark.parametrize("name", ["k4", "k33"])
+def test_base_case_on_relabelings(name):
+    g = builtin(name)
+    perm = list(range(g.n))[::-1]
+    perm[0], perm[1] = perm[1], perm[0]
+    for h in (
+        Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges)),
+        Graph(g.n, tuple((perm[v], perm[u]) for u, v in reversed(g.edges))),
+    ):
+        comb = base_case_combination(h)
+        assert comb.host == h
+        assert len(comb.entries) == 6
+        assert set(edge_occurrences(comb)) == {TARGET}
+        assert all(reference_is_2ec(h, es) for _, es in comb.entries)
+
+
+K4_TABLE = combine._BASE_CASES["C~"]
+TAMPERED_K4 = {
+    # the 4-cycle (0, 2, 3, 5) without an edge is a path
+    "member": K4_TABLE[:4] + ((K4_TABLE[4][0], (0, 2, 3)),) + K4_TABLE[5:],
+    # the weights no longer sum to 1
+    "weight_sum": tuple((F(2, 9), es) for _, es in K4_TABLE),
+    # the first two weights swap: the sum stays 1, edge 3 rises to 8/9
+    "weight_uniform": (
+        (K4_TABLE[1][0], K4_TABLE[0][1]),
+        (K4_TABLE[0][0], K4_TABLE[1][1]),
+    )
+    + K4_TABLE[2:],
+}
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("member", "not a spanning 2-edge-connected"),
+        ("weight_sum", "sum to 1"),
+        ("weight_uniform", "occurrence other than 7/9"),
+    ],
+)
+def test_base_case_table_is_checked_on_use(name, message, k4, monkeypatch, capsys):
+    monkeypatch.setitem(combine._BASE_CASES, "C~", TAMPERED_K4[name])
+    with pytest.raises(InvariantViolation, match=message):
+        base_case_combination(k4)
+    assert main(["certify", "--graph", "k4"]) == 3
+    assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_build_rejects_a_child_with_a_two_edge_cut():
+    assert TWO_K4_MINUS_EDGE.is_cubic
+    with pytest.raises(InvariantViolation, match="not cubic 3-edge-connected"):
+        Certifier()._combination_with_key(TWO_K4_MINUS_EDGE)
 
 
 # lift -----------------------------------------------------------------------

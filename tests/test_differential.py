@@ -1,7 +1,8 @@
 """The Gray-code shore walk, the essential-cut index, the integer-numerator
-weight sums, the closed-form cut LP and the pruned canonical form against
-the per-shore edge scan, the per-query cut rescans, the Fraction loop, the
-full-enumeration simplex and the full search tree they replaced."""
+weight sums, the closed-form cut LP, the pruned canonical form and the
+base-case table against the per-shore edge scan, the per-query cut
+rescans, the Fraction loop, the full-enumeration simplex, the full search
+tree and the feasibility search they replaced."""
 
 import itertools
 from fractions import Fraction
@@ -9,20 +10,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from support import (
+    maxflow_edge_connectivity,
+    reference_base_case,
     reference_canonical_form,
     reference_crossing_mask,
     reference_edge_occurrences,
     reference_essential_3cut,
     reference_essential_4cut_with_pair,
     reference_is_essential,
+    reference_is_essentially_4ec,
     reference_shore_scan,
+    reference_small_cubic_graphs,
     reference_small_cuts,
+    reference_two_ec_spanning_subgraphs,
 )
 
 from cubic2ec import (
     Certifier,
     Cut,
     Graph,
+    base_case_combination,
     builtin,
     canonical_form,
     combination,
@@ -33,10 +40,10 @@ from cubic2ec import (
     find_essential_3cut,
     is_essentially_4ec,
     lp_bound,
-    two_ec_spanning_subgraphs,
     verify_lemma3,
 )
 from cubic2ec import combine, connectivity, oracle
+from cubic2ec.canon import canonical_graph
 from cubic2ec.connectivity import _cut_summary, _iter_bits, _walk_cuts, is_essential_cut
 from cubic2ec.exact_lp import solve_cut_lp
 
@@ -205,7 +212,7 @@ def test_occurrences_match_fraction_loop_on_relabelings(corpus, certifier, data)
 
 
 def test_coprime_large_denominators(k4):
-    members = list(two_ec_spanning_subgraphs(k4))
+    members = reference_two_ec_spanning_subgraphs(k4)
     primes = (1_000_003, 1_000_033, 1_000_037, 2_147_483_647)
     # two entries per member with pairwise coprime denominators, so both
     # the dedup and the occurrence sums run over their lcm
@@ -228,7 +235,7 @@ def test_coprime_large_denominators(k4):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_random_weights_match_fraction_loop(prism, data):
-    members = list(two_ec_spanning_subgraphs(prism))
+    members = reference_two_ec_spanning_subgraphs(prism)
     picks = data.draw(
         st.lists(
             st.tuples(
@@ -349,3 +356,19 @@ def test_canonical_form_matches_full_search_on_symmetric_graphs(name):
     rotate = tuple((i + 1) % g.n for i in range(g.n))
     h = relabel(g, rotate, range(g.m)[::-1])
     assert canonical_form(h) == reference_canonical_form(h)
+
+
+# base-case table --------------------------------------------------------------
+
+
+def test_base_case_table_matches_feasibility_search():
+    table = {}
+    for n in (4, 6):
+        for g in reference_small_cubic_graphs(n):
+            if maxflow_edge_connectivity(g) < 3 or not reference_is_essentially_4ec(g):
+                continue
+            key = reference_canonical_form(g)[0]
+            K = canonical_graph(key)
+            table[key] = reference_base_case(K)
+            assert base_case_combination(K).entries == table[key]
+    assert table == combine._BASE_CASES

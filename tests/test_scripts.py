@@ -1,0 +1,40 @@
+"""The corpus tooling under ``scripts/``: the cubic-graph enumeration it
+relies on, and that the corpus script imports without regenerating."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from cubic2ec import edge_connectivity
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_enumeration_counts_connected_cubic_graphs(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    enumeration = load("enumeration")
+    # OEIS A002851: connected cubic graphs on 4, 6 and 8 vertices
+    graphs = {n: enumeration.connected_cubic_graphs(n) for n in (4, 6, 8)}
+    assert {n: len(gs) for n, gs in graphs.items()} == {4: 1, 6: 2, 8: 5}
+    # the corpus keeps the 3-edge-connected ones: 1, 2 and 4
+    assert [
+        sum(edge_connectivity(g) >= 3 for g in gs) for gs in graphs.values()
+    ] == [1, 2, 4]
+    assert enumeration.connected_cubic_graphs(5) == []
+
+    # make_corpus puts scripts/ on sys.path and imports the same file
+    monkeypatch.delitem(sys.modules, "enumeration", raising=False)
+    out = SCRIPTS.parent / "data" / "cubic_3ec_n4_14.g6"
+    before = out.read_bytes()
+    corpus = load("make_corpus")
+    assert corpus.connected_cubic_graphs.__module__ == "enumeration"
+    assert sys.modules["enumeration"].__file__ == str(SCRIPTS / "enumeration.py")
+    assert callable(corpus.main)
+    assert out.read_bytes() == before  # main did not run
