@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("opt", "lp", "gap"):
         sp = sub.add_parser(name, help=f"exact {name} value")
         _add_source_flags(sp)
-        sp.add_argument("--max-n", type=int, default=oracle.ORACLE_MAX_N)
 
     sp = sub.add_parser("sweep", help="run the full pipeline over a corpus")
     _add_source_flags(sp, g6_only=True)
@@ -127,8 +126,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_value(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if g.n > args.max_n:
-        raise ValueError(f"n={g.n} exceeds --max-n {args.max_n}")
     if args.command == "opt":
         value, _ = oracle.exact_opt(g)
         print(value)

@@ -490,6 +490,7 @@ class Certifier:
     the canonically labeled graph plus its trace record; results for any
     isomorphic graph are obtained by mapping edges back through the
     canonical permutation, so output depends only on the input graph.
+    λ is checked on canonical graphs only, so each graph is indexed once.
     """
 
     def __init__(self, max_n: int = DEFAULT_MAX_N):
@@ -501,9 +502,18 @@ class Certifier:
     # -- public ops --------------------------------------------------------
 
     def certify(self, g: Graph) -> Certificate:
-        """Certificate with every edge at exactly 7/9."""
+        """Certificate with every edge at exactly 7/9.
+
+        λ >= 3 is checked on the canonical graph, which ``_build`` indexes
+        anyway; a cached key has passed ``_build``'s own check."""
         self._validate_input(g)
-        comb, key = self._combination_with_key(g)
+        key, perm = canonical_form(g)
+        if key not in self._cache:
+            K = canonical_graph(key)
+            if connectivity.edge_connectivity(K) < 3:
+                raise ValueError("input graph must be 3-edge-connected")
+            self._cache.setdefault(key, self._build(K, key))
+        comb = _map_combination(self._cache[key][0], g, perm)
         _check_uniform(comb, TARGET)
         return Certificate(
             graph=g, combination=comb, target=TARGET, trace=self._trace_closure(key)
@@ -513,11 +523,7 @@ class Certifier:
         self, g: Graph, uv: int
     ) -> tuple[ConvexCombination, Case1Profile]:
         """One pivot reduction: ½·lift(C1) + ½·lift(C2) with its profile."""
-        self._validate_input(g)
-        if not connectivity.is_essentially_4ec(g):
-            raise ValueError("reduce_case1 requires no essential 3-edge cut")
-        if g.n <= 6:
-            raise ValueError("reduce_case1 requires n > 6")
+        self._validate_input(g)  # find_safe_pair rejects λ < 3, 3-cuts, n <= 6
         if not 0 <= uv < g.m:
             raise ValueError(f"no edge {uv}")
         comb, profile, _ = self._pivot_combination(g, uv)
@@ -532,17 +538,12 @@ class Certifier:
             raise ValueError(
                 f"n={g.n} exceeds the configured maximum {self.max_n}"
             )
-        if connectivity.edge_connectivity(g) < 3:
-            raise ValueError("input graph must be 3-edge-connected")
 
     def _combination_with_key(self, g: Graph) -> tuple[ConvexCombination, str]:
         key, perm = canonical_form(g)
         if key not in self._cache:
-            K = canonical_graph(key)
-            built = self._build(K, key)
-            self._cache.setdefault(key, built)
-        comb_k, _ = self._cache[key]
-        return _map_combination(comb_k, g, perm), key
+            self._cache.setdefault(key, self._build(canonical_graph(key), key))
+        return _map_combination(self._cache[key][0], g, perm), key
 
     def _build(self, K: Graph, key: str) -> tuple[ConvexCombination, dict]:
         if not K.is_cubic or connectivity.edge_connectivity(K) < 3:

@@ -9,10 +9,10 @@ with one XOR of that vertex's incidence mask instead of a scan over all
 edges.  The cuts a query keeps are sorted by shore, so every output is
 in ascending shore order.
 
-The essential cuts are indexed once per graph: one cached
-:class:`CutIndex` holds the min cut size, the cuts of size <= 4 and the
-essential 3- and 4-cuts, so every cut query reads it instead of
-rescanning the cuts.
+The cuts are indexed once per graph: one cached :class:`CutIndex`, read
+only in this module, holds the min cut size, the cuts of size <= 4 and
+the essential 3- and 4-cuts, so every cut query up to size 4 reads it
+instead of walking the shores again.
 """
 
 from __future__ import annotations
@@ -267,10 +267,14 @@ def edge_connectivity(g: Graph) -> int:
 
 def enumerate_cuts(g: Graph, max_size: int) -> list[Cut]:
     """All cuts with |crossing| <= max_size, one canonical shore per
-    {S, complement} pair, in ascending shore-bitmask order."""
+    {S, complement} pair, in ascending shore-bitmask order.  Sizes up to 4
+    come from the cached index."""
     if g.n < 2:
         raise ValueError("cut enumeration needs n >= 2")
-    _, cuts = _walk_cuts(g, max_size)
+    if max_size <= 4:
+        cuts = [c for c in _cut_summary(g).small if c[1].bit_count() <= max_size]
+    else:
+        _, cuts = _walk_cuts(g, max_size)
     return [_mask_cut(shore, cross) for shore, cross in cuts]
 
 

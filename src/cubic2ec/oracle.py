@@ -12,13 +12,7 @@ from fractions import Fraction
 
 from . import connectivity
 from .combine import Subgraph, _numerators
-from .connectivity import (
-    Cut,
-    _cut_summary,
-    _iter_bits,
-    _mask_cut,
-    _walk_cuts,
-)
+from .connectivity import Cut, _iter_bits, _mask_cut, _walk_cuts
 from .errors import InvariantViolation
 from .exact_lp import solve_cut_lp
 from .graphs import Graph
@@ -169,13 +163,14 @@ def _cubic_3ec_lp(g: Graph) -> LpSolution:
     constraint of every vertex star covers each edge exactly once, since
     each edge lies in the stars of its two endpoints, and has value
     2 * n/2 = n.  Equal values prove both optimal.  Every step is checked
-    here, so the result does not rest on the caller's path choice.
+    here, so the result does not rest on the caller's path choice.  λ and
+    the tight cuts (exactly 3 edges) come from ``edge_connectivity`` and
+    ``enumerate_cuts(g, 3)``.
     """
     n, m = g.n, g.m
     if not g.is_cubic:
         raise InvariantViolation("closed-form cut LP needs a cubic graph")
-    cuts = _cut_summary(g)
-    if cuts.min_size < 3:
+    if connectivity.edge_connectivity(g) < 3:
         raise InvariantViolation("closed-form cut LP needs every cut >= 3 edges")
     if 2 * m != 3 * n:
         raise InvariantViolation("cubic graph with 2m != 3n")
@@ -190,11 +185,7 @@ def _cubic_3ec_lp(g: Graph) -> LpSolution:
     value = sum(x, Fraction(0))
     if value != 2 * y * n:
         raise InvariantViolation("primal value differs from the dual value")
-    tight = tuple(
-        _mask_cut(shore, cmask)
-        for shore, cmask in cuts.small
-        if cmask.bit_count() == 3
-    )
+    tight = tuple(connectivity.enumerate_cuts(g, 3))
     return LpSolution(value=value, x=x, tight_cuts=tight)
 
 

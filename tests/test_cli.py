@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from test_differential import generalized_petersen
+from test_oracle import TWO_K4_MINUS_EDGE
+
 from cubic2ec import to_graph6, builtin
 from cubic2ec.cli import SWEEP_COLUMNS, main
 
@@ -180,6 +183,30 @@ def test_max_n_zero_is_rejected(tmp_path, capsys):
         assert code == 2
         assert stdout == ""
         assert stderr.strip() == "error: max_n must be within [4, 18]"
+
+
+def write_edges(path, g):
+    path.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+    return str(path)
+
+
+def test_oracle_commands_are_capped_by_the_oracle(tmp_path, capsys):
+    gp92 = write_edges(tmp_path / "gp92.txt", generalized_petersen(9, 2))
+    code, stdout, stderr = run(capsys, "opt", "--edges", gp92)
+    assert code == 2
+    assert stdout == ""
+    assert "oracle limited to n <= 16" in stderr
+    for name in ("opt", "lp", "gap"):
+        with pytest.raises(SystemExit):
+            main([name, "--graph", "k4", "--max-n", "16"])  # no such flag
+
+
+def test_certify_rejects_a_two_edge_cut(tmp_path, capsys):
+    edges = write_edges(tmp_path / "two_k4.txt", TWO_K4_MINUS_EDGE)
+    code, stdout, stderr = run(capsys, "certify", "--edges", edges)
+    assert code == 2
+    assert stdout == ""
+    assert "3-edge-connected" in stderr
 
 
 def test_unknown_builtin_is_parse_error(capsys):

@@ -36,9 +36,10 @@ from cubic2ec import (
     reduce_case1,
     remove_edges_and_smooth,
     support_bound,
+    to_graph6,
     verify_certificate,
 )
-from cubic2ec import InvariantViolation, combine
+from cubic2ec import InvariantViolation, canonical_form, combine, connectivity
 from cubic2ec.cli import main
 
 F = Fraction
@@ -185,6 +186,31 @@ def test_build_rejects_a_child_with_a_two_edge_cut():
         Certifier()._combination_with_key(TWO_K4_MINUS_EDGE)
 
 
+def reversed_labels(g):
+    """g with its vertex and edge orders reversed."""
+    return Graph(g.n, tuple((g.n - 1 - u, g.n - 1 - v) for u, v in reversed(g.edges)))
+
+
+def test_certify_rejects_a_root_with_a_two_edge_cut():
+    with pytest.raises(ValueError, match="input graph must be 3-edge-connected"):
+        Certifier().certify(reversed_labels(TWO_K4_MINUS_EDGE))
+
+
+def test_certify_indexes_canonical_graphs_only(petersen, prism, monkeypatch):
+    seen = []
+    summary = connectivity._cut_summary
+
+    def spy(h):
+        seen.append(h)
+        return summary(h)
+
+    monkeypatch.setattr(connectivity, "_cut_summary", spy)
+    for g in (reversed_labels(petersen), prism):
+        Certifier().certify(g)
+    assert seen
+    assert all(to_graph6(h) == canonical_form(h)[0] for h in seen)
+
+
 # lift -----------------------------------------------------------------------
 
 
@@ -298,11 +324,16 @@ def test_reduce_case1_matches_piecewise_profile(petersen, certifier):
         assert (profile.t, profile.r) == (0, 8)  # girth 5: no 4-cycles
 
 
-def test_reduce_case1_preconditions(prism, k33, certifier):
+def test_reduce_case1_preconditions(prism, k33, petersen, certifier):
     with pytest.raises(ValueError):
         certifier.reduce_case1(prism, 0)
     with pytest.raises(ValueError):
         certifier.reduce_case1(k33, 0)
+    with pytest.raises(ValueError):
+        certifier.reduce_case1(TWO_K4_MINUS_EDGE, 0)  # λ = 2
+    for uv in (-1, petersen.m):
+        with pytest.raises(ValueError):
+            certifier.reduce_case1(petersen, uv)
 
 
 # certify --------------------------------------------------------------------

@@ -100,6 +100,53 @@ def test_shore_walk_matches_scan_on_relabelings(corpus, data):
     assert_cuts_match_scan(relabel(g, perm, order))
 
 
+# small cuts read from the index ------------------------------------------------
+
+
+def assert_small_cuts_match_scan(g, monkeypatch):
+    """enumerate_cuts(g, k <= 4) equals the scan's cuts of at most k edges,
+    read from the index without a second walk; k = m walks once, unless
+    m <= 4 and the index already holds every cut."""
+    scan = reference_shore_scan(g)
+    edge_connectivity(g)
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _walk_cuts(*args)
+
+    monkeypatch.setattr(connectivity, "_walk_cuts", counted)
+    for k in range(5):
+        assert enumerate_cuts(g, k) == [
+            Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cross)))
+            for shore, cross in scan
+            if cross.bit_count() <= k
+        ]
+    assert walks == []
+    enumerate_cuts(g, g.m)
+    assert len(walks) == (g.m > 4)
+    monkeypatch.undo()
+
+
+def test_small_cuts_come_from_the_index(corpus, monkeypatch):
+    for g in corpus + [
+        complete(6),
+        complete(8),
+        Graph(5, ((0, 1), (2, 3), (3, 4), (2, 4))),  # disconnected
+    ]:
+        assert_small_cuts_match_scan(g, monkeypatch)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_small_cuts_come_from_the_index_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_small_cuts_match_scan(relabel(g, perm, order), monkeypatch)
+
+
 # essential-cut index ----------------------------------------------------------
 
 
