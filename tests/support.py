@@ -6,8 +6,9 @@ row-by-row graph6 encoder, an edge scan per shore for cut crossing sets,
 essential-cut queries that rescan every small cut on each call,
 Fraction-by-Fraction weight sums for edge occurrences, a canonical
 form that visits every leaf of its search tree, a census of small cubic
-graphs over the edge subsets of K_n, and the base-case combinations by
-exact feasibility search over every 2EC spanning subgraph.
+graphs over the edge subsets of K_n, the base-case combinations by
+exact feasibility search over every 2EC spanning subgraph, and the
+Carathéodory compaction with a Fraction inverse of its basis.
 """
 
 from __future__ import annotations
@@ -432,3 +433,77 @@ def reference_small_cubic_graphs(n: int) -> list:
         if connected_spanning(g, range(g.m)):
             found.setdefault(reference_canonical_form(g)[0], g)
     return [found[key] for key in sorted(found)]
+
+
+def reference_caratheodory(comb) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The compaction's basis crash with Fractions: B^-1 as a dense
+    Fraction matrix updated by the product-form pivot, and the basis
+    weights as Fractions.
+
+    The pivot rule is the integer one's: columns (x_M, 1) of the omitted
+    edges M, starting from the unit columns at weight 0; the smallest
+    member (least (|S|, edges)) first, then descending weight, ties in
+    entry order; a member enters at the first unit column with
+    alpha_i != 0, else folds (weights += w·alpha) when every weight stays
+    nonnegative and the smallest member's positive, else enters at the
+    first least lambda_i / alpha_i over alpha_i > 0, or, when that zeroes
+    the smallest member, at the first least lambda_i / -alpha_i over
+    alpha_i < 0.  Returns (weight, edges) in basis-position order.
+    """
+    m = comb.host.m
+    size = m + 1
+    entries = list(comb.entries)
+    first = min(range(len(entries)), key=lambda j: (len(entries[j][1]), entries[j][1]))
+    rest = sorted(
+        (j for j in range(len(entries)) if j != first), key=lambda j: -entries[j][0]
+    )
+    inverse = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    lam = [Fraction(0)] * size
+    at = [None] * size
+    p = None
+
+    def least(sign):
+        best = None
+        for i in range(size):
+            if sign * alpha[i] > 0:
+                ratio = lam[i] / (sign * alpha[i])
+                if best is None or ratio < best[0]:
+                    best = (ratio, i)
+        return best[1]
+
+    for j in [first] + rest:
+        w, es = entries[j]
+        ones = sorted(set(range(size)).difference(es))
+        alpha = [sum(row[c] for c in ones) for row in inverse]
+        k = next((i for i in range(size) if at[i] is None and alpha[i] != 0), None)
+        if k is not None:
+            t = Fraction(0)
+            if p is None:
+                p = k
+        else:
+            folded = [lam[i] + w * alpha[i] for i in range(size)]
+            if min(folded) >= 0 and folded[p] > 0:
+                lam = folded
+                continue
+            k = least(1)
+            if alpha[p] > 0 and lam[p] / alpha[p] == lam[k] / alpha[k]:
+                k = least(-1)
+            t = -lam[k] / alpha[k]
+        # the point keeps lam·B + w·a = (lam + t·alpha)·B + (w - t)·a
+        lam = [lam[i] + t * alpha[i] for i in range(size)]
+        lam[k] = w - t
+        pivot = [x / alpha[k] for x in inverse[k]]
+        inverse = [
+            pivot
+            if i == k
+            else row
+            if alpha[i] == 0
+            else [x - alpha[i] * y for x, y in zip(row, pivot)]
+            for i, row in enumerate(inverse)
+        ]
+        at[k] = j
+    return [
+        (lam[i], entries[at[i]][1])
+        for i in range(size)
+        if at[i] is not None and lam[i] != 0
+    ]

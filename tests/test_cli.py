@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,7 @@ def test_certify_petersen_writes_certificate(tmp_path, capsys):
     out = tmp_path / "cert.json"
     code, stdout, _ = run(capsys, "certify", "--graph", "petersen", "-o", str(out))
     assert code == 0
-    assert stdout.strip() == f"n=10 entries=132 min_support=11 bound=11"
+    assert stdout.strip() == f"n=10 entries=13 min_support=11 bound=11"
     doc = json.loads(out.read_text())
     assert doc["n"] == 10 and doc["min_support_size"] <= 11
 
@@ -212,3 +216,37 @@ def test_certify_rejects_a_two_edge_cut(tmp_path, capsys):
 def test_unknown_builtin_is_parse_error(capsys):
     with pytest.raises(SystemExit):
         main(["opt", "--graph", "heawood"])  # argparse rejects the choice
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "cubic2ec.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_verbose_logs_compaction_and_leaves_outputs_unchanged(tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(
+        "\n".join(to_graph6(builtin(n)) for n in ("k4", "prism", "petersen")) + "\n"
+    )
+    outputs = {}
+    for flags in ((), ("-v",)):
+        cert = tmp_path / f"cert{len(flags)}.json"
+        rows = tmp_path / f"rows{len(flags)}.csv"
+        certified = run_cli(*flags, "certify", "--graph", "petersen", "-o", str(cert))
+        swept = run_cli(*flags, "sweep", "--g6", str(corpus), "-o", str(rows))
+        assert certified.returncode == swept.returncode == 0, certified.stderr + swept.stderr
+        outputs[flags] = (cert.read_bytes(), rows.read_bytes(), certified.stdout)
+        # k4 and the prism have 6 entries each, at most m + 1 already
+        logged = ["cubic2ec.combine: compacted 132 -> 13 entries (n=10)"] if flags else []
+        assert certified.stderr.splitlines() == swept.stderr.splitlines() == logged
+    assert outputs[()] == outputs[("-v",)]

@@ -39,7 +39,14 @@ from cubic2ec import (
     to_graph6,
     verify_certificate,
 )
-from cubic2ec import InvariantViolation, canonical_form, combine, connectivity
+from cubic2ec import (
+    InvariantViolation,
+    canonical_form,
+    combine,
+    connectivity,
+    parse_graph6,
+)
+from cubic2ec.canon import canonical_graph
 from cubic2ec.cli import main
 
 F = Fraction
@@ -377,6 +384,39 @@ def test_certificates_are_deterministic(petersen):
     b = Certifier().certify(petersen)
     assert a.combination == b.combination
     assert certificate_to_json(a) == certificate_to_json(b)
+
+
+# an n = 14 corpus graph with an essential 3-cut: its children are K4 and
+# an n = 12 graph of 134 entries, so gluing reads a compactable child
+CASE2_N14 = "M??GXDCKIaP?c@w??"
+
+
+@pytest.mark.parametrize("name", ["petersen", CASE2_N14])
+def test_compacted_children_leave_their_parents_unchanged(corpus_lines, name):
+    """Certifying the children as roots first compacts their certificates
+    but not the cached combinations their parent is built from.  (The
+    Petersen children, K4 and the prism, have 6 entries, nothing to
+    compact; the n = 14 graph's n = 12 child is compacted.)"""
+    if name == "petersen":
+        g = builtin(name)
+    else:
+        assert name in corpus_lines
+        g = parse_graph6(name)
+    cold = Certifier()
+    cert = cold.certify(g)
+    children = cert.trace[0]["children"]
+    warm = Certifier()
+    compacted = 0
+    for key in children:
+        child = canonical_graph(key)
+        compacted += len(warm.certify(child).combination.entries) < len(
+            warm._cache[key][0].entries
+        )
+    assert compacted == (name == CASE2_N14)
+    assert certificate_to_json(warm.certify(g)) == certificate_to_json(cert)
+    for key in children:
+        assert warm._cache[key][0] == cold._cache[key][0]
+        assert len(warm._cache[key][0].entries) == warm._cache[key][1]["entries"]
 
 
 # glue -----------------------------------------------------------------------

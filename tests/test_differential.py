@@ -1,8 +1,9 @@
 """The Gray-code shore walk, the essential-cut index, the integer-numerator
-weight sums, the closed-form cut LP, the pruned canonical form and the
-base-case table against the per-shore edge scan, the per-query cut
-rescans, the Fraction loop, the full-enumeration simplex, the full search
-tree and the feasibility search they replaced."""
+weight sums, the closed-form cut LP, the pruned canonical form, the
+base-case table and the integer compaction against the per-shore edge
+scan, the per-query cut rescans, the Fraction loop, the full-enumeration
+simplex, the full search tree, the feasibility search they replaced, and
+the same compaction in Fractions."""
 
 import itertools
 from fractions import Fraction
@@ -13,6 +14,7 @@ from support import (
     maxflow_edge_connectivity,
     reference_base_case,
     reference_canonical_form,
+    reference_caratheodory,
     reference_crossing_mask,
     reference_edge_occurrences,
     reference_essential_3cut,
@@ -419,3 +421,65 @@ def test_base_case_table_matches_feasibility_search():
             table[key] = reference_base_case(K)
             assert base_case_combination(K).entries == table[key]
     assert table == combine._BASE_CASES
+
+
+# compaction -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def compacted(corpus):
+    """(unreduced, compacted) canonical combinations of every corpus root
+    and GP(8,3), from one Certifier."""
+    certifier = Certifier(max_n=16)
+    out = []
+    for g in corpus + [generalized_petersen(8, 3)]:
+        certifier.certify(g)
+        key, _ = canonical_form(g)
+        out.append((certifier._cache[key][0], certifier._roots[key]))
+    return out
+
+
+def test_compaction_matches_fraction_reference(compacted):
+    reduced = [(full, red) for full, red in compacted if len(full.entries) > full.host.m + 1]
+    assert len(reduced) == 19  # 18 corpus roots and GP(8,3)
+    for full, red in reduced:
+        assert combination(full.host, reference_caratheodory(full), check=False) == red
+
+
+@pytest.mark.parametrize("bits", [128, 192])
+def test_compaction_is_independent_of_lane_width(compacted, monkeypatch, bits):
+    """Lanes wider than the bound needs (n = 18 needs 128 bits) give the
+    same compaction as the 64-bit lanes the corpus needs."""
+    monkeypatch.setattr(combine, "_lane_bits", lambda bound: bits)
+    for full, red in compacted:
+        assert combine._compact(full) == red
+
+
+def assert_compacted(full, red):
+    """red is a uniform-7/9 combination of at most m + 1 of full's members,
+    with full's least member size."""
+    assert {es for _, es in red.entries} <= {es for _, es in full.entries}
+    assert len(red.entries) <= min(len(full.entries), red.host.m + 1)
+    assert set(reference_edge_occurrences(red)) == {F(7, 9)}
+    assert all(w > 0 for w, _ in red.entries)
+    assert sum(w for w, _ in red.entries) == 1
+    assert min(len(es) for _, es in red.entries) == min(len(es) for _, es in full.entries)
+
+
+def test_compaction_keeps_members_occurrences_and_min_size(compacted):
+    for full, red in compacted:
+        assert_compacted(full, red)
+        if len(full.entries) <= full.host.m + 1:
+            assert red is full
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_compaction_keeps_min_size_on_relabelings(corpus, certifier, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    h = relabel(g, perm, order)
+    cert = certifier.certify(h)
+    key, kperm = canonical_form(h)
+    assert_compacted(combine._map_combination(certifier._cache[key][0], h, kperm), cert.combination)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -29,7 +31,7 @@ def run_optimized(*args):
 def test_certify_petersen_under_optimize():
     proc = run_optimized("-m", "cubic2ec.cli", "certify", "--graph", "petersen")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "n=10 entries=132 min_support=11 bound=11"
+    assert proc.stdout.strip() == "n=10 entries=13 min_support=11 bound=11"
 
 
 def test_closed_form_lp_petersen_under_optimize():
@@ -102,3 +104,69 @@ def test_reproduce_bounds_counts_nonuniform_occurrences_under_optimize():
     proc = run_optimized("-c", SKEWED_OCCURRENCES)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.rstrip().endswith("31 invariant failures")
+
+
+# Compactions that break their contract, by name: no certificate may be
+# issued.  `foreign` puts in the full edge set, which is not a Petersen
+# member.
+BROKEN_COMPACTION = """
+import sys
+from fractions import Fraction
+from cubic2ec import Certifier, builtin, combine
+from cubic2ec.errors import InvariantViolation
+
+assert False, "assert statements must be stripped"
+honest = combine._caratheodory
+
+def foreign(comb):
+    (w, _), *rest = honest(comb)
+    return [(w, tuple(range(comb.host.m)))] + rest
+
+def perturbed(comb):
+    (w, es), *rest = honest(comb)
+    return [(w * Fraction(1000001, 1000000), es)] + rest
+
+def no_smallest(comb):
+    smallest = combine._smallest(comb)
+    out = [(w, es) for w, es in honest(comb) if es != smallest]
+    lost = 1 - sum(w for w, _ in out)
+    return [(out[0][0] + lost, out[0][1])] + out[1:]
+
+broken = {"foreign": foreign, "perturbed": perturbed, "no_smallest": no_smallest}
+if sys.argv[1] == "narrow_lanes":
+    combine._lane_bits = lambda bound: 16
+else:
+    combine._caratheodory = broken[sys.argv[1]]
+if sys.argv[2] == "cli":
+    from cubic2ec.cli import main
+    sys.exit(main(["certify", "--graph", "petersen"]))
+try:
+    Certifier().certify(builtin("petersen"))
+except InvariantViolation as exc:
+    print(f"optimize={sys.flags.optimize} {exc}")
+    sys.exit(0)
+sys.exit("a broken compaction went unnoticed")
+"""
+
+BROKEN = {
+    "foreign": "compaction kept 13 members, not at most 16 of the combination's own",
+    "perturbed": "compaction: weights must sum to 1 exactly",
+    "no_smallest": "compaction dropped the smallest member",
+    "narrow_lanes": "16-bit lanes cannot hold the",
+}
+
+
+@pytest.mark.parametrize("how", sorted(BROKEN))
+def test_broken_compaction_raises_under_optimize(how):
+    proc = run_optimized("-c", BROKEN_COMPACTION, how, "api")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"optimize=1 {BROKEN[how]}")
+
+
+@pytest.mark.parametrize("how", sorted(BROKEN))
+def test_broken_compaction_exits_3_under_optimize(how):
+    proc = run_optimized("-c", BROKEN_COMPACTION, how, "cli")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "internal invariant violation" in proc.stderr
+    assert BROKEN[how] in proc.stderr
