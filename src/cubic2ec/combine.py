@@ -12,8 +12,7 @@ graph size:
   patterns (omit each cut edge 2/9 of the time, keep all three 1/3).
 * otherwise (essentially 4EC, n > 6): for every pivot edge, remove a safe
   pair of edges at its ends, smooth, certify the two children, lift them
-  back, and average the per-pivot combinations over all pivots; pad any
-  deficient edge back up to 7/9.
+  back, and average the 2m lifted children, each at weight 1/(2m).
 
 All arithmetic is exact; no floats anywhere in the certification path.
 Weights are fractions.Fraction, and sums over many weights (occurrence
@@ -76,9 +75,6 @@ class ConvexCombination:
 
     host: Graph
     entries: tuple[tuple[Fraction, tuple[int, ...]], ...]
-
-    def subgraphs(self):
-        return tuple(Subgraph(self.host, es) for _, es in self.entries)
 
 
 @dataclass(frozen=True)
@@ -212,10 +208,12 @@ def average(parts) -> ConvexCombination:
 def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
     """Raise every deficient edge to exactly ``target`` occurrence.
 
-    Deficient edges are processed in ascending id; weight is split off
-    entries not containing the edge, in ascending entry index, into copies
-    that add the edge.  Adding edges preserves 2-edge-connectivity, so no
-    re-check is needed; occurrences above target are rejected.
+    A public helper; the certifier no longer calls it, since every case-1
+    average is already uniform.  Deficient edges are processed in
+    ascending id; weight is split off entries not containing the edge, in
+    ascending entry index, into copies that add the edge.  Adding edges
+    preserves 2-edge-connectivity, so no re-check is needed; occurrences
+    above target are rejected.
     """
     target = Fraction(target)
     occ = edge_occurrences(c)
@@ -247,12 +245,10 @@ def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
     return out
 
 
-def _check_uniform(c: ConvexCombination, target: Fraction):
+def _check_uniform(c: ConvexCombination, target: Fraction, what: str = "occurrence"):
     bad = [e for e, v in enumerate(edge_occurrences(c)) if v != target]
     if bad:
-        raise InvariantViolation(
-            f"edges {bad[:3]} have occurrence other than {target}"
-        )
+        raise InvariantViolation(f"edges {bad[:3]} have {what} other than {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +490,9 @@ def glue(
 
 
 def _smallest(comb: ConvexCombination) -> tuple[int, ...]:
-    """The member every compaction keeps: least (|S|, edges), the first
-    of least size, as entries are in ascending edge-tuple order."""
-    return min((es for _, es in comb.entries), key=len)
+    """The least member by (|S|, edges): the one every compaction keeps
+    and every certificate reports."""
+    return min((es for _, es in comb.entries), key=lambda es: (len(es), es))
 
 
 def _compact(comb: ConvexCombination) -> ConvexCombination:
@@ -737,8 +733,8 @@ class Certifier:
         self._validate_input(g)  # find_safe_pair rejects λ < 3, 3-cuts, n <= 6
         if not 0 <= uv < g.m:
             raise ValueError(f"no edge {uv}")
-        comb, profile, _ = self._pivot_combination(g, uv)
-        return comb, profile
+        lifted, profile, _ = self._pivot_lifts(g, uv)
+        return average([(Fraction(1, 2), c) for c in lifted]), profile
 
     # -- internals ----------------------------------------------------------
 
@@ -779,19 +775,20 @@ class Certifier:
         log.debug("case 1 at n=%d (%s)", K.n, key)
         return self._case1(K, key)
 
-    def _pivot_combination(self, g: Graph, uv: int):
+    def _pivot_lifts(self, g: Graph, uv: int):
+        """The two lifted children of pivot uv, checked: ½ of their summed
+        occurrences is the piecewise profile, and 2t + r = 8."""
         decision = connectivity.find_safe_pair(g, uv)
-        red_a = remove_edges_and_smooth(g, *decision.pair_a)
-        red_b = remove_edges_and_smooth(g, *decision.pair_b)
         child_keys = []
         lifted = []
-        for red in (red_a, red_b):
+        for pair in (decision.pair_a, decision.pair_b):
+            red = remove_edges_and_smooth(g, *pair)
             child_comb, child_key = self._combination_with_key(red.child)
             child_keys.append(child_key)
             lifted.append(lift(child_comb, red))
-        comb = average([(Fraction(1, 2), lifted[0]), (Fraction(1, 2), lifted[1])])
         profile, expected = _case1_expectation(g, uv)
-        if list(edge_occurrences(comb)) != expected:
+        both = _occurrences(g.m, lifted[0].entries + lifted[1].entries)
+        if [x / 2 for x in both] != expected:
             raise InvariantViolation(
                 f"pivot {uv}: occurrences deviate from the piecewise profile"
             )
@@ -799,18 +796,18 @@ class Certifier:
             raise InvariantViolation(
                 f"pivot {uv}: 2t + r = {2 * profile.t + profile.r}, not 8"
             )
-        return comb, profile, (decision, child_keys)
+        return lifted, profile, (decision, child_keys)
 
     def _case1(self, K: Graph, key: str) -> tuple[ConvexCombination, dict]:
-        m = K.m
+        """One average of all 2m lifted children at 1/(2m) each: 7/9 +
+        (2t + r - 8)/(9m) on each edge, so 7/9, as every pivot has 2t + r = 8."""
+        weight = Fraction(1, 2 * K.m)
         parts = []
-        profiles = []
         pivot_records = []
         children: set[str] = set()
-        for uv in range(m):
-            comb, profile, (decision, child_keys) = self._pivot_combination(K, uv)
-            parts.append((Fraction(1, m), comb))
-            profiles.append(profile)
+        for uv in range(K.m):
+            lifted, _, (decision, child_keys) = self._pivot_lifts(K, uv)
+            parts.extend((weight, c) for c in lifted)
             children.update(child_keys)
             pivot_records.append(
                 {
@@ -825,21 +822,8 @@ class Certifier:
                     "children": child_keys,
                 }
             )
-        avg = average(parts)
-        occ = edge_occurrences(avg)
-        for e in range(m):
-            closed_form = TARGET + Fraction(
-                2 * profiles[e].t + profiles[e].r - 8, 9 * m
-            )
-            if occ[e] != closed_form:
-                raise InvariantViolation(
-                    f"edge {e}: averaged occurrence {occ[e]} != closed form"
-                )
-            if occ[e] > TARGET:
-                raise InvariantViolation(
-                    f"edge {e}: averaged occurrence {occ[e]} exceeds {TARGET}"
-                )
-        final = pad_to_uniform(avg, TARGET)
+        final = average(parts)
+        _check_uniform(final, TARGET, "averaged occurrence")
         record = {
             "kind": "case1",
             "graph6": key,
@@ -886,15 +870,15 @@ class Certifier:
 def _map_combination(
     comb_k: ConvexCombination, g: Graph, perm: tuple[int, ...]
 ) -> ConvexCombination:
-    """Pull a combination on the canonical graph back to g's labeling."""
+    """Pull a combination on the canonical graph back to g's labeling; a
+    relabeling keeps members distinct and weights as they are, so it only
+    re-sorts."""
     K = comb_k.host
     back = [0] * g.m
     for e, (u, v) in enumerate(g.edges):
         back[K.edge_id(perm[u], perm[v])] = e
-    raw = [
-        (w, tuple(sorted(back[ke] for ke in es))) for w, es in comb_k.entries
-    ]
-    return combination(g, raw, check=False)
+    mapped = [(w, tuple(sorted(back[ke] for ke in es))) for w, es in comb_k.entries]
+    return ConvexCombination(g, tuple(sorted(mapped, key=lambda t: t[1])))
 
 
 def certify(g: Graph, certifier: Certifier | None = None) -> Certificate:
@@ -917,8 +901,7 @@ def reduce_case1(
 
 def min_support_subgraph(cert: Certificate) -> Subgraph:
     """The smallest member (ties: lexicographically least edge set)."""
-    best = min(cert.combination.entries, key=lambda t: (len(t[1]), t[1]))
-    return Subgraph(cert.graph, best[1])
+    return Subgraph(cert.graph, _smallest(cert.combination))
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
@@ -1013,8 +996,15 @@ def _field(name: str, parse, value):
         raise ValueError(f"certificate field {name!r} is malformed ({e!r})") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer as it is: no float, string or bool is coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _edge_pairs(edges) -> tuple[tuple[int, int], ...]:
-    return tuple((int(u), int(v)) for u, v in edges)
+    return tuple((_integer(u), _integer(v)) for u, v in edges)
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -1029,12 +1019,14 @@ def certificate_from_json(text: str) -> Certificate:
     for name in ("n", "edges", "entries"):
         if name not in doc:
             raise ValueError(f"certificate has no {name!r} field")
-    n = _field("n", int, doc["n"])
+    n = _field("n", _integer, doc["n"])
     graph = Graph(n, _field("edges", _edge_pairs, doc["edges"]))
     entries = tuple(
         (
             _field(f"entries[{i}].weight", lambda e: _parse_frac(e["weight"]), ent),
-            _field(f"entries[{i}].edges", lambda e: tuple(map(int, e["edges"])), ent),
+            _field(
+                f"entries[{i}].edges", lambda e: tuple(map(_integer, e["edges"])), ent
+            ),
         )
         for i, ent in enumerate(_field("entries", list, doc["entries"]))
     )
@@ -1044,5 +1036,9 @@ def certificate_from_json(text: str) -> Certificate:
         combination=comb,
         target=_field("target", _parse_frac, doc.get("target", "7/9")),
         trace=_field("trace", tuple, doc.get("trace", ())),
-        declared_min_support=doc.get("min_support_size"),
+        declared_min_support=(
+            _field("min_support_size", _integer, doc["min_support_size"])
+            if "min_support_size" in doc
+            else None
+        ),
     )

@@ -9,6 +9,11 @@ form that visits every leaf of its search tree, a census of small cubic
 graphs over the edge subsets of K_n, the base-case combinations by
 exact feasibility search over every 2EC spanning subgraph, and the
 Carathéodory compaction with a Fraction inverse of its basis.
+
+Two oracles keep a construction the package replaced, built from its own
+public steps: the case-1 node as a merge per pivot, averaged over the
+pivots and padded, and the relabeling of a combination rebuilt through
+``combination()``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
+from cubic2ec.combine import TARGET, average, combination, pad_to_uniform, reduce_case1
 from cubic2ec.connectivity import Cut
 from cubic2ec.exact_lp import feasible_basic_solution
 from cubic2ec.graphs import Graph
@@ -507,3 +513,21 @@ def reference_caratheodory(comb) -> list[tuple[Fraction, tuple[int, ...]]]:
         for i in range(size)
         if at[i] is not None and lam[i] != 0
     ]
+
+
+def reference_case1_combination(K, certifier):
+    """A case-1 node built per pivot: the average over the m pivots of
+    each pivot's ½·lift(C1) + ½·lift(C2), padded up to 7/9."""
+    m = K.m
+    parts = [(Fraction(1, m), reduce_case1(K, uv, certifier)[0]) for uv in range(m)]
+    return pad_to_uniform(average(parts), TARGET)
+
+
+def reference_map_combination(comb_k, g, perm):
+    """comb_k on g's labeling, rebuilt through ``combination()``."""
+    K = comb_k.host
+    back = [0] * g.m
+    for e, (u, v) in enumerate(g.edges):
+        back[K.edge_id(perm[u], perm[v])] = e
+    raw = [(w, tuple(sorted(back[ke] for ke in es))) for w, es in comb_k.entries]
+    return combination(g, raw, check=False)

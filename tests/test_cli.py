@@ -70,12 +70,42 @@ def null_first_weight(doc):
     return {**doc, "entries": [first] + doc["entries"][1:]}
 
 
-# shape -> (mutation of a valid k4 certificate, text the error must name)
+def shift_first_endpoint(doc):
+    (u, v), *rest = doc["edges"]
+    return {**doc, "edges": [[u + 0.5, v]] + rest}
+
+
+def shift_first_entry_edge(doc):
+    first = doc["entries"][0]
+    e, *rest = first["edges"]
+    first = {**first, "edges": [e + 0.7] + rest}
+    return {**doc, "entries": [first] + doc["entries"][1:]}
+
+
+# shape -> (mutation of a valid k4 certificate, text the error must name).
+# The non-integer numbers truncate to the valid value, so coercing them
+# instead of rejecting them would verify the certificate.
 MALFORMED = {
     "no_entries": (drop_entries, "'entries'"),
     "edges_is_int": (lambda doc: {**doc, "edges": 5}, "'edges'"),
     "null_weight": (null_first_weight, "'entries[0].weight'"),
     "top_level_list": (lambda doc: [doc], "JSON object"),
+    "n_is_fraction": (lambda doc: {**doc, "n": doc["n"] + 0.7}, "'n'"),
+    "n_is_string": (lambda doc: {**doc, "n": str(doc["n"])}, "'n'"),
+    "endpoint_is_fraction": (shift_first_endpoint, "'edges'"),
+    "entry_edge_is_fraction": (shift_first_entry_edge, "'entries[0].edges'"),
+    "min_support_is_word": (
+        lambda doc: {**doc, "min_support_size": "eleven"},
+        "'min_support_size'",
+    ),
+    "min_support_is_list": (
+        lambda doc: {**doc, "min_support_size": [doc["min_support_size"]]},
+        "'min_support_size'",
+    ),
+    "min_support_is_bool": (
+        lambda doc: {**doc, "min_support_size": True},
+        "'min_support_size'",
+    ),
 }
 
 
@@ -89,6 +119,18 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, shape):
     assert code == 2
     assert stderr.startswith("error:")
     assert named in stderr
+
+
+def test_verify_without_declared_min_support(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "certify", "--graph", "k4", "-o", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    del doc["min_support_size"]
+    cert.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "verify", "--graph", "k4", "--cert", str(cert))
+    assert code == 0
+    checks = {c["name"] for c in json.loads(stdout)["checks"]}
+    assert "declared_min_support" not in checks
 
 
 def test_verify_wrong_graph_exits_1(tmp_path, capsys):

@@ -546,3 +546,17 @@ def test_min_support_tie_breaks_lexicographically(k4):
     )
     cert = Certificate(k4, comb, F(2, 3), ())
     assert min_support_subgraph(cert).edges == min(cycles)
+
+
+def test_smallest_member_rule_holds_for_unsorted_entries(k4):
+    """A parsed certificate may list entries in any order; the compaction's
+    kept member and the reported one are both least by (|S|, edges)."""
+    cycles = k4_cycles(k4)
+    doc = json.loads(certificate_to_json(certify(k4)))
+    doc["entries"] = [
+        {"weight": "1/3", "edges": list(c)} for c in sorted(cycles, reverse=True)
+    ]
+    cert = certificate_from_json(json.dumps(doc))
+    assert [es for _, es in cert.combination.entries] == sorted(cycles, reverse=True)
+    assert combine._smallest(cert.combination) == min(cycles)
+    assert min_support_subgraph(cert).edges == min(cycles)

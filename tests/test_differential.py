@@ -3,7 +3,9 @@ weight sums, the closed-form cut LP, the pruned canonical form, the
 base-case table and the integer compaction against the per-shore edge
 scan, the per-query cut rescans, the Fraction loop, the full-enumeration
 simplex, the full search tree, the feasibility search they replaced, and
-the same compaction in Fractions."""
+the same compaction in Fractions; the one-average case-1 node and the
+re-sorting relabeling against the per-pivot merge and padding, and the
+rebuild through ``combination()``, they replaced."""
 
 import itertools
 from fractions import Fraction
@@ -21,6 +23,8 @@ from support import (
     reference_essential_4cut_with_pair,
     reference_is_essential,
     reference_is_essentially_4ec,
+    reference_case1_combination,
+    reference_map_combination,
     reference_shore_scan,
     reference_small_cubic_graphs,
     reference_small_cuts,
@@ -427,16 +431,20 @@ def test_base_case_table_matches_feasibility_search():
 
 
 @pytest.fixture(scope="module")
-def compacted(corpus):
-    """(unreduced, compacted) canonical combinations of every corpus root
-    and GP(8,3), from one Certifier."""
+def certified(corpus):
+    """One Certifier that has certified every corpus graph and GP(8,3)."""
     certifier = Certifier(max_n=16)
-    out = []
     for g in corpus + [generalized_petersen(8, 3)]:
         certifier.certify(g)
-        key, _ = canonical_form(g)
-        out.append((certifier._cache[key][0], certifier._roots[key]))
-    return out
+    return certifier
+
+
+@pytest.fixture(scope="module")
+def compacted(corpus, certified):
+    """(unreduced, compacted) canonical combinations of every corpus root
+    and GP(8,3)."""
+    keys = [canonical_form(g)[0] for g in corpus + [generalized_petersen(8, 3)]]
+    return [(certified._cache[key][0], certified._roots[key]) for key in keys]
 
 
 def test_compaction_matches_fraction_reference(compacted):
@@ -483,3 +491,32 @@ def test_compaction_keeps_min_size_on_relabelings(corpus, certifier, data):
     cert = certifier.certify(h)
     key, kperm = canonical_form(h)
     assert_compacted(combine._map_combination(certifier._cache[key][0], h, kperm), cert.combination)
+
+
+# case 1 and relabeling --------------------------------------------------------
+
+
+def test_case1_nodes_match_per_pivot_construction(corpus, certified):
+    """Each case-1 node, one average of its 2m lifted children, equals the
+    average over pivots of each pivot's half-and-half merge, padded."""
+    graphs = [builtin("petersen"), generalized_petersen(8, 3)]
+    graphs += [g for g in corpus if g.n > 6 and is_essentially_4ec(g)]
+    for g in graphs:
+        key, _ = canonical_form(g)
+        comb, record = certified._cache[key]
+        assert record["kind"] == "case1"
+        assert comb == reference_case1_combination(canonical_graph(key), certified)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_map_combination_matches_rebuild_on_relabelings(corpus, certified, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    h = relabel(g, perm, order)
+    key, kperm = canonical_form(h)
+    for comb in (certified._cache[key][0], certified._roots[key]):
+        assert combine._map_combination(comb, h, kperm) == reference_map_combination(
+            comb, h, kperm
+        )

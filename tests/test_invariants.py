@@ -89,21 +89,75 @@ def test_reproduce_bounds_under_optimize():
     assert proc.stdout.rstrip().endswith("0 invariant failures")
 
 
-SKEWED_OCCURRENCES = f"""
+# Moves half the lighter of the first two members' weights to the other:
+# the weights still sum to 1, but the edges in one member and not the
+# other leave 7/9.
+SHIFT_WEIGHT = """
+from cubic2ec.combine import ConvexCombination
+
+def shifted(comb):
+    (w0, s0), (w1, s1), *rest = comb.entries
+    moved = min(w0, w1) / 2
+    return ConvexCombination(comb.host, ((w0 - moved, s0), (w1 + moved, s1), *rest))
+"""
+
+SKEWED_CERTIFICATES = SHIFT_WEIGHT + f"""
+import dataclasses
 import runpy
-from fractions import Fraction
 import cubic2ec
 
-honest = cubic2ec.edge_occurrences
-cubic2ec.edge_occurrences = lambda comb: (Fraction(0),) + honest(comb)[1:]
+honest = cubic2ec.Certifier.certify
+
+def skewed(self, g):
+    cert = honest(self, g)
+    return dataclasses.replace(cert, combination=shifted(cert.combination))
+
+cubic2ec.Certifier.certify = skewed
 runpy.run_path({str(REPRODUCE)!r}, run_name="__main__")
 """
 
 
 def test_reproduce_bounds_counts_nonuniform_occurrences_under_optimize():
-    proc = run_optimized("-c", SKEWED_OCCURRENCES)
+    proc = run_optimized("-c", SKEWED_CERTIFICATES)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.rstrip().endswith("31 invariant failures")
+
+
+# A case-1 average that leaves 7/9: the node's own check must name it,
+# before a parent's pivot check or the compaction sees the damage.
+SKEWED_AVERAGE = SHIFT_WEIGHT + """
+import sys
+from cubic2ec import Certifier, builtin, combine
+from cubic2ec.errors import InvariantViolation
+
+assert False, "assert statements must be stripped"
+honest = combine.average
+combine.average = lambda parts: shifted(honest(parts))
+if sys.argv[1] == "cli":
+    from cubic2ec.cli import main
+    sys.exit(main(["certify", "--graph", "petersen"]))
+try:
+    Certifier().certify(builtin("petersen"))
+except InvariantViolation as exc:
+    print(f"optimize={sys.flags.optimize} {exc}")
+    sys.exit(0)
+sys.exit("a skewed case-1 average went unnoticed")
+"""
+
+
+def test_skewed_case1_average_raises_under_optimize():
+    proc = run_optimized("-c", SKEWED_AVERAGE, "api")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize=1 edges [")
+    assert "have averaged occurrence other than 7/9" in proc.stdout
+
+
+def test_skewed_case1_average_exits_3_under_optimize():
+    proc = run_optimized("-c", SKEWED_AVERAGE, "cli")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "internal invariant violation" in proc.stderr
+    assert "have averaged occurrence other than 7/9" in proc.stderr
 
 
 # Compactions that break their contract, by name: no certificate may be

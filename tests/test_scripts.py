@@ -1,5 +1,6 @@
-"""The corpus tooling under ``scripts/``: the cubic-graph enumeration it
-relies on, and that the corpus script imports without regenerating."""
+"""The tooling under ``scripts/``: the cubic-graph enumeration the corpus
+relies on, that the corpus script imports without regenerating, and the
+bounds report over the committed corpus."""
 
 import importlib.util
 import sys
@@ -38,3 +39,19 @@ def test_enumeration_counts_connected_cubic_graphs(monkeypatch):
     assert sys.modules["enumeration"].__file__ == str(SCRIPTS / "enumeration.py")
     assert callable(corpus.main)
     assert out.read_bytes() == before  # main did not run
+
+
+def test_reproduce_bounds_reports_every_corpus_graph(monkeypatch, capsys, corpus_lines):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    report = load("reproduce_bounds")
+    assert report.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, *rows, blank, summary = lines
+    assert header.split() == [
+        "graph6", "n", "e4ec", "opt", "lp", "gap", "support", "bound", "ok"
+    ]
+    assert [row.split()[0] for row in rows] == corpus_lines
+    assert all(row.split()[-1] == "yes" for row in rows)
+    assert blank == ""
+    assert summary.startswith(f"{len(corpus_lines)} graphs in ")
+    assert summary.endswith("; 0 invariant failures")
