@@ -14,6 +14,9 @@ graph size:
   pair of edges at its ends, smooth, certify the two children, lift them
   back, and average the 2m lifted children, each at weight 1/(2m).
 
+``lift`` and ``glue`` only map edges; each member of a finished node is
+checked spanning 2EC once, however many lifts or glues produced it.
+
 All arithmetic is exact; no floats anywhere in the certification path.
 Weights are fractions.Fraction, and sums over many weights (occurrence
 vectors, deduplication, the sum == 1 checks) are taken over integer
@@ -123,7 +126,8 @@ def combination(host: Graph, raw_entries, check: bool = True) -> ConvexCombinati
     """Validate, deduplicate and canonically order entries.
 
     Weights must be positive rationals summing to exactly 1; with
-    ``check`` every member must be a spanning 2EC subgraph of the host.
+    ``check`` every distinct member must be a spanning 2EC subgraph of the
+    host, the check the certifier runs once on each finished node.
     """
     weights: list[Fraction] = []
     keys: list[tuple[int, ...]] = []
@@ -149,16 +153,19 @@ def combination(host: Graph, raw_entries, check: bool = True) -> ConvexCombinati
         raise ValueError(
             f"weights must sum to 1 exactly (got {Fraction(total, den)})"
         )
-    entries = sorted(acc.items())
-    if check:
-        for key, _ in entries:
-            if not connectivity.is_2ec(host, key):
-                raise ValueError(
-                    f"entry {key} is not a spanning 2-edge-connected subgraph"
-                )
-    return ConvexCombination(
-        host, tuple((Fraction(num, den), k) for k, num in entries)
+    out = ConvexCombination(
+        host, tuple((Fraction(num, den), k) for k, num in sorted(acc.items()))
     )
+    if check:
+        _check_members(out, "entry ", ValueError)
+    return out
+
+
+def _check_members(c: ConvexCombination, what: str, error=InvariantViolation):
+    """Raise ``error``, prefixed by ``what``, at the first non-2EC member."""
+    for _, es in c.entries:
+        if not connectivity.is_2ec(c.host, es):
+            raise error(f"{what}{es} is not a spanning 2-edge-connected subgraph")
 
 
 def _numerators(weights) -> tuple[list[int], int]:
@@ -201,7 +208,6 @@ def average(parts) -> ConvexCombination:
         if comb.host != host:
             raise ValueError("all combinations must share one host graph")
         raw.extend((Fraction(w) * ew, es) for ew, es in comb.entries)
-    # members were already checked when the parts were built
     return combination(host, raw, check=False)
 
 
@@ -311,7 +317,7 @@ def lift(child_combination: ConvexCombination, red: Reduction) -> ConvexCombinat
 
     Every child edge expands to its provenance path; the edges adjacent to
     the removed pair are always selected and the removed pair is always
-    omitted.  Each lifted member must be spanning 2EC for the parent.
+    omitted.  Members are checked once, in the node they are averaged into.
     """
     if red.kind != "case1_removal":
         raise ValueError("lift applies to removal reductions only")
@@ -324,12 +330,7 @@ def lift(child_combination: ConvexCombination, red: Reduction) -> ConvexCombinat
             parent_edges.update(red.edge_provenance[ce])
         parent_edges |= red.forced_include
         parent_edges -= red.forced_exclude
-        key = tuple(sorted(parent_edges))
-        if not connectivity.is_2ec(red.parent, key):
-            raise InvariantViolation(
-                f"lifted subgraph {key} is not spanning 2-edge-connected"
-            )
-        raw.append((w, key))
+        raw.append((w, tuple(sorted(parent_edges))))
     return combination(red.parent, raw, check=False)
 
 
@@ -418,7 +419,8 @@ def glue(
 
     Within each pseudo-vertex pattern class the two entry lists are paired
     by common refinement of weights; each glued member is the union of the
-    two shore selections plus the cut edges the shared pattern keeps.
+    two shore selections plus the cut edges the shared pattern keeps; the
+    members are checked once, in the finished node.
     """
     for red in (red1, red2):
         if red.kind != "case2_contraction":
@@ -436,7 +438,6 @@ def glue(
     if kept1 & kept2 or kept1 | kept2 != set(range(red1.parent.n)):
         raise ValueError("the reductions must contract complementary shores")
 
-    parent = red1.parent
     cut_edges = set(cut1)
 
     def to_parent(red, es):
@@ -465,12 +466,7 @@ def glue(
                     raise InvariantViolation(
                         "glued member disagrees with its cut pattern"
                     )
-                gk = tuple(sorted(glued))
-                if not connectivity.is_2ec(parent, gk):
-                    raise InvariantViolation(
-                        f"glued subgraph {gk} is not spanning 2-edge-connected"
-                    )
-                raw.append((w, gk))
+                raw.append((w, tuple(sorted(glued))))
             lst1[i][0] -= w
             lst2[j][0] -= w
             if lst1[i][0] == 0:
@@ -479,7 +475,7 @@ def glue(
                 j += 1
         if any(t[0] != 0 for t in lst1[i:]) or any(t[0] != 0 for t in lst2[j:]):
             raise InvariantViolation("pattern class weights fell out of alignment")
-    out = combination(parent, raw, check=False)
+    out = combination(red1.parent, raw, check=False)
     _check_uniform(out, TARGET)
     return out
 
@@ -729,12 +725,14 @@ class Certifier:
     def reduce_case1(
         self, g: Graph, uv: int
     ) -> tuple[ConvexCombination, Case1Profile]:
-        """One pivot reduction: ½·lift(C1) + ½·lift(C2) with its profile."""
-        self._validate_input(g)  # find_safe_pair rejects λ < 3, 3-cuts, n <= 6
-        if not 0 <= uv < g.m:
-            raise ValueError(f"no edge {uv}")
+        """One pivot reduction: ½·lift(C1) + ½·lift(C2), members checked,
+        with its profile."""
+        # find_safe_pair rejects λ < 3, 3-cuts, n <= 6 and uv outside [0, m)
+        self._validate_input(g)
         lifted, profile, _ = self._pivot_lifts(g, uv)
-        return average([(Fraction(1, 2), c) for c in lifted]), profile
+        out = average([(Fraction(1, 2), c) for c in lifted])
+        _check_members(out, f"pivot {uv}: member ")
+        return out, profile
 
     # -- internals ----------------------------------------------------------
 
@@ -824,6 +822,7 @@ class Certifier:
             )
         final = average(parts)
         _check_uniform(final, TARGET, "averaged occurrence")
+        _check_members(final, f"node {key}: member ")
         record = {
             "kind": "case1",
             "graph6": key,
@@ -840,6 +839,7 @@ class Certifier:
         c_in, key_in = self._combination_with_key(red_in.child)
         c_out, key_out = self._combination_with_key(red_out.child)
         comb = glue(c_in, c_out, red_in, red_out)
+        _check_members(comb, f"node {key}: member ")
         record = {
             "kind": "case2",
             "graph6": key,

@@ -309,6 +309,8 @@ def essential_4cut_with_pair(
         raise ValueError("the two edges must be distinct")
     if not g.is_cubic:
         raise ValueError("essential_4cut_with_pair requires a cubic graph")
+    if not (0 <= e1 < g.m and 0 <= e2 < g.m):
+        raise ValueError(f"edge ids {e1}, {e2} must lie in [0, {g.m})")
     excl = -1 if excluded_shore is None else _shore_mask(g, excluded_shore)
     want = (1 << e1) | (1 << e2)
     for shore, cross in _cut_summary(g).essential4:
@@ -334,6 +336,8 @@ def find_safe_pair(g: Graph, uv: int) -> SafePairDecision:
     """
     if not g.is_cubic:
         raise ValueError("find_safe_pair requires a cubic graph")
+    if not 0 <= uv < g.m:
+        raise ValueError(f"pivot edge {uv} must lie in [0, {g.m})")
     if g.n <= 6:
         raise ValueError("find_safe_pair requires n > 6")
     if not is_essentially_4ec(g):

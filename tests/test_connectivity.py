@@ -121,6 +121,12 @@ def test_4cut_with_pair_rejects_equal_edges(petersen):
         essential_4cut_with_pair(petersen, 3, 3)
 
 
+@pytest.mark.parametrize("e1, e2", [(0, 99), (0, -1)])
+def test_4cut_with_pair_rejects_edge_ids_out_of_range(petersen, e1, e2):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 15\)"):
+        essential_4cut_with_pair(petersen, e1, e2)
+
+
 def test_4cut_with_pair_none_on_petersen_beyond_endpoint_cut(petersen):
     # only essential 4-cuts of the Petersen graph are endpoint pairs of edges
     for uv, (u, v) in enumerate(petersen.edges):
@@ -186,6 +192,12 @@ def test_find_safe_pair_cube_flips_with_witness():
             flips += 1
             assert decision.witness_cut is not None
     assert flips > 0  # the 4-cycles of the cube force flips somewhere
+
+
+@pytest.mark.parametrize("uv", [-1, 15])
+def test_find_safe_pair_rejects_pivot_out_of_range(petersen, uv):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 15\)"):
+        find_safe_pair(petersen, uv)
 
 
 def test_find_safe_pair_rejects_small_or_cut_graphs(k33, prism):

@@ -5,7 +5,8 @@ scan, the per-query cut rescans, the Fraction loop, the full-enumeration
 simplex, the full search tree, the feasibility search they replaced, and
 the same compaction in Fractions; the one-average case-1 node and the
 re-sorting relabeling against the per-pivot merge and padding, and the
-rebuild through ``combination()``, they replaced."""
+rebuild through ``combination()``, they replaced; and the once-per-node
+member check against every member the lifts and glues return."""
 
 import itertools
 from fractions import Fraction
@@ -46,6 +47,7 @@ from cubic2ec import (
     find_essential_3cut,
     is_essentially_4ec,
     lp_bound,
+    to_graph6,
     verify_lemma3,
 )
 from cubic2ec import combine, connectivity, oracle
@@ -520,3 +522,35 @@ def test_map_combination_matches_rebuild_on_relabelings(corpus, certified, data)
         assert combine._map_combination(comb, h, kperm) == reference_map_combination(
             comb, h, kperm
         )
+
+
+# member checks ----------------------------------------------------------------
+
+
+def test_lifted_and_glued_members_are_each_checked_once(corpus, monkeypatch):
+    """Every (host, member) that lift and glue return is checked spanning
+    2EC, and no pair is checked twice, over one Certifier's whole run."""
+    returned, checked = set(), []
+
+    def recording(fn):
+        def recorded(*args):
+            out = fn(*args)
+            returned.update((to_graph6(out.host), es) for _, es in out.entries)
+            return out
+
+        return recorded
+
+    honest = connectivity.is_2ec
+
+    def counted(g, sub):
+        checked.append((to_graph6(g), tuple(sub)))
+        return honest(g, sub)
+
+    monkeypatch.setattr(combine, "lift", recording(combine.lift))
+    monkeypatch.setattr(combine, "glue", recording(combine.glue))
+    monkeypatch.setattr(connectivity, "is_2ec", counted)
+    certifier = Certifier(max_n=16)
+    for g in corpus + [generalized_petersen(8, 3)]:
+        certifier.certify(g)
+    assert returned and returned <= set(checked)
+    assert len(checked) == len(set(checked))

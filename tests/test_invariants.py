@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from cubic2ec import builtin, find_essential_3cut, to_graph6
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -224,3 +226,65 @@ def test_broken_compaction_exits_3_under_optimize(how):
     assert proc.stdout == ""
     assert "internal invariant violation" in proc.stderr
     assert BROKEN[how] in proc.stderr
+
+
+# A member that is not spanning 2EC on one node's graph: lift and glue only
+# map edges, so the finished node's own member check must name that node.
+# is_2ec rejects every member on the canonical graph of the input, which is
+# the root, and no other node is built on it.
+NON_2EC_ROOT = """
+import sys
+from pathlib import Path
+from cubic2ec import Certifier, canonical_form, connectivity, parse_graph6
+from cubic2ec.canon import canonical_graph
+from cubic2ec.errors import InvariantViolation
+
+assert False, "assert statements must be stripped"
+path = sys.argv[1]
+key = canonical_form(parse_graph6(Path(path).read_text().strip()))[0]
+root = canonical_graph(key)
+honest = connectivity.is_2ec
+connectivity.is_2ec = lambda g, sub: g != root and honest(g, sub)
+print(key)
+if sys.argv[2] == "cli":
+    from cubic2ec.cli import main
+    sys.exit(main(["certify", "--g6", path]))
+try:
+    Certifier().certify(parse_graph6(Path(path).read_text().strip()))
+except InvariantViolation as exc:
+    print(f"optimize={sys.flags.optimize} {exc}")
+    sys.exit(0)
+sys.exit("a non-2EC member went unnoticed")
+"""
+
+
+def non_2ec_root_input(kind, tmp_path, corpus):
+    """A g6 file holding Petersen (a case-1 root) or the first corpus
+    graph with n >= 8 and an essential 3-cut (a case-2 root)."""
+    if kind == "case1":
+        g = builtin("petersen")
+    else:
+        g = next(g for g in corpus if g.n >= 8 and find_essential_3cut(g))
+    path = tmp_path / f"{kind}.g6"
+    path.write_text(to_graph6(g) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["case1", "case2"])
+def test_non_2ec_member_raises_naming_its_node_under_optimize(kind, tmp_path, corpus):
+    path = non_2ec_root_input(kind, tmp_path, corpus)
+    proc = run_optimized("-c", NON_2EC_ROOT, str(path), "api")
+    assert proc.returncode == 0, proc.stderr
+    key, message = proc.stdout.splitlines()
+    assert message.startswith(f"optimize=1 node {key}: member (")
+    assert message.endswith(") is not a spanning 2-edge-connected subgraph")
+
+
+@pytest.mark.parametrize("kind", ["case1", "case2"])
+def test_non_2ec_member_exits_3_under_optimize(kind, tmp_path, corpus):
+    path = non_2ec_root_input(kind, tmp_path, corpus)
+    proc = run_optimized("-c", NON_2EC_ROOT, str(path), "cli")
+    assert proc.returncode == 3
+    key = proc.stdout.strip()
+    assert "internal invariant violation" in proc.stderr
+    assert f"node {key}: member (" in proc.stderr

@@ -6,7 +6,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from cubic2ec import edge_connectivity
+from test_oracle import TWO_K4_MINUS_EDGE
+
+from cubic2ec import edge_connectivity, to_graph6
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -55,3 +57,20 @@ def test_reproduce_bounds_reports_every_corpus_graph(monkeypatch, capsys, corpus
     assert blank == ""
     assert summary.startswith(f"{len(corpus_lines)} graphs in ")
     assert summary.endswith("; 0 invariant failures")
+
+
+def test_reproduce_bounds_counts_a_rejected_graph_as_a_failure(
+    monkeypatch, capsys, tmp_path
+):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    report = load("reproduce_bounds")
+    line = to_graph6(TWO_K4_MINUS_EDGE)  # cubic, λ = 2
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(line + "\n")
+    monkeypatch.setattr(report, "CORPUS", corpus)
+    assert report.main() == 1
+    out, err = capsys.readouterr()
+    header, row, blank, summary = out.splitlines()
+    assert row.split() == [line, "8", "9", "NO"]  # n, bound, ok
+    assert summary.endswith("; 1 invariant failures")
+    assert err == f"{line}: graph is not 3-edge-connected\n"
