@@ -118,6 +118,8 @@ def _shore_mask(g: Graph, shore: Iterable[int]) -> int:
     its complement when it holds vertex 0."""
     mask = 0
     for v in shore:
+        if not 0 <= v < g.n:
+            raise ValueError(f"shore vertex {v} must lie in [0, {g.n})")
         mask |= 1 << v
     if mask & 1:
         mask ^= (1 << g.n) - 1
@@ -212,17 +214,27 @@ def _cut_summary(g: Graph) -> CutIndex:
 def is_2ec(g: Graph, sub) -> bool:
     """True iff the spanning subgraph (V, sub) is connected and bridgeless.
 
-    ``sub`` may be an iterable of edge ids or an edge bitmask.
+    ``sub`` may be an iterable of edge ids or an edge bitmask; an id
+    outside [0, m) raises ValueError.
     """
     n = g.n
+    if isinstance(sub, int):
+        if sub < 0 or sub >> g.m:
+            raise ValueError(f"edge mask {sub:#x} has bits outside [0, {g.m})")
+        sub = _iter_bits(sub)
+    edges = g.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    try:
+        for e in sub:
+            if e < 0:  # would index from the end; e >= m fails the indexing
+                raise IndexError
+            u, v = edges[e]
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    except IndexError:
+        raise ValueError(f"edge id {e} must lie in [0, {g.m})") from None
     if n <= 1:
         return True
-    edge_ids = _iter_bits(sub) if isinstance(sub, int) else sub
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in edge_ids:
-        u, v = g.endpoints(e)
-        adj[u].append((v, e))
-        adj[v].append((u, e))
 
     disc = [-1] * n
     low = [0] * n

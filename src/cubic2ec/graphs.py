@@ -261,8 +261,9 @@ class Reduction:
 
     ``edge_provenance[ce]`` lists the parent edges that child edge ``ce``
     stands for: a single edge for untouched edges, the underlying path for
-    an edge produced by smoothing.  ``vertex_map[v]`` is the child vertex
-    for parent vertex ``v`` (None if suppressed or contracted away).
+    an edge produced by smoothing; no provenance edge is in
+    ``forced_exclude``.  ``vertex_map[v]`` is the child vertex for parent
+    vertex ``v`` (None if suppressed or contracted away).
     """
 
     kind: str  # "case1_removal" | "case2_contraction"
@@ -284,6 +285,11 @@ class Reduction:
                 if pe in seen:
                     raise ValueError(f"parent edge {pe} in two provenance lists")
                 seen.add(pe)
+        if seen & self.forced_exclude:
+            raise ValueError(
+                f"provenance edges {sorted(seen & self.forced_exclude)} are "
+                "also forced_exclude"
+            )
         covered = seen | self.forced_include | self.forced_exclude
         if covered != set(range(self.parent.m)):
             raise ValueError("provenance does not cover the parent edge set")
@@ -299,6 +305,9 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
     """
     if not g.is_cubic:
         raise ValueError("remove_edges_and_smooth requires a cubic graph")
+    for e in (e1, e2):
+        if not 0 <= e < g.m:
+            raise ValueError(f"edge id {e} must lie in [0, {g.m})")
     if e1 == e2:
         raise ValueError("the two removed edges must be distinct")
     p1 = set(g.endpoints(e1))

@@ -10,10 +10,12 @@ graphs over the edge subsets of K_n, the base-case combinations by
 exact feasibility search over every 2EC spanning subgraph, and the
 Carathéodory compaction with a Fraction inverse of its basis.
 
-Two oracles keep a construction the package replaced, built from its own
-public steps: the case-1 node as a merge per pivot, averaged over the
-pivots and padded, and the relabeling of a combination rebuilt through
-``combination()``.
+Four oracles keep a construction the package replaced, built from its
+own public steps: the case-1 node as a merge per pivot, averaged over the
+pivots and padded; the relabeling of a combination rebuilt through
+``combination()``; and lift and glue with a set per mapped member, lift
+rebuilt through ``combination()`` and glue classing members by their
+pseudo-vertex edges in child space.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from types import SimpleNamespace
 
 from cubic2ec.combine import TARGET, average, combination, pad_to_uniform, reduce_case1
 from cubic2ec.connectivity import Cut
+from cubic2ec.errors import InvariantViolation
 from cubic2ec.exact_lp import feasible_basic_solution
 from cubic2ec.graphs import Graph
 
@@ -531,3 +534,93 @@ def reference_map_combination(comb_k, g, perm):
         back[K.edge_id(perm[u], perm[v])] = e
     raw = [(w, tuple(sorted(back[ke] for ke in es))) for w, es in comb_k.entries]
     return combination(g, raw, check=False)
+
+
+def reference_lift(child_combination, red):
+    """lift with a set per member: the provenance paths, plus
+    forced_include, minus forced_exclude, rebuilt through
+    ``combination()``."""
+    if red.kind != "case1_removal":
+        raise ValueError("lift applies to removal reductions only")
+    if child_combination.host != red.child:
+        raise ValueError("combination host does not match the reduction child")
+    raw = []
+    for w, es in child_combination.entries:
+        parent_edges = set()
+        for ce in es:
+            parent_edges.update(red.edge_provenance[ce])
+        parent_edges |= red.forced_include
+        parent_edges -= red.forced_exclude
+        raw.append((w, tuple(sorted(parent_edges))))
+    return combination(red.parent, raw, check=False)
+
+
+def _reference_pattern_classes(comb, red):
+    """A child's entries grouped by the pseudo-vertex edge they omit, keyed
+    by its parent cut edge (None: all present), each class weight checked."""
+    corr = dict(red.cut_correspondence)
+    pseudo_edges = sorted(corr)
+    classes = {corr[pe]: [] for pe in pseudo_edges}
+    classes[None] = []
+    for w, es in comb.entries:
+        omitted = [pe for pe in pseudo_edges if pe not in es]
+        if len(omitted) > 1:
+            raise InvariantViolation(f"member {es} omits {len(omitted)} cut edges")
+        classes[corr[omitted[0]] if omitted else None].append((w, es))
+    for key, entries in classes.items():
+        want = Fraction(1, 3) if key is None else Fraction(2, 9)
+        if sum((w for w, _ in entries), Fraction(0)) != want:
+            raise InvariantViolation(f"pattern weight for {key} is not {want}")
+    return classes
+
+
+def reference_glue(c1, c2, red1, red2):
+    """glue with the pattern classes taken in child space and each
+    refinement piece's two members mapped to parent edges as it is made."""
+    for red in (red1, red2):
+        if red.kind != "case2_contraction":
+            raise ValueError("glue applies to contraction reductions only")
+    if red1.parent != red2.parent:
+        raise ValueError("the reductions must contract the same parent graph")
+    if c1.host != red1.child or c2.host != red2.child:
+        raise ValueError("combination hosts do not match the reduction children")
+    cut = sorted(pe for _, pe in red1.cut_correspondence)
+    if cut != sorted(pe for _, pe in red2.cut_correspondence):
+        raise ValueError("children come from different cuts")
+    kept1 = {v for v in range(red1.parent.n) if red1.vertex_map[v] is not None}
+    kept2 = {v for v in range(red2.parent.n) if red2.vertex_map[v] is not None}
+    if kept1 & kept2 or kept1 | kept2 != set(range(red1.parent.n)):
+        raise ValueError("the reductions must contract complementary shores")
+
+    def to_parent(red, es):
+        out = set()
+        for ce in es:
+            out.update(red.edge_provenance[ce])
+        return out
+
+    classes1 = _reference_pattern_classes(c1, red1)
+    classes2 = _reference_pattern_classes(c2, red2)
+    raw = []
+    for key in cut + [None]:
+        lst1 = [list(t) for t in classes1[key]]
+        lst2 = [list(t) for t in classes2[key]]
+        i = j = 0
+        while i < len(lst1) and j < len(lst2):
+            w = min(lst1[i][0], lst2[j][0])
+            if w > 0:
+                glued = to_parent(red1, lst1[i][1]) | to_parent(red2, lst2[j][1])
+                if glued & set(cut) != set(cut) - {key}:
+                    raise InvariantViolation("glued member breaks its cut pattern")
+                raw.append((w, tuple(sorted(glued))))
+            lst1[i][0] -= w
+            lst2[j][0] -= w
+            if lst1[i][0] == 0:
+                i += 1
+            if lst2[j][0] == 0:
+                j += 1
+        if any(t[0] != 0 for t in lst1[i:]) or any(t[0] != 0 for t in lst2[j:]):
+            raise InvariantViolation("pattern class weights fell out of alignment")
+    out = combination(red1.parent, raw, check=False)
+    if set(reference_edge_occurrences(out)) != {TARGET}:
+        raise InvariantViolation("glued combination is not uniform 7/9")
+    return out

@@ -3,6 +3,7 @@ from support import maxflow_edge_connectivity
 
 from cubic2ec import (
     Graph,
+    builtin,
     edge_connectivity,
     enumerate_cuts,
     essential_4cut_with_pair,
@@ -49,6 +50,22 @@ def test_is_2ec_accepts_bitmask_form(k4):
     cycle = {k4.edge_id(0, 1), k4.edge_id(1, 2), k4.edge_id(2, 3), k4.edge_id(0, 3)}
     mask = sum(1 << e for e in cycle)
     assert is_2ec(k4, mask)
+
+
+@pytest.mark.parametrize(
+    "g, sub, message",
+    [
+        (builtin("k4"), [0, 1, 2, 3, 4, -1], r"edge id -1 must lie in \[0, 6\)"),
+        (builtin("petersen"), [0, 1, 99], r"edge id 99 must lie in \[0, 15\)"),
+        (builtin("petersen"), -1, r"edge mask -0x1 has bits outside \[0, 15\)"),
+        (builtin("petersen"), 1 << 15, r"edge mask 0x8000 has bits outside \[0, 15\)"),
+        (Graph(1, ()), [0], r"edge id 0 must lie in \[0, 0\)"),
+    ],
+    ids=["k4-id-minus-1", "petersen-id-99", "negative-mask", "mask-bit-m", "one-vertex"],
+)
+def test_is_2ec_rejects_edge_ids_out_of_range(g, sub, message):
+    with pytest.raises(ValueError, match=message):
+        is_2ec(g, sub)
 
 
 # edge connectivity ----------------------------------------------------------
@@ -167,6 +184,13 @@ def test_4cut_with_pair_respects_excluded_shore():
     if found is not None:
         again = essential_4cut_with_pair(g, e1, e2, excluded_shore=found.shore)
         assert again != found
+
+
+@pytest.mark.parametrize("shore, bad", [((1, 6, 99), 99), ([-1], -1)])
+def test_4cut_with_pair_rejects_excluded_shore_out_of_range(petersen, shore, bad):
+    # (1, 6, 99) would otherwise miss the shore (1, 6) it means to exclude
+    with pytest.raises(ValueError, match=rf"shore vertex {bad} must lie in \[0, 10\)"):
+        essential_4cut_with_pair(petersen, 0, 1, shore)
 
 
 # safe pairs -----------------------------------------------------------------

@@ -5,8 +5,10 @@ scan, the per-query cut rescans, the Fraction loop, the full-enumeration
 simplex, the full search tree, the feasibility search they replaced, and
 the same compaction in Fractions; the one-average case-1 node and the
 re-sorting relabeling against the per-pivot merge and padding, and the
-rebuild through ``combination()``, they replaced; and the once-per-node
-member check against every member the lifts and glues return."""
+rebuild through ``combination()``, they replaced; the once-per-node
+member check against every member the lifts and glues return; and lift
+and glue, mapped through one edge map, against the per-member sets and
+child-space pattern classes they replaced."""
 
 import itertools
 from fractions import Fraction
@@ -25,6 +27,8 @@ from support import (
     reference_is_essential,
     reference_is_essentially_4ec,
     reference_case1_combination,
+    reference_glue,
+    reference_lift,
     reference_map_combination,
     reference_shore_scan,
     reference_small_cubic_graphs,
@@ -524,33 +528,65 @@ def test_map_combination_matches_rebuild_on_relabelings(corpus, certified, data)
         )
 
 
+# lift and glue ----------------------------------------------------------------
+
+
+def certify_recording(monkeypatch, graphs):
+    """(reference, args, result) of every lift and glue call while a fresh
+    Certifier certifies graphs."""
+    calls = []
+
+    def recording(fn, reference):
+        def recorded(*args):
+            out = fn(*args)
+            calls.append((reference, args, out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(combine, "lift", recording(combine.lift, reference_lift))
+    monkeypatch.setattr(combine, "glue", recording(combine.glue, reference_glue))
+    certifier = Certifier(max_n=16)
+    for g in graphs:
+        certifier.certify(g)
+    return calls
+
+
+def test_lift_and_glue_match_reference_on_corpus(corpus, monkeypatch):
+    calls = certify_recording(monkeypatch, corpus + [generalized_petersen(8, 3)])
+    assert {reference for reference, _, _ in calls} == {reference_lift, reference_glue}
+    for reference, args, out in calls:
+        assert out == reference(*args)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_lift_and_glue_match_reference_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = certify_recording(monkeypatch, [relabel(g, perm, order)])
+    assert calls or g.n <= 6
+    for reference, args, out in calls:
+        assert out == reference(*args)
+
+
 # member checks ----------------------------------------------------------------
 
 
 def test_lifted_and_glued_members_are_each_checked_once(corpus, monkeypatch):
     """Every (host, member) that lift and glue return is checked spanning
     2EC, and no pair is checked twice, over one Certifier's whole run."""
-    returned, checked = set(), []
-
-    def recording(fn):
-        def recorded(*args):
-            out = fn(*args)
-            returned.update((to_graph6(out.host), es) for _, es in out.entries)
-            return out
-
-        return recorded
-
+    checked = []
     honest = connectivity.is_2ec
 
     def counted(g, sub):
         checked.append((to_graph6(g), tuple(sub)))
         return honest(g, sub)
 
-    monkeypatch.setattr(combine, "lift", recording(combine.lift))
-    monkeypatch.setattr(combine, "glue", recording(combine.glue))
     monkeypatch.setattr(connectivity, "is_2ec", counted)
-    certifier = Certifier(max_n=16)
-    for g in corpus + [generalized_petersen(8, 3)]:
-        certifier.certify(g)
+    calls = certify_recording(monkeypatch, corpus + [generalized_petersen(8, 3)])
+    returned = {(to_graph6(out.host), es) for *_, out in calls for _, es in out.entries}
     assert returned and returned <= set(checked)
     assert len(checked) == len(set(checked))

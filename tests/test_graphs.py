@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from support import girth, reference_graph6
 
@@ -148,6 +150,12 @@ def test_smooth_rejects_adjacent_pair(petersen):
         remove_edges_and_smooth(petersen, e1, e1)
 
 
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_smooth_rejects_edge_ids_out_of_range(petersen, bad):
+    with pytest.raises(ValueError, match=rf"edge id {bad} must lie in \[0, 15\)"):
+        remove_edges_and_smooth(petersen, 0, bad)
+
+
 def test_smooth_parallel_edge_raises_structural_violation(k33):
     # removing (0,3) and (1,4) from K33 merges two paths onto the existing
     # edge (2,5)
@@ -169,6 +177,16 @@ def test_smooth_provenance_partitions_parent_edges(petersen):
     # multi-edge paths are exactly the forced selections
     multi = {pe for path in red.edge_provenance if len(path) > 1 for pe in path}
     assert multi == red.forced_include
+
+
+def test_reduction_rejects_provenance_edge_in_forced_exclude(petersen):
+    """lift maps provenance only, so an excluded edge must never be in it."""
+    red = remove_edges_and_smooth(
+        petersen, petersen.edge_id(0, 4), petersen.edge_id(1, 6)
+    )
+    (pe,) = next(path for path in red.edge_provenance if len(path) == 1)
+    with pytest.raises(ValueError, match=rf"provenance edges \[{pe}\] are also"):
+        replace(red, forced_exclude=red.forced_exclude | {pe})
 
 
 # contract_shore ------------------------------------------------------------

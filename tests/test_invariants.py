@@ -4,6 +4,7 @@
 check runs in a child interpreter started with ``-O``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,6 +29,17 @@ def run_optimized(*args):
         text=True,
         timeout=120,
     )
+
+
+def test_src_has_no_assert_statements():
+    """Every check in src/ must survive -O, so none may be an assert."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "cubic2ec").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_certify_petersen_under_optimize():
