@@ -897,6 +897,16 @@ def min_support_subgraph(cert: Certificate) -> Subgraph:
     return Subgraph(cert.graph, _smallest(cert.combination))
 
 
+def _exact(w) -> Fraction | None:
+    """w as an exact Fraction, or None if Fraction() cannot read it."""
+    if type(w) is Fraction:
+        return w
+    try:
+        return Fraction(w)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return None
+
+
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     """Re-check everything from scratch; trusts nothing in the certificate."""
     checks: list[CheckResult] = []
@@ -909,33 +919,38 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
         cert.graph.n == g.n and cert.graph.edges == g.edges,
         "certificate edge list matches the graph",
     )
-    # exact rationals from here on, whatever numeric type the entries carry
-    entries = tuple(
-        (w if type(w) is Fraction else Fraction(w), es)
-        for w, es in cert.combination.entries
-    )
+    # exact rationals from here on, whatever numeric type the entries carry;
+    # a weight Fraction() cannot read becomes None and fails both weight checks
+    entries = tuple((_exact(w), es) for w, es in cert.combination.entries)
+    readable = all(w is not None for w, _ in entries)
     add("has_entries", len(entries) > 0, f"{len(entries)} entries")
-    add("weights_positive", all(w > 0 for w, _ in entries), "")
-    nums, den = _numerators([w for w, _ in entries])
-    total = Fraction(sum(nums), den)
-    add("weights_sum_to_one", total == 1, f"sum = {total}")
+    add("weights_positive", readable and all(w > 0 for w, _ in entries), "")
+    if readable:
+        nums, den = _numerators([w for w, _ in entries])
+        total = Fraction(sum(nums), den)
+        add("weights_sum_to_one", total == 1, f"sum = {total}")
+    else:
+        add("weights_sum_to_one", False, "a weight is not a number")
     add("target_is_7_9", cert.target == TARGET, f"target = {cert.target}")
+    # bool is not an edge id, as in certificate_from_json
     valid_ids = all(
-        all(0 <= e < g.m for e in es) and tuple(sorted(set(es))) == tuple(es)
+        all(type(e) is int and 0 <= e < g.m for e in es)
+        and tuple(sorted(set(es))) == tuple(es)
         for _, es in entries
     )
     add("entries_well_formed", valid_ids, "sorted unique edge ids in range")
     twoec = all(connectivity.is_2ec(g, es) for _, es in entries) if valid_ids else False
     add("members_spanning_2ec", twoec, "")
     if valid_ids:
-        occ = _occurrences(g.m, entries)
-        uniform = all(v == cert.target for v in occ)
-        bad = [e for e, v in enumerate(occ) if v != cert.target][:3]
-        add(
-            "occurrences_uniform",
-            uniform,
-            "every edge at target" if uniform else f"deviating edges {bad}",
-        )
+        if readable:
+            occ = _occurrences(g.m, entries)
+            uniform = all(v == cert.target for v in occ)
+            bad = [e for e, v in enumerate(occ) if v != cert.target][:3]
+            add(
+                "occurrences_uniform",
+                uniform,
+                "every edge at target" if uniform else f"deviating edges {bad}",
+            )
         size = min(len(es) for _, es in entries) if entries else 0
         bound = support_bound(g.n)
         add("support_bound", size <= bound, f"min support {size} <= {bound}")

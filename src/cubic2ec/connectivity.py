@@ -121,6 +121,8 @@ def _shore_mask(g: Graph, shore: Iterable[int]) -> int:
         if not 0 <= v < g.n:
             raise ValueError(f"shore vertex {v} must lie in [0, {g.n})")
         mask |= 1 << v
+    if mask == 0 or mask == (1 << g.n) - 1:
+        raise ValueError("shore must be a proper nonempty vertex subset")
     if mask & 1:
         mask ^= (1 << g.n) - 1
     return mask
@@ -132,10 +134,7 @@ def _mask_cut(shore_mask: int, cross_mask: int) -> Cut:
 
 def make_cut(g: Graph, shore: Iterable[int]) -> Cut:
     """Build the canonical Cut for a vertex subset (crossing recomputed)."""
-    vs = set(shore)
-    if not vs or not vs < set(range(g.n)):
-        raise ValueError("shore must be a proper nonempty vertex subset")
-    mask = _shore_mask(g, vs)
+    mask = _shore_mask(g, shore)
     return _mask_cut(mask, _crossing_mask(g, mask))
 
 

@@ -298,10 +298,14 @@ class Reduction:
 def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
     """Delete two non-adjacent edges and suppress the degree-2 vertices.
 
-    The child is cubic and simple, with n-4 vertices and m-6 edges.  The
-    edges adjacent to the removed pair are recorded as forced_include; the
-    removed pair is forced_exclude.  Raises StructuralViolation if a
-    suppression would create a loop or parallel edge (the pair was unsafe).
+    The child is cubic and simple, with n-4 vertices and m-6 edges.  Its
+    edges are the untouched parent edges in parent order, then one edge
+    per smoothed path in ascending order of the path's surviving ends
+    (x, y), x < y, whose provenance lists the path's edges from x to y.
+    The path edges, the edges adjacent to the removed pair, are
+    forced_include; the removed pair is forced_exclude.  Raises
+    StructuralViolation if a suppression would create a loop or parallel
+    edge (the pair was unsafe).
     """
     if not g.is_cubic:
         raise ValueError("remove_edges_and_smooth requires a cubic graph")
@@ -315,93 +319,46 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
     if p1 & p2:
         raise ValueError("the two removed edges must not share an endpoint")
     removed = {e1, e2}
-    deg2 = sorted(p1 | p2)
-    deg2set = set(deg2)
-
-    survivors = [v for v in range(g.n) if v not in deg2set]
+    suppressed = p1 | p2
+    survivors = [v for v in range(g.n) if v not in suppressed]
     vmap = {old: new for new, old in enumerate(survivors)}
 
-    child_edges: list[tuple[int, int]] = []
-    provenance: list[tuple[int, ...]] = []
+    # (parent ends, provenance) per child edge.  Each path through
+    # suppressed vertices is walked once from each of its surviving ends
+    # and kept from the smaller one.
+    kept: list[tuple[tuple[int, int], tuple[int, ...]]] = []
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    walked: set[int] = set()
     for pe, (u, v) in enumerate(g.edges):
-        if pe in removed or u in deg2set or v in deg2set:
+        if pe in removed or (u in suppressed and v in suppressed):
             continue
-        child_edges.append((vmap[u], vmap[v]))
-        provenance.append((pe,))
-
-    # Walk the maximal paths through suppressed vertices.  Each path is
-    # replaced by a single child edge between its surviving endpoints.
-    def walk(start: int, first_edge: int) -> tuple[int, list[int]]:
-        path = [first_edge]
-        prev, cur = start, g.other_end(first_edge, start)
-        while cur in deg2set:
-            nxt = [
-                f
-                for f in g.incident(cur)
-                if f not in removed and g.other_end(f, cur) != prev
-            ]
-            if not nxt:  # pragma: no cover - impossible in a simple cubic graph
-                raise StructuralViolation("smoothing walk dead-ends")
-            path.append(nxt[0])
-            prev, cur = cur, g.other_end(nxt[0], cur)
-            if cur == start:
-                raise StructuralViolation("smoothing would contract a cycle of degree-2 vertices")
-        return cur, path
-
-    merged: list[tuple[tuple[int, int], tuple[int, ...]]] = []
-    done: set[int] = set()
-    for s in deg2:
-        if s in done:
+        if u not in suppressed and v not in suppressed:
+            kept.append(((u, v), (pe,)))
             continue
-        rem = [f for f in g.incident(s) if f not in removed]
-        if len(rem) != 2:
-            raise InvariantViolation(
-                f"suppressed vertex {s} keeps {len(rem)} edges, expected 2"
-            )
-        end_a, path_a = walk(s, rem[0])
-        end_b, path_b = walk(s, rem[1])
-        chain = list(reversed(path_a)) + path_b
-        # mark every suppressed vertex on the chain as handled
-        for f in chain:
-            for w in g.endpoints(f):
-                if w in deg2set:
-                    done.add(w)
-        if end_a == end_b:
-            raise StructuralViolation(
-                f"smoothing would create a loop at vertex {end_a}"
-            )
-        x, y = (end_a, end_b) if end_a < end_b else (end_b, end_a)
-        if x == end_a:
-            ordered = tuple(chain)
-        else:
-            ordered = tuple(reversed(chain))
-        if g.has_edge(x, y):
-            raise StructuralViolation(
-                f"smoothing would create an edge parallel to existing ({x}, {y})"
-            )
-        if any(pair == (vmap[x], vmap[y]) for pair, _ in merged):
-            raise StructuralViolation(
-                f"two smoothed paths both produce edge ({x}, {y})"
-            )
-        merged.append(((vmap[x], vmap[y]), ordered))
+        x, y = (v, u) if u in suppressed else (u, v)
+        path = [pe]
+        while y in suppressed:
+            walked.add(y)
+            onward = [f for f in g.incident(y) if f != path[-1] and f not in removed]
+            if len(onward) != 1:
+                raise InvariantViolation(f"suppressed vertex {y} has no single onward edge")
+            path.append(onward[0])
+            y = g.other_end(onward[0], y)
+        if y == x:
+            raise StructuralViolation(f"smoothing would create a loop at vertex {x}")
+        if x < y:
+            if g.has_edge(x, y):
+                raise StructuralViolation(
+                    f"smoothing would create an edge parallel to existing ({x}, {y})"
+                )
+            if (x, y) in paths:
+                raise StructuralViolation(f"two smoothed paths both produce edge ({x}, {y})")
+            paths[x, y] = tuple(path)
+    if walked != suppressed:
+        raise StructuralViolation("smoothing would contract a cycle of degree-2 vertices")
+    kept += sorted(paths.items())
 
-    merged.sort(key=lambda t: t[0])
-    for pair, path in merged:
-        child_edges.append(pair)
-        provenance.append(path)
-
-    forced_include = frozenset(
-        f
-        for v in deg2
-        for f in g.incident(v)
-        if f not in removed
-    )
-    if forced_include != {f for _, path in merged for f in path}:
-        raise InvariantViolation(
-            "forced edges differ from the smoothed path edges"
-        )
-
-    child = Graph(len(survivors), tuple(child_edges))
+    child = Graph(len(survivors), tuple((vmap[x], vmap[y]) for (x, y), _ in kept))
     if not child.is_cubic:
         raise InvariantViolation("smoothing must yield a cubic child")
     if child.n != g.n - 4 or child.m != g.m - 6:
@@ -414,8 +371,8 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
         kind="case1_removal",
         parent=g,
         child=child,
-        edge_provenance=tuple(provenance),
-        forced_include=forced_include,
+        edge_provenance=tuple(path for _, path in kept),
+        forced_include=frozenset(f for path in paths.values() for f in path),
         forced_exclude=frozenset(removed),
         vertex_map=tuple(vmap.get(v) for v in range(g.n)),
     )
@@ -443,12 +400,11 @@ def contract_shore(g: Graph, cut: "Cut", side: str) -> Reduction:
         raise ValueError("cut crossing set is inconsistent with its shore")
     if len(crossing) != 3:
         raise ValueError("contract_shore requires a 3-edge cut")
+    # Summing degrees over a side P of a 3-edge cut in a cubic graph gives
+    # 3|P| = 2 (edges inside P) + 3, so P has an inside edge iff |P| >= 2.
     other = set(range(g.n)) - shore
-    for part in (shore, other):
-        if len(part) < 2 or not any(
-            u in part and v in part for u, v in g.edges
-        ):
-            raise ValueError("cut is not essential")
+    if len(shore) < 2 or len(other) < 2:
+        raise ValueError("cut is not essential")
     ends = [w for e in crossing for w in g.endpoints(e)]
     if len(set(ends)) != 6:
         raise ValueError("the three cut edges must have six distinct endpoints")

@@ -10,12 +10,13 @@ graphs over the edge subsets of K_n, the base-case combinations by
 exact feasibility search over every 2EC spanning subgraph, and the
 Carathéodory compaction with a Fraction inverse of its basis.
 
-Four oracles keep a construction the package replaced, built from its
+Five oracles keep a construction the package replaced, built from its
 own public steps: the case-1 node as a merge per pivot, averaged over the
 pivots and padded; the relabeling of a combination rebuilt through
-``combination()``; and lift and glue with a set per mapped member, lift
+``combination()``; lift and glue with a set per mapped member, lift
 rebuilt through ``combination()`` and glue classing members by their
-pseudo-vertex edges in child space.
+pseudo-vertex edges in child space; and the case-1 smoothing that walks
+each path outwards from a suppressed vertex in both directions.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from types import SimpleNamespace
 
 from cubic2ec.combine import TARGET, average, combination, pad_to_uniform, reduce_case1
 from cubic2ec.connectivity import Cut
-from cubic2ec.errors import InvariantViolation
+from cubic2ec.errors import InvariantViolation, StructuralViolation
 from cubic2ec.exact_lp import feasible_basic_solution
-from cubic2ec.graphs import Graph
+from cubic2ec.graphs import Graph, Reduction
 
 
 def maxflow_edge_connectivity(g) -> int:
@@ -624,3 +625,126 @@ def reference_glue(c1, c2, red1, red2):
     if set(reference_edge_occurrences(out)) != {TARGET}:
         raise InvariantViolation("glued combination is not uniform 7/9")
     return out
+
+
+def reference_remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
+    """remove_edges_and_smooth walking each smoothed path outwards from
+    its first suppressed vertex in both directions: a done set skips
+    revisits, chains are reversed to run from the smaller end, merged
+    pairs are scanned for duplicates and the path edges recounted."""
+    if not g.is_cubic:
+        raise ValueError("remove_edges_and_smooth requires a cubic graph")
+    for e in (e1, e2):
+        if not 0 <= e < g.m:
+            raise ValueError(f"edge id {e} must lie in [0, {g.m})")
+    if e1 == e2:
+        raise ValueError("the two removed edges must be distinct")
+    p1 = set(g.endpoints(e1))
+    p2 = set(g.endpoints(e2))
+    if p1 & p2:
+        raise ValueError("the two removed edges must not share an endpoint")
+    removed = {e1, e2}
+    deg2 = sorted(p1 | p2)
+    deg2set = set(deg2)
+
+    survivors = [v for v in range(g.n) if v not in deg2set]
+    vmap = {old: new for new, old in enumerate(survivors)}
+
+    child_edges: list[tuple[int, int]] = []
+    provenance: list[tuple[int, ...]] = []
+    for pe, (u, v) in enumerate(g.edges):
+        if pe in removed or u in deg2set or v in deg2set:
+            continue
+        child_edges.append((vmap[u], vmap[v]))
+        provenance.append((pe,))
+
+    # Walk the maximal paths through suppressed vertices.  Each path is
+    # replaced by a single child edge between its surviving endpoints.
+    def walk(start: int, first_edge: int) -> tuple[int, list[int]]:
+        path = [first_edge]
+        prev, cur = start, g.other_end(first_edge, start)
+        while cur in deg2set:
+            nxt = [
+                f
+                for f in g.incident(cur)
+                if f not in removed and g.other_end(f, cur) != prev
+            ]
+            if not nxt:  # pragma: no cover - impossible in a simple cubic graph
+                raise StructuralViolation("smoothing walk dead-ends")
+            path.append(nxt[0])
+            prev, cur = cur, g.other_end(nxt[0], cur)
+            if cur == start:
+                raise StructuralViolation("smoothing would contract a cycle of degree-2 vertices")
+        return cur, path
+
+    merged: list[tuple[tuple[int, int], tuple[int, ...]]] = []
+    done: set[int] = set()
+    for s in deg2:
+        if s in done:
+            continue
+        rem = [f for f in g.incident(s) if f not in removed]
+        if len(rem) != 2:
+            raise InvariantViolation(
+                f"suppressed vertex {s} keeps {len(rem)} edges, expected 2"
+            )
+        end_a, path_a = walk(s, rem[0])
+        end_b, path_b = walk(s, rem[1])
+        chain = list(reversed(path_a)) + path_b
+        # mark every suppressed vertex on the chain as handled
+        for f in chain:
+            for w in g.endpoints(f):
+                if w in deg2set:
+                    done.add(w)
+        if end_a == end_b:
+            raise StructuralViolation(
+                f"smoothing would create a loop at vertex {end_a}"
+            )
+        x, y = (end_a, end_b) if end_a < end_b else (end_b, end_a)
+        if x == end_a:
+            ordered = tuple(chain)
+        else:
+            ordered = tuple(reversed(chain))
+        if g.has_edge(x, y):
+            raise StructuralViolation(
+                f"smoothing would create an edge parallel to existing ({x}, {y})"
+            )
+        if any(pair == (vmap[x], vmap[y]) for pair, _ in merged):
+            raise StructuralViolation(
+                f"two smoothed paths both produce edge ({x}, {y})"
+            )
+        merged.append(((vmap[x], vmap[y]), ordered))
+
+    merged.sort(key=lambda t: t[0])
+    for pair, path in merged:
+        child_edges.append(pair)
+        provenance.append(path)
+
+    forced_include = frozenset(
+        f
+        for v in deg2
+        for f in g.incident(v)
+        if f not in removed
+    )
+    if forced_include != {f for _, path in merged for f in path}:
+        raise InvariantViolation(
+            "forced edges differ from the smoothed path edges"
+        )
+
+    child = Graph(len(survivors), tuple(child_edges))
+    if not child.is_cubic:
+        raise InvariantViolation("smoothing must yield a cubic child")
+    if child.n != g.n - 4 or child.m != g.m - 6:
+        raise InvariantViolation(
+            f"smoothing must remove 4 vertices and 6 edges "
+            f"(got n={child.n}, m={child.m} from n={g.n}, m={g.m})"
+        )
+
+    return Reduction(
+        kind="case1_removal",
+        parent=g,
+        child=child,
+        edge_provenance=tuple(provenance),
+        forced_include=forced_include,
+        forced_exclude=frozenset(removed),
+        vertex_map=tuple(vmap.get(v) for v in range(g.n)),
+    )

@@ -486,6 +486,32 @@ def test_verify_reports_float_weights_exactly(k4):
     assert not checks["occurrences_uniform"].passed
 
 
+WEIGHT_CHECKS = {"weights_positive", "weights_sum_to_one"}
+ID_CHECKS = {"entries_well_formed", "members_spanning_2ec"}
+
+
+@pytest.mark.parametrize(
+    "tamper, failed",
+    [
+        (lambda w, es: (float("nan"), es), WEIGHT_CHECKS),
+        (lambda w, es: (float("inf"), es), WEIGHT_CHECKS),
+        (lambda w, es: (None, es), WEIGHT_CHECKS),
+        (lambda w, es: ("x", es), WEIGHT_CHECKS),
+        (lambda w, es: (w, ("a",) + es[1:]), ID_CHECKS),
+        (lambda w, es: (w, tuple(map(float, es))), ID_CHECKS),
+        (lambda w, es: (w, (True,) + es[1:]), ID_CHECKS),
+    ],
+    ids=["nan", "inf", "none", "string", "id-string", "id-floats", "id-bool"],
+)
+def test_verify_reports_unreadable_weights_and_ids(k4, tamper, failed):
+    """verify_certificate reports what it cannot read instead of raising."""
+    cert = certify(k4)
+    entries = cert.combination.entries
+    bad = ConvexCombination(k4, (tamper(*entries[0]),) + entries[1:])
+    report = verify_certificate(k4, Certificate(k4, bad, cert.target, cert.trace))
+    assert {c.name for c in report.checks if not c.passed} == failed
+
+
 def test_verify_flags_bridge_member(k4):
     tree = (0, 1, 2)
     comb = ConvexCombination(k4, ((F(1), tree),))

@@ -193,6 +193,13 @@ def test_4cut_with_pair_rejects_excluded_shore_out_of_range(petersen, shore, bad
         essential_4cut_with_pair(petersen, 0, 1, shore)
 
 
+@pytest.mark.parametrize("shore", [[], range(10)], ids=["empty", "full"])
+def test_4cut_with_pair_rejects_empty_or_full_excluded_shore(petersen, shore):
+    # both would be shore mask 0, which excludes no cut
+    with pytest.raises(ValueError, match="shore must be a proper nonempty vertex subset"):
+        essential_4cut_with_pair(petersen, 0, 1, shore)
+
+
 # safe pairs -----------------------------------------------------------------
 
 

@@ -6,9 +6,11 @@ simplex, the full search tree, the feasibility search they replaced, and
 the same compaction in Fractions; the one-average case-1 node and the
 re-sorting relabeling against the per-pivot merge and padding, and the
 rebuild through ``combination()``, they replaced; the once-per-node
-member check against every member the lifts and glues return; and lift
+member check against every member the lifts and glues return; lift
 and glue, mapped through one edge map, against the per-member sets and
-child-space pattern classes they replaced."""
+child-space pattern classes they replaced; and the smoothing that walks
+each path once from each surviving end against the two-way walk from
+inside the path it replaced."""
 
 import itertools
 from fractions import Fraction
@@ -30,6 +32,7 @@ from support import (
     reference_glue,
     reference_lift,
     reference_map_combination,
+    reference_remove_edges_and_smooth,
     reference_shore_scan,
     reference_small_cubic_graphs,
     reference_small_cuts,
@@ -40,6 +43,8 @@ from cubic2ec import (
     Certifier,
     Cut,
     Graph,
+    InvariantViolation,
+    StructuralViolation,
     base_case_combination,
     builtin,
     canonical_form,
@@ -51,6 +56,7 @@ from cubic2ec import (
     find_essential_3cut,
     is_essentially_4ec,
     lp_bound,
+    remove_edges_and_smooth,
     to_graph6,
     verify_lemma3,
 )
@@ -58,6 +64,7 @@ from cubic2ec import combine, connectivity, oracle
 from cubic2ec.canon import canonical_graph
 from cubic2ec.connectivity import _cut_summary, _iter_bits, _walk_cuts, is_essential_cut
 from cubic2ec.exact_lp import solve_cut_lp
+from cubic2ec.graphs import BUILTIN_NAMES
 
 F = Fraction
 
@@ -590,3 +597,42 @@ def test_lifted_and_glued_members_are_each_checked_once(corpus, monkeypatch):
     returned = {(to_graph6(out.host), es) for *_, out in calls for _, es in out.entries}
     assert returned and returned <= set(checked)
     assert len(checked) == len(set(checked))
+
+
+# case-1 smoothing -------------------------------------------------------------
+
+
+def smoothing_outcome(smooth, g, e1, e2):
+    try:
+        return smooth(g, e1, e2)
+    except (ValueError, StructuralViolation, InvariantViolation) as exc:
+        return exc
+
+
+def assert_smoothing_matches_reference(g):
+    """On every ordered pair of distinct edges, the same Reduction, or the
+    same exception class; a ValueError also with the same message."""
+    for e1, e2 in itertools.permutations(range(g.m), 2):
+        want = smoothing_outcome(reference_remove_edges_and_smooth, g, e1, e2)
+        got = smoothing_outcome(remove_edges_and_smooth, g, e1, e2)
+        if not isinstance(want, Exception):
+            assert got == want, (e1, e2)
+            continue
+        assert type(got) is type(want), (e1, e2, got, want)
+        if type(want) is ValueError:
+            assert str(got) == str(want)
+
+
+def test_smoothing_matches_reference_on_every_pair(corpus):
+    builtins = [builtin(name) for name in BUILTIN_NAMES]
+    for g in corpus + builtins + [generalized_petersen(8, 3)]:
+        assert_smoothing_matches_reference(g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_smoothing_matches_reference_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    assert_smoothing_matches_reference(relabel(g, perm, order))

@@ -9,6 +9,7 @@ from cubic2ec import (
     StructuralViolation,
     builtin,
     contract_shore,
+    enumerate_cuts,
     find_essential_3cut,
     format_edge_list,
     make_cut,
@@ -17,6 +18,7 @@ from cubic2ec import (
     remove_edges_and_smooth,
     to_graph6,
 )
+from cubic2ec.connectivity import is_essential_cut
 
 
 def test_graph_rejects_loops_parallels_and_range():
@@ -156,13 +158,23 @@ def test_smooth_rejects_edge_ids_out_of_range(petersen, bad):
         remove_edges_and_smooth(petersen, 0, bad)
 
 
-def test_smooth_parallel_edge_raises_structural_violation(k33):
-    # removing (0,3) and (1,4) from K33 merges two paths onto the existing
-    # edge (2,5)
-    e1 = k33.edge_id(0, 3)
-    e2 = k33.edge_id(1, 4)
-    with pytest.raises(StructuralViolation):
-        remove_edges_and_smooth(k33, e1, e2)
+@pytest.mark.parametrize(
+    "name, e1, e2, message",
+    [
+        # all four vertices of K4 are suppressed: they form a cycle
+        ("k4", 0, 5, r"contract a cycle of degree-2 vertices"),
+        # removing (0,3) and (1,4): the path 2, 3, 1, 5 parallels (2,5)
+        ("k33", 0, 4, r"parallel to existing \(2, 5\)"),
+        # removing (0,1) and (3,5): 2, 0, 3, 4 and 2, 1, 4 both join 2 and 4
+        ("prism", 0, 4, r"two smoothed paths both produce edge \(2, 4\)"),
+        # removing (0,3) and (1,4): the path 2, 0, 1, 2 is closed
+        ("prism", 6, 7, r"loop at vertex 2"),
+    ],
+    ids=["k4-cycle", "k33-parallel", "prism-two-paths", "prism-loop"],
+)
+def test_smooth_parallel_edge_raises_structural_violation(name, e1, e2, message):
+    with pytest.raises(StructuralViolation, match=message):
+        remove_edges_and_smooth(builtin(name), e1, e2)
 
 
 def test_smooth_provenance_partitions_parent_edges(petersen):
@@ -207,6 +219,21 @@ def test_contract_prism_yields_k4_on_both_sides(prism, k4):
         for ce, pe in corr.items():
             assert red.pseudo_vertex in child.endpoints(ce)
     assert inner.child.n + outer.child.n == prism.n + 2
+
+
+def test_contract_shore_accepts_exactly_the_essential_3cuts(corpus):
+    outcomes = set()
+    for g in corpus:
+        for cut in enumerate_cuts(g, 3):
+            essential = is_essential_cut(g, cut)
+            outcomes.add(essential)
+            for side in ("inside", "outside"):
+                if essential:
+                    contract_shore(g, cut, side)
+                else:
+                    with pytest.raises(ValueError, match="cut is not essential"):
+                        contract_shore(g, cut, side)
+    assert outcomes == {False, True}
 
 
 def test_contract_rejects_vertex_cut_and_wrong_sizes(prism, petersen):
