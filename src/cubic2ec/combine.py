@@ -907,6 +907,21 @@ def _exact(w) -> Fraction | None:
         return None
 
 
+def _read_entry(entry) -> tuple[Fraction | None, tuple | None]:
+    """An entry as (exact weight, tuple of edge ids), with None for a part
+    that cannot be read: both parts of an entry that is not a (weight,
+    edges) pair, and the edges of one whose edges are not iterable."""
+    try:
+        w, es = entry
+    except (TypeError, ValueError):
+        return None, None
+    try:
+        es = tuple(es)
+    except TypeError:
+        es = None
+    return _exact(w), es
+
+
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     """Re-check everything from scratch; trusts nothing in the certificate."""
     checks: list[CheckResult] = []
@@ -920,8 +935,9 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
         "certificate edge list matches the graph",
     )
     # exact rationals from here on, whatever numeric type the entries carry;
-    # a weight Fraction() cannot read becomes None and fails both weight checks
-    entries = tuple((_exact(w), es) for w, es in cert.combination.entries)
+    # a part that cannot be read becomes None: a weight fails both weight
+    # checks, edges fail entries_well_formed
+    entries = tuple(_read_entry(entry) for entry in cert.combination.entries)
     readable = all(w is not None for w, _ in entries)
     add("has_entries", len(entries) > 0, f"{len(entries)} entries")
     add("weights_positive", readable and all(w > 0 for w, _ in entries), "")
@@ -934,8 +950,9 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     add("target_is_7_9", cert.target == TARGET, f"target = {cert.target}")
     # bool is not an edge id, as in certificate_from_json
     valid_ids = all(
-        all(type(e) is int and 0 <= e < g.m for e in es)
-        and tuple(sorted(set(es))) == tuple(es)
+        es is not None
+        and all(type(e) is int and 0 <= e < g.m for e in es)
+        and tuple(sorted(set(es))) == es
         for _, es in entries
     )
     add("entries_well_formed", valid_ids, "sorted unique edge ids in range")

@@ -214,59 +214,52 @@ def is_2ec(g: Graph, sub) -> bool:
     """True iff the spanning subgraph (V, sub) is connected and bridgeless.
 
     ``sub`` may be an iterable of edge ids or an edge bitmask; an id
-    outside [0, m) raises ValueError.
+    outside [0, m) raises ValueError, and a repeated id counts once.  The
+    member is connected iff its breadth-first tree from vertex 0 spans, and
+    a tree edge is a bridge iff no non-tree edge closes a cycle through it;
+    a non-tree edge never is one.
     """
     n = g.n
     if isinstance(sub, int):
         if sub < 0 or sub >> g.m:
             raise ValueError(f"edge mask {sub:#x} has bits outside [0, {g.m})")
         sub = _iter_bits(sub)
-    edges = g.edges
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    member = bytearray(g.m)
     try:
         for e in sub:
             if e < 0:  # would index from the end; e >= m fails the indexing
                 raise IndexError
-            u, v = edges[e]
-            adj[u].append((v, e))
-            adj[v].append((u, e))
+            member[e] = 1
     except IndexError:
         raise ValueError(f"edge id {e} must lie in [0, {g.m})") from None
     if n <= 1:
         return True
 
-    disc = [-1] * n
-    low = [0] * n
+    edges = g.edges
+    depth = [0] + [-1] * (n - 1)
+    parent = [0] * n
     parent_edge = [-1] * n
-    ptr = [0] * n
-    stack = [0]
-    disc[0] = low[0] = 0
-    timer = 1
-    visited = 1
-    while stack:
-        v = stack[-1]
-        if ptr[v] < len(adj[v]):
-            w, e = adj[v][ptr[v]]
-            ptr[v] += 1
-            if e == parent_edge[v]:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                visited += 1
-                parent_edge[w] = e
-                stack.append(w)
-            elif disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1]
-                if low[v] > disc[p]:
-                    return False  # tree edge into v is a bridge
-                if low[v] < low[p]:
-                    low[p] = low[v]
-    return visited == n
+    reached = [0]
+    for v in reached:  # the list grows while it is read: a FIFO queue
+        for e in g.incident(v):
+            if member[e]:
+                a, b = edges[e]
+                w = b if a == v else a
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    parent[w], parent_edge[w] = v, e
+                    reached.append(w)
+    if len(reached) < n:
+        return False
+    on_cycle = bytearray(n)  # on_cycle[v]: the tree edge from v to its parent
+    for e, (u, v) in enumerate(edges):
+        if member[e] and e != parent_edge[u] and e != parent_edge[v]:
+            while u != v:  # climb from the deeper end until the ends meet
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                on_cycle[u] = 1
+                u = parent[u]
+    return all(on_cycle[1:])
 
 
 def edge_connectivity(g: Graph) -> int:
@@ -320,7 +313,7 @@ def essential_4cut_with_pair(
         raise ValueError("the two edges must be distinct")
     if not g.is_cubic:
         raise ValueError("essential_4cut_with_pair requires a cubic graph")
-    if not (0 <= e1 < g.m and 0 <= e2 < g.m):
+    if not all(type(e) is int and 0 <= e < g.m for e in (e1, e2)):
         raise ValueError(f"edge ids {e1}, {e2} must lie in [0, {g.m})")
     excl = -1 if excluded_shore is None else _shore_mask(g, excluded_shore)
     want = (1 << e1) | (1 << e2)
@@ -347,7 +340,7 @@ def find_safe_pair(g: Graph, uv: int) -> SafePairDecision:
     """
     if not g.is_cubic:
         raise ValueError("find_safe_pair requires a cubic graph")
-    if not 0 <= uv < g.m:
+    if type(uv) is not int or not 0 <= uv < g.m:  # a bool is no edge id
         raise ValueError(f"pivot edge {uv} must lie in [0, {g.m})")
     if g.n <= 6:
         raise ValueError("find_safe_pair requires n > 6")

@@ -310,7 +310,7 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
     if not g.is_cubic:
         raise ValueError("remove_edges_and_smooth requires a cubic graph")
     for e in (e1, e2):
-        if not 0 <= e < g.m:
+        if type(e) is not int or not 0 <= e < g.m:  # a bool is no edge id
             raise ValueError(f"edge id {e} must lie in [0, {g.m})")
     if e1 == e2:
         raise ValueError("the two removed edges must be distinct")

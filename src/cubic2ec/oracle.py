@@ -68,14 +68,11 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
         inc[v] |= 1 << e
     full = (1 << m) - 1
 
-    def two_ec(mask: int) -> bool:
-        return connectivity.is_2ec(g, mask)
-
     # greedy minimal 2EC subgraph: upper bound for pruning, not the witness
     cur = full
     for e in range(m - 1, -1, -1):
         trial = cur & ~(1 << e)
-        if two_ec(trial):
+        if connectivity.is_2ec(g, trial):
             cur = trial
     best_size = cur.bit_count()
     best_set: int | None = None
@@ -97,7 +94,7 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
         elif lb >= best_size:
             return
         if pos == m:
-            if two_ec(in_mask):
+            if connectivity.is_2ec(g, in_mask):
                 size = in_mask.bit_count()
                 if size < best_size or best_set is None:
                     best_size = size
@@ -106,7 +103,7 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
         bit = 1 << pos
         rec(pos + 1, in_mask | bit, avail_mask)
         reduced = avail_mask & ~bit
-        if two_ec(reduced):
+        if connectivity.is_2ec(g, reduced):
             rec(pos + 1, in_mask, reduced)
 
     rec(0, 0, full)

@@ -16,7 +16,9 @@ pivots and padded; the relabeling of a combination rebuilt through
 ``combination()``; lift and glue with a set per mapped member, lift
 rebuilt through ``combination()`` and glue classing members by their
 pseudo-vertex edges in child space; and the case-1 smoothing that walks
-each path outwards from a suppressed vertex in both directions.
+each path outwards from a suppressed vertex in both directions.  One
+keeps a replaced kernel whole: the 2EC check as Tarjan's low-link bridge
+search.
 """
 
 from __future__ import annotations
@@ -131,6 +133,62 @@ def bridgeless(g, edge_ids) -> bool:
 
 def reference_is_2ec(g, edge_ids) -> bool:
     return connected_spanning(g, edge_ids) and bridgeless(g, edge_ids)
+
+
+def reference_tarjan_is_2ec(g, sub) -> bool:
+    """is_2ec by Tarjan's low-link bridge search over a per-call adjacency
+    list, with an explicit DFS stack: same contract, same errors."""
+    n = g.n
+    if isinstance(sub, int):
+        if sub < 0 or sub >> g.m:
+            raise ValueError(f"edge mask {sub:#x} has bits outside [0, {g.m})")
+        sub = [e for e in range(g.m) if sub >> e & 1]
+    edges = g.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    try:
+        for e in sub:
+            if e < 0:  # would index from the end; e >= m fails the indexing
+                raise IndexError
+            u, v = edges[e]
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    except IndexError:
+        raise ValueError(f"edge id {e} must lie in [0, {g.m})") from None
+    if n <= 1:
+        return True
+
+    disc = [-1] * n
+    low = [0] * n
+    parent_edge = [-1] * n
+    ptr = [0] * n
+    stack = [0]
+    disc[0] = low[0] = 0
+    timer = 1
+    visited = 1
+    while stack:
+        v = stack[-1]
+        if ptr[v] < len(adj[v]):
+            w, e = adj[v][ptr[v]]
+            ptr[v] += 1
+            if e == parent_edge[v]:
+                continue
+            if disc[w] == -1:
+                disc[w] = low[w] = timer
+                timer += 1
+                visited += 1
+                parent_edge[w] = e
+                stack.append(w)
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                if low[v] > disc[p]:
+                    return False  # tree edge into v is a bridge
+                if low[v] < low[p]:
+                    low[p] = low[v]
+    return visited == n
 
 
 def brute_force_min_2ec(g) -> int:

@@ -512,6 +512,39 @@ def test_verify_reports_unreadable_weights_and_ids(k4, tamper, failed):
     assert {c.name for c in report.checks if not c.passed} == failed
 
 
+@pytest.mark.parametrize(
+    "entry, failed",
+    [
+        (lambda w: (w,), WEIGHT_CHECKS | ID_CHECKS),
+        (lambda w: (w, None), ID_CHECKS),
+        (lambda w: (w, 3), ID_CHECKS),
+        (lambda w: None, WEIGHT_CHECKS | ID_CHECKS),
+    ],
+    ids=["weight-only", "edges-none", "edges-int", "entry-none"],
+)
+def test_verify_reports_entries_it_cannot_unpack(k4, entry, failed):
+    """An entry that is not a (weight, edges) pair, or whose edges are not
+    iterable, fails the checks that read it; the checks that need valid
+    ids are left out."""
+    cert = certify(k4)
+    entries = cert.combination.entries
+    bad = ConvexCombination(k4, (entry(entries[0][0]),) + entries[1:])
+    report = verify_certificate(k4, Certificate(k4, bad, cert.target, cert.trace))
+    assert {c.name for c in report.checks if not c.passed} == failed
+    assert [c.name for c in report.checks] == [
+        "graph_match",
+        "has_entries",
+        "weights_positive",
+        "weights_sum_to_one",
+        "target_is_7_9",
+        "entries_well_formed",
+        "members_spanning_2ec",
+    ]
+    if "weights_sum_to_one" in failed:
+        (check,) = [c for c in report.checks if c.name == "weights_sum_to_one"]
+        assert check.detail == "a weight is not a number"
+
+
 def test_verify_flags_bridge_member(k4):
     tree = (0, 1, 2)
     comb = ConvexCombination(k4, ((F(1), tree),))

@@ -138,7 +138,7 @@ def test_4cut_with_pair_rejects_equal_edges(petersen):
         essential_4cut_with_pair(petersen, 3, 3)
 
 
-@pytest.mark.parametrize("e1, e2", [(0, 99), (0, -1)])
+@pytest.mark.parametrize("e1, e2", [(0, 99), (0, -1), (True, 2), (1.0, 2)])
 def test_4cut_with_pair_rejects_edge_ids_out_of_range(petersen, e1, e2):
     with pytest.raises(ValueError, match=r"must lie in \[0, 15\)"):
         essential_4cut_with_pair(petersen, e1, e2)
@@ -225,7 +225,7 @@ def test_find_safe_pair_cube_flips_with_witness():
     assert flips > 0  # the 4-cycles of the cube force flips somewhere
 
 
-@pytest.mark.parametrize("uv", [-1, 15])
+@pytest.mark.parametrize("uv", [-1, 15, True, 1.0])
 def test_find_safe_pair_rejects_pivot_out_of_range(petersen, uv):
     with pytest.raises(ValueError, match=r"must lie in \[0, 15\)"):
         find_safe_pair(petersen, uv)

@@ -8,9 +8,11 @@ re-sorting relabeling against the per-pivot merge and padding, and the
 rebuild through ``combination()``, they replaced; the once-per-node
 member check against every member the lifts and glues return; lift
 and glue, mapped through one edge map, against the per-member sets and
-child-space pattern classes they replaced; and the smoothing that walks
+child-space pattern classes they replaced; the smoothing that walks
 each path once from each surviving end against the two-way walk from
-inside the path it replaced."""
+inside the path it replaced; and the 2EC check by a breadth-first tree
+and its fundamental cycles against Tarjan's low-link search it replaced
+and a per-edge removal scan."""
 
 import itertools
 from fractions import Fraction
@@ -30,12 +32,14 @@ from support import (
     reference_is_essentially_4ec,
     reference_case1_combination,
     reference_glue,
+    reference_is_2ec,
     reference_lift,
     reference_map_combination,
     reference_remove_edges_and_smooth,
     reference_shore_scan,
     reference_small_cubic_graphs,
     reference_small_cuts,
+    reference_tarjan_is_2ec,
     reference_two_ec_spanning_subgraphs,
 )
 
@@ -636,3 +640,108 @@ def test_smoothing_matches_reference_on_relabelings(corpus, data):
     perm = data.draw(st.permutations(range(g.n)))
     order = data.draw(st.permutations(range(g.m)))
     assert_smoothing_matches_reference(relabel(g, perm, order))
+
+
+# 2EC check --------------------------------------------------------------------
+
+
+def recorded_is_2ec_calls(monkeypatch, corpus):
+    """(graph, member, answer) of every is_2ec call while a fresh Certifier
+    certifies the corpus and GP(8,3), and while exact_opt runs on the
+    corpus.  A member is kept as the bitmask or the tuple of ids passed."""
+    calls = []
+    honest = connectivity.is_2ec
+
+    def recorded(g, sub):
+        sub = sub if isinstance(sub, int) else tuple(sub)
+        answer = honest(g, sub)
+        calls.append((g, sub, answer))
+        return answer
+
+    monkeypatch.setattr(connectivity, "is_2ec", recorded)
+    certifier = Certifier(max_n=16)
+    for g in corpus + [generalized_petersen(8, 3)]:
+        certifier.certify(g)
+    for g in corpus:
+        oracle.exact_opt(g)
+    return calls
+
+
+def checked_is_2ec(g, make_sub):
+    """is_2ec's answer, once the Tarjan search it replaced and the per-edge
+    removal scan agree with it; make_sub() gives a fresh copy of the
+    member for each."""
+    got = connectivity.is_2ec(g, make_sub())
+    assert got == reference_tarjan_is_2ec(g, make_sub())
+    sub = make_sub()
+    ids = set(_iter_bits(sub)) if isinstance(sub, int) else set(sub)
+    assert got == reference_is_2ec(g, ids)
+    return got
+
+
+def test_is_2ec_matches_references_on_recorded_calls(corpus, monkeypatch):
+    calls = recorded_is_2ec_calls(monkeypatch, corpus)
+    monkeypatch.undo()
+    assert any(isinstance(sub, int) for _, sub, _ in calls)
+    assert any(isinstance(sub, tuple) for _, sub, _ in calls)
+    assert {answer for *_, answer in calls} == {True, False}
+    for g, sub, answer in set(calls):
+        assert checked_is_2ec(g, lambda: sub) == answer, sub
+
+
+def member_forms(ids, repeats):
+    """The member ids as each input form is_2ec takes, each a factory for
+    a fresh copy: a list with repeated ids, a set, a generator, a bitmask."""
+    return {
+        "list": lambda: list(repeats),
+        "set": lambda: set(ids),
+        "generator": lambda: (e for e in ids),
+        "bitmask": lambda: sum(1 << e for e in ids),
+    }
+
+
+@pytest.mark.parametrize("form", ["list", "set", "generator", "bitmask"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_2ec_matches_references_on_drawn_members(corpus, form, data):
+    """Members drawn by leaving out any set of edges of a builtin or corpus
+    graph, so that 2EC and non-2EC members both occur."""
+    g = data.draw(st.sampled_from([builtin(name) for name in BUILTIN_NAMES] + corpus))
+    left_out = data.draw(st.sets(st.integers(0, g.m - 1)))
+    ids = sorted(set(range(g.m)) - left_out)
+    extra = data.draw(st.lists(st.sampled_from(ids), max_size=4)) if ids else []
+    repeats = data.draw(st.permutations(ids + extra))
+    checked_is_2ec(g, member_forms(ids, repeats)[form])
+
+
+def petersen_cycles():
+    """The outer 5-cycle and the inner pentagram of the Petersen graph."""
+    g = builtin("petersen")
+    outer = [g.edge_id(i, (i + 1) % 5) for i in range(5)]
+    inner = [g.edge_id(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return g, outer, inner
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("empty", False),
+        ("two-cycles", False),
+        ("two-cycles-and-a-bridge", False),
+        ("one-vertex", True),
+        ("full", True),
+    ],
+)
+@pytest.mark.parametrize("form", ["list", "set", "generator", "bitmask"])
+def test_is_2ec_matches_references_on_edge_cases(case, want, form):
+    g, outer, inner = petersen_cycles()
+    ids = {
+        "empty": [],
+        "two-cycles": outer + inner,  # each cycle is 2EC, their union is not connected
+        "two-cycles-and-a-bridge": outer + inner + [g.edge_id(0, 5)],
+        "one-vertex": [],
+        "full": list(range(g.m)),
+    }[case]
+    if case == "one-vertex":
+        g = Graph(1, ())
+    assert checked_is_2ec(g, member_forms(ids, ids + ids)[form]) is want

@@ -152,7 +152,7 @@ def test_smooth_rejects_adjacent_pair(petersen):
         remove_edges_and_smooth(petersen, e1, e1)
 
 
-@pytest.mark.parametrize("bad", [-1, 99])
+@pytest.mark.parametrize("bad", [-1, 99, True, 1.0])
 def test_smooth_rejects_edge_ids_out_of_range(petersen, bad):
     with pytest.raises(ValueError, match=rf"edge id {bad} must lie in \[0, 15\)"):
         remove_edges_and_smooth(petersen, 0, bad)
