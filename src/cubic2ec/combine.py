@@ -20,11 +20,17 @@ members along an edge map as they are, so each node is normalized once
 checked spanning 2EC once, however many lifts or glues produced it.
 
 All arithmetic is exact; no floats anywhere in the certification path.
-Weights are fractions.Fraction, and sums over many weights (occurrence
-vectors, deduplication, the sum == 1 checks) are taken over integer
-numerators on the weights' common denominator, converted back to one
-Fraction per result.  The recursion memoizes on canonical forms, so the
-same reduced graph is certified once per isomorphism class.
+Inside the certifier a combination is one integer denominator and
+(numerator, edge mask) entries, edge e of an m-edge host at bit m - 1 - e
+(``_MaskedCombination``): lift and glue OR the masks of mapped edges,
+average scales each part's numerators by one integer, and an occurrence
+vector is one multiply-add per member.  Members stay in ascending
+edge-tuple order, which ``_tuple_order`` reads off a mask in O(1).
+Weights become fractions.Fraction and members sorted edge-id tuples
+(ConvexCombination) only at the boundary: the certificate ``certify``
+returns, the public functions when given ConvexCombinations, certificate
+JSON and ``verify_certificate``.  The recursion memoizes on canonical
+forms, so the same reduced graph is certified once per isomorphism class.
 
 The combination a certificate carries is compacted: by Carathéodory's
 theorem at most m + 1 of the members the recursion built are needed to
@@ -123,13 +129,138 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def combination(host: Graph, raw_entries, check: bool = True) -> ConvexCombination:
+@dataclass(frozen=True)
+class _MaskedCombination:
+    """A combination in the certifier's working form.
+
+    Entry ``(num, mask)`` weighs num / den, and its member holds edge e of
+    the host iff bit m - 1 - e of mask is set.  Every function here returns
+    one normalized: distinct masks, positive numerators summing to den with
+    no factor in common with it, in ascending edge-tuple order
+    (``_tuple_order``), so equal combinations compare equal.
+    """
+
+    host: Graph
+    den: int
+    entries: tuple[tuple[int, int], ...]
+
+
+def _bits(edge_ids, m: int) -> int:
+    """The mask of edge ids on an m-edge host."""
+    x = 0
+    for e in edge_ids:
+        x |= 1 << (m - 1 - e)
+    return x
+
+
+def _edges(x: int, m: int) -> tuple[int, ...]:
+    """The edge ids of mask x on an m-edge host, ascending."""
+    out = []
+    while x:
+        top = x.bit_length()
+        out.append(m - top)
+        x ^= 1 << (top - 1)
+    return tuple(out)
+
+
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _natural(x: int, m: int) -> int:
+    """Mask x with edge e at bit e, as ``connectivity.is_2ec`` reads one:
+    the bytes in reverse order, each with its bits reversed."""
+    size = (m + 7) // 8
+    flipped = x.to_bytes(size, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "big") >> (8 * size - m)
+
+
+def _tuple_order(m: int):
+    """Sort key on the masks of an m-edge host that orders them as their
+    ascending edge tuples.
+
+    Let d be the least edge in exactly one of S and T, say in S.  Then S
+    comes first iff T has an edge after d; otherwise T is a prefix of S.
+    Filling in every edge after a member's last one (the bits below its
+    lowest set bit) turns this into the numeric order of the filled masks,
+    descending: the filled S has bit d and the filled T lacks it iff T goes
+    on after d.  Filled masks are equal iff one member is the other plus a
+    run of edges up to its end, and then the smaller comes first.
+    """
+    full, shift = (1 << m) - 1, m.bit_length()
+    return lambda x: ((~(x | ((x & -x) - 1)) & full) << shift) | x.bit_count()
+
+
+def _ordered(host: Graph, den: int, acc: dict[int, int]) -> _MaskedCombination:
+    """The normalized combination of the members ``acc`` maps to their
+    numerators over den."""
+    g = math.gcd(den, *acc.values())
+    masks = sorted(acc, key=_tuple_order(host.m))
+    if g > 1:
+        entries = tuple([(acc[x] // g, x) for x in masks])
+        return _MaskedCombination(host, den // g, entries)
+    return _MaskedCombination(host, den, tuple([(acc[x], x) for x in masks]))
+
+
+def _masked(c) -> _MaskedCombination:
+    """c in the certifier's form; a ConvexCombination's weights must be
+    nonnegative rationals."""
+    if type(c) is _MaskedCombination:
+        return c
+    m = c.host.m
+    nums, den = _numerators([w for w, _ in c.entries])
+    acc: dict[int, int] = {}
+    for num, (_, es) in zip(nums, c.entries):
+        if num < 0:
+            raise ValueError("weights must be nonnegative")
+        x = _bits(es, m)
+        acc[x] = acc.get(x, 0) + num
+    return _ordered(c.host, den, acc)
+
+
+def _public(c: _MaskedCombination) -> ConvexCombination:
+    """c as (Fraction, edge ids) entries."""
+    m, den = c.host.m, c.den
+    return ConvexCombination(
+        c.host, tuple((Fraction(num, den), _edges(x, m)) for num, x in c.entries)
+    )
+
+
+def _like(c, out: _MaskedCombination):
+    """out in the form c has: masked, or a ConvexCombination."""
+    return out if type(c) is _MaskedCombination else _public(out)
+
+
+def combination(host: Graph, raw_entries, check: bool = True):
     """Validate, deduplicate and canonically order entries.
 
-    Weights must be positive rationals summing to exactly 1; with
-    ``check`` every distinct member must be a spanning 2EC subgraph of the
-    host, the check the certifier runs once on each finished node.
+    ``raw_entries`` are (weight, edge ids) pairs, and give a
+    ConvexCombination.  Weights must be positive rationals summing to
+    exactly 1, and edge ids ints in [0, m).  Inside the certifier
+    ``raw_entries`` is a _MaskedCombination whose members may repeat, in
+    any order; its numerators must sum to its denominator, and it comes
+    back normalized.  With ``check`` every distinct member must be a
+    spanning 2EC subgraph of the host, the check the certifier runs once
+    on each finished node.
     """
+    if type(raw_entries) is _MaskedCombination:
+        acc: dict[int, int] = {}
+        for num, x in raw_entries.entries:
+            acc[x] = acc.get(x, 0) + num
+        den = raw_entries.den
+        total = sum(acc.values())
+        if total != den:
+            raise ValueError(
+                f"weights must sum to 1 exactly (got {Fraction(total, den)})"
+            )
+        out = _ordered(host, den, acc)
+    else:
+        out = _public_combination(host, raw_entries)
+    if check:
+        _check_members(out, "entry ", ValueError)
+    return out
+
+
+def _public_combination(host: Graph, raw_entries) -> ConvexCombination:
     weights: list[Fraction] = []
     keys: list[tuple[int, ...]] = []
     for weight, edge_ids in raw_entries:
@@ -138,7 +269,12 @@ def combination(host: Graph, raw_entries, check: bool = True) -> ConvexCombinati
             raise ValueError("weights must be nonnegative")
         if w == 0:
             continue
-        key = tuple(sorted(set(edge_ids)))
+        ids = tuple(edge_ids)
+        for e in ids:
+            # bool is not an edge id: True would stand for edge 1
+            if type(e) is not int:
+                raise ValueError(f"edge id {e!r} in entry {ids} is not an int")
+        key = tuple(sorted(set(ids)))
         if key and not (0 <= key[0] and key[-1] < host.m):
             raise ValueError(f"edge id out of range in entry {key}")
         weights.append(w)
@@ -154,18 +290,24 @@ def combination(host: Graph, raw_entries, check: bool = True) -> ConvexCombinati
         raise ValueError(
             f"weights must sum to 1 exactly (got {Fraction(total, den)})"
         )
-    out = ConvexCombination(
+    return ConvexCombination(
         host, tuple((Fraction(num, den), k) for k, num in sorted(acc.items()))
     )
-    if check:
-        _check_members(out, "entry ", ValueError)
-    return out
 
 
-def _check_members(c: ConvexCombination, what: str, error=InvariantViolation):
-    """Raise ``error``, prefixed by ``what``, at the first non-2EC member."""
+def _check_members(c, what: str, error=InvariantViolation):
+    """Raise ``error``, prefixed by ``what``, at the first non-2EC member;
+    ``is_2ec`` reads a masked member as a mask."""
+    g = c.host
+    if type(c) is _MaskedCombination:
+        m = g.m
+        for _, x in c.entries:
+            if not connectivity.is_2ec(g, _natural(x, m)):
+                es = _edges(x, m)
+                raise error(f"{what}{es} is not a spanning 2-edge-connected subgraph")
+        return
     for _, es in c.entries:
-        if not connectivity.is_2ec(c.host, es):
+        if not connectivity.is_2ec(g, es):
             raise error(f"{what}{es} is not a spanning 2-edge-connected subgraph")
 
 
@@ -190,26 +332,64 @@ def _occurrences(m: int, entries) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in occ)
 
 
-def edge_occurrences(c: ConvexCombination) -> tuple[Fraction, ...]:
+def _occurrence_nums(c: _MaskedCombination) -> list[int]:
+    """Per-edge numerator sums of c over c.den, indexed by edge id.
+
+    One multiply and one AND spread a member's mask into lanes of ``width``
+    bits, bit p at the bottom of lane p: x·spread has a copy of bit p at
+    p + k·(width - 1) for every k < m, all distinct since width - 1 >= m,
+    and only k = p is a lane bottom.  The lanes then add every member's
+    numerator in one integer; a lane sums to at most den, so nothing
+    carries into the next.
+    """
+    m = c.host.m
+    width = max(c.den.bit_length(), m + 1)
+    spread = ((1 << ((width - 1) * m)) - 1) // ((1 << (width - 1)) - 1)
+    lanes = ((1 << (width * m)) - 1) // ((1 << width) - 1)
+    acc = 0
+    for num, x in c.entries:
+        acc += num * (x * spread & lanes)
+    lane = (1 << width) - 1
+    return [(acc >> (width * (m - 1 - e))) & lane for e in range(m)]
+
+
+def edge_occurrences(c) -> tuple[Fraction, ...]:
     """Per-edge total weight sum over the members containing the edge."""
+    if type(c) is _MaskedCombination:
+        return tuple(Fraction(x, c.den) for x in _occurrence_nums(c))
     return _occurrences(c.host.m, c.entries)
 
 
-def average(parts) -> ConvexCombination:
-    """Weighted merge of combinations over one host (weights sum to 1)."""
+def average(parts):
+    """Weighted merge of combinations over one host (weights sum to 1).
+
+    Part weights are ints or Fractions.  Each part's numerators are scaled
+    by one integer onto a common denominator; the result has the form of
+    the first part's combination.
+    """
     parts = list(parts)
     if not parts:
         raise ValueError("average needs at least one part")
-    total = sum(Fraction(w) for w, _ in parts)
+    for i, (w, _) in enumerate(parts):
+        if type(w) is not int and type(w) is not Fraction:
+            raise ValueError(f"part {i} has weight {w!r}, not an int or a Fraction")
+        if w < 0:
+            raise ValueError(f"part {i} has negative weight {w}")
+    total = sum(w for w, _ in parts)
     if total != 1:
         raise ValueError(f"part weights must sum to 1 exactly (got {total})")
     host = parts[0][1].host
-    raw = []
-    for w, comb in parts:
+    for _, comb in parts:
         if comb.host != host:
             raise ValueError("all combinations must share one host graph")
-        raw.extend((Fraction(w) * ew, es) for ew, es in comb.entries)
-    return combination(host, raw, check=False)
+    scaled = [(Fraction(w), _masked(comb)) for w, comb in parts if w]
+    den = math.lcm(*(w.denominator * c.den for w, c in scaled))
+    raw = []
+    for w, c in scaled:
+        f = den // (w.denominator * c.den) * w.numerator
+        raw += [(f * num, x) for num, x in c.entries]
+    out = combination(host, _MaskedCombination(host, den, tuple(raw)), check=False)
+    return _like(parts[0][1], out)
 
 
 def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
@@ -252,7 +432,7 @@ def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
     return out
 
 
-def _check_uniform(c: ConvexCombination, target: Fraction, what: str = "occurrence"):
+def _check_uniform(c, target: Fraction, what: str = "occurrence"):
     bad = [e for e, v in enumerate(edge_occurrences(c)) if v != target]
     if bad:
         raise InvariantViolation(f"edges {bad[:3]} have {what} other than {target}")
@@ -305,7 +485,7 @@ def base_case_combination(g: Graph) -> ConvexCombination:
     except ValueError as exc:
         raise InvariantViolation(f"base-case table entry {key}: {exc}") from None
     _check_uniform(comb, TARGET)
-    return _map_combination(comb, g, perm)
+    return _public(_map_combination(_masked(comb), g, perm))
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +494,51 @@ def base_case_combination(g: Graph) -> ConvexCombination:
 
 
 def _map_members(
-    comb: ConvexCombination, host: Graph, edge_map, always=frozenset()
-) -> ConvexCombination:
-    """comb's members carried to ``host``: each becomes the sorted union of
+    comb: _MaskedCombination, host: Graph, edge_map, always=()
+) -> _MaskedCombination:
+    """comb's members carried to ``host``: each becomes the union of
     ``always`` and the host edges ``edge_map`` sends its edges to, and
-    members that land on one edge set add their weights.  Weights move as
-    they are, with no ``combination()`` rebuild, since comb was normalized
-    at its own node; entries come out in ascending edge-tuple order."""
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for w, es in comb.entries:
-        key = tuple(sorted(always.union(*map(edge_map.__getitem__, es))))
-        acc[key] = acc[key] + w if key in acc else w
-    return ConvexCombination(host, tuple((w, k) for k, w in sorted(acc.items())))
+    members that land on one edge set add their numerators.  A member's
+    image is the OR of one table lookup per four bits of its mask, each
+    table holding the images of every subset of those four edges."""
+    m = host.m
+    images = [_bits(edge_map[ce], m) for ce in reversed(range(comb.host.m))]
+    tables = []
+    for low in range(0, len(images), 4):
+        table = [0]
+        for image in images[low : low + 4]:
+            table += [y | image for y in table]
+        tables.append(table)
+    base = _bits(always, m)
+    acc: dict[int, int] = {}
+    for num, x in comb.entries:
+        y = base
+        for table in tables:
+            y |= table[x & 15]
+            x >>= 4
+        acc[y] = acc.get(y, 0) + num
+    return _ordered(host, comb.den, acc)
 
 
-def lift(child_combination: ConvexCombination, red: Reduction) -> ConvexCombination:
+def lift(child_combination, red: Reduction):
     """Map a child combination through a removal reduction to the parent.
 
     Every child edge expands to its provenance path; the edges adjacent to
     the removed pair are always selected and the removed pair is always
     omitted.  Members are checked once, in the node they are averaged into.
+    The result has the child combination's form.
     """
     if red.kind != "case1_removal":
         raise ValueError("lift applies to removal reductions only")
     if child_combination.host != red.child:
         raise ValueError("combination host does not match the reduction child")
-    return _map_members(
-        child_combination, red.parent, red.edge_provenance, red.forced_include
+    out = _map_members(
+        _masked(child_combination),
+        red.parent,
+        red.edge_provenance,
+        red.forced_include,
     )
+    return _like(child_combination, out)
 
 
 def _case1_expectation(
@@ -388,46 +585,46 @@ _PATTERN_OMIT = Fraction(2, 9)
 _PATTERN_FULL = Fraction(1, 3)
 
 
-def _pattern_classes(lifted: ConvexCombination, cut: list[int]):
-    """Group a lifted shore's members by which parent cut edge they omit.
+def _pattern_classes(lifted: _MaskedCombination, cut: list[int]):
+    """Group a lifted shore's (numerator, mask) entries by which parent cut
+    edge they omit.
 
     Keys are the cut edge ids (or None for all-present); weights are
     forced to (2/9, 2/9, 2/9, 1/3) by the degree-3 pattern argument.
     """
-    classes: dict[int | None, list[tuple[Fraction, tuple[int, ...]]]] = {
-        pe: [] for pe in cut
-    }
+    m = lifted.host.m
+    by_bit: dict[int, int | None] = {_bits((pe,), m): pe for pe in cut}
+    cut_mask = sum(by_bit)
+    by_bit[0] = None  # a member that omits no cut edge
+    classes: dict[int | None, list[tuple[int, int]]] = {pe: [] for pe in cut}
     classes[None] = []
-    for w, es in lifted.entries:
-        omitted = [pe for pe in cut if pe not in es]
-        if len(omitted) > 1:
+    for num, x in lifted.entries:
+        omitted = cut_mask & ~x
+        if omitted & (omitted - 1):
             raise InvariantViolation(
-                f"member {es} omits {len(omitted)} pseudo-vertex edges"
+                f"member {_edges(x, m)} omits {omitted.bit_count()} "
+                "pseudo-vertex edges"
             )
-        classes[omitted[0] if omitted else None].append((w, es))
+        classes[by_bit[omitted]].append((num, x))
     for key, entries in classes.items():
         want = _PATTERN_FULL if key is None else _PATTERN_OMIT
-        got = sum((w for w, _ in entries), Fraction(0))
-        if got != want:
+        got = sum(num for num, _ in entries)
+        if got * want.denominator != want.numerator * lifted.den:
             raise InvariantViolation(
                 f"pattern weight for {'all-present' if key is None else f'omit edge {key}'}"
-                f" is {got}, expected {want}"
+                f" is {Fraction(got, lifted.den)}, expected {want}"
             )
     return classes
 
 
-def glue(
-    c1: ConvexCombination,
-    c2: ConvexCombination,
-    red1: Reduction,
-    red2: Reduction,
-) -> ConvexCombination:
+def glue(c1, c2, red1: Reduction, red2: Reduction):
     """Recombine the two contracted shores of one essential 3-cut.
 
     Each shore is mapped to parent edges once; within each pattern class
     (the cut edge omitted) the two entry lists are paired by common
-    refinement of weights, and each glued member is the union of two
-    mapped members; the members are checked once, in the finished node.
+    refinement of their numerators on one denominator, and each glued
+    member is the union of two mapped members; the members are checked
+    once, in the finished node.  The result has c1's form.
     """
     for red in (red1, red2):
         if red.kind != "case2_contraction":
@@ -445,26 +642,32 @@ def glue(
     if kept1 & kept2 or kept1 | kept2 != set(range(red1.parent.n)):
         raise ValueError("the reductions must contract complementary shores")
 
-    cut_edges = set(cut1)
-    classes1, classes2 = (
-        _pattern_classes(_map_members(c, red.parent, red.edge_provenance), cut1)
+    parent = red1.parent
+    shore1, shore2 = (
+        _map_members(_masked(c), parent, red.edge_provenance)
         for c, red in ((c1, red1), (c2, red2))
     )
+    classes1 = _pattern_classes(shore1, cut1)
+    classes2 = _pattern_classes(shore2, cut1)
+    den = math.lcm(shore1.den, shore2.den)
+    f1, f2 = den // shore1.den, den // shore2.den
+    cut_mask = _bits(cut1, parent.m)
     raw = []
     for key in cut1 + [None]:
-        lst1 = [list(t) for t in classes1[key]]
-        lst2 = [list(t) for t in classes2[key]]
+        lst1 = [[num * f1, x] for num, x in classes1[key]]
+        lst2 = [[num * f2, x] for num, x in classes2[key]]
+        pattern = cut_mask if key is None else cut_mask & ~_bits((key,), parent.m)
         i = j = 0
         while i < len(lst1) and j < len(lst2):
             w = min(lst1[i][0], lst2[j][0])
             if w > 0:
-                glued = set(lst1[i][1]).union(lst2[j][1])
+                glued = lst1[i][1] | lst2[j][1]
                 # both sides agree on the cut pattern by construction
-                if glued & cut_edges != cut_edges - {key}:
+                if glued & cut_mask != pattern:
                     raise InvariantViolation(
                         "glued member disagrees with its cut pattern"
                     )
-                raw.append((w, tuple(sorted(glued))))
+                raw.append((w, glued))
             lst1[i][0] -= w
             lst2[j][0] -= w
             if lst1[i][0] == 0:
@@ -473,9 +676,11 @@ def glue(
                 j += 1
         if any(t[0] != 0 for t in lst1[i:]) or any(t[0] != 0 for t in lst2[j:]):
             raise InvariantViolation("pattern class weights fell out of alignment")
-    out = combination(red1.parent, raw, check=False)
+    out = combination(
+        parent, _MaskedCombination(parent, den, tuple(raw)), check=False
+    )
     _check_uniform(out, TARGET)
-    return out
+    return _like(c1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +694,16 @@ def _smallest(comb: ConvexCombination) -> tuple[int, ...]:
     return min((es for _, es in comb.entries), key=lambda es: (len(es), es))
 
 
-def _compact(comb: ConvexCombination) -> ConvexCombination:
+def _smallest_mask(comb: _MaskedCombination) -> int:
+    """The mask of the least member by (|S|, edges), as ``_smallest``."""
+    size = min(x.bit_count() for _, x in comb.entries)
+    return min(
+        (x for _, x in comb.entries if x.bit_count() == size),
+        key=_tuple_order(comb.host.m),
+    )
+
+
+def _compact(comb: _MaskedCombination) -> _MaskedCombination:
     """comb on at most m + 1 of its own members, every edge still at 7/9.
 
     A combination with at most m + 1 entries is returned as it is.  The
@@ -500,16 +714,21 @@ def _compact(comb: ConvexCombination) -> ConvexCombination:
     if len(comb.entries) <= size:
         return comb
     try:
-        out = combination(comb.host, _caratheodory(comb), check=False)
+        reduced = _caratheodory(comb)
+        nums, den = _numerators([w for w, _ in reduced])
+        raw = tuple(zip(nums, (x for _, x in reduced)))
+        out = combination(
+            comb.host, _MaskedCombination(comb.host, den, raw), check=False
+        )
     except ValueError as exc:
         raise InvariantViolation(f"compaction: {exc}") from None
-    kept = [es for _, es in out.entries]
-    if len(kept) > size or not {es for _, es in comb.entries}.issuperset(kept):
+    kept = [x for _, x in out.entries]
+    if len(kept) > size or not {x for _, x in comb.entries}.issuperset(kept):
         raise InvariantViolation(
             f"compaction kept {len(kept)} members, not at most {size} of the "
             "combination's own"
         )
-    if _smallest(comb) not in kept:
+    if _smallest_mask(comb) not in kept:
         raise InvariantViolation("compaction dropped the smallest member")
     _check_uniform(out, TARGET)
     log.info(
@@ -524,8 +743,8 @@ def _lane_bits(bound: int) -> int:
     return 64 * (bound.bit_length() // 64 + 1)
 
 
-def _caratheodory(comb: ConvexCombination) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """At most m + 1 of comb's members, reweighted to the same point.
+def _caratheodory(comb: _MaskedCombination) -> list[tuple[Fraction, int]]:
+    """At most m + 1 of comb's members (masks), reweighted to the same point.
 
     Each member S is the column a = (x_M, 1) of its omitted edges
     M = E - S; (x_S, 1) = T·a for one invertible T, so both columns have
@@ -557,14 +776,14 @@ def _caratheodory(comb: ConvexCombination) -> list[tuple[Fraction, tuple[int, ..
     """
     m = comb.host.m
     size = m + 1
-    members = [es for _, es in comb.entries]
-    nums, den = _numerators([w for w, _ in comb.entries])
-    first = members.index(_smallest(comb))
+    members = [x for _, x in comb.entries]
+    nums, den = [num for num, _ in comb.entries], comb.den
+    first = members.index(_smallest_mask(comb))
     order = sorted(range(len(members)), key=nums.__getitem__, reverse=True)
     order.remove(first)
     order.insert(0, first)
-    edges = frozenset(range(m))
-    omitted = [edges.difference(es) for es in members]
+    full = (1 << m) - 1
+    omitted = [_edges(full ^ x, m) for x in members]
     hadamard_sq = math.prod(sorted(len(ms) + 1 for ms in omitted)[-size:])
     bound = 2 * den * (math.isqrt(hadamard_sq) + 1)
     bits = _lane_bits(bound)
@@ -674,7 +893,8 @@ class Certifier:
     """Builds uniform-7/9 certificates, memoizing by canonical form.
 
     The cache maps a canonical graph6 key to the combination computed on
-    the canonically labeled graph plus its trace record; results for any
+    the canonically labeled graph, in the masked form, plus its trace
+    record; results for any
     isomorphic graph are obtained by mapping edges back through the
     canonical permutation, so output depends only on the input graph.
     λ is checked on canonical graphs only, so each graph is indexed once.
@@ -686,8 +906,8 @@ class Certifier:
         if not 4 <= max_n <= HARD_MAX_N:
             raise ValueError(f"max_n must be within [4, {HARD_MAX_N}]")
         self.max_n = max_n
-        self._cache: dict[str, tuple[ConvexCombination, dict]] = {}
-        self._roots: dict[str, ConvexCombination] = {}
+        self._cache: dict[str, tuple[_MaskedCombination, dict]] = {}
+        self._roots: dict[str, _MaskedCombination] = {}
 
     # -- public ops --------------------------------------------------------
 
@@ -710,7 +930,10 @@ class Certifier:
         comb = _map_combination(self._roots[key], g, perm)
         _check_uniform(comb, TARGET)
         return Certificate(
-            graph=g, combination=comb, target=TARGET, trace=self._trace_closure(key)
+            graph=g,
+            combination=_public(comb),
+            target=TARGET,
+            trace=self._trace_closure(key),
         )
 
     def reduce_case1(
@@ -723,7 +946,7 @@ class Certifier:
         lifted, profile, _ = self._pivot_lifts(g, uv)
         out = average([(Fraction(1, 2), c) for c in lifted])
         _check_members(out, f"pivot {uv}: member ")
-        return out, profile
+        return _public(out), profile
 
     # -- internals ----------------------------------------------------------
 
@@ -735,13 +958,13 @@ class Certifier:
                 f"n={g.n} exceeds the configured maximum {self.max_n}"
             )
 
-    def _combination_with_key(self, g: Graph) -> tuple[ConvexCombination, str]:
+    def _combination_with_key(self, g: Graph) -> tuple[_MaskedCombination, str]:
         key, perm = canonical_form(g)
         if key not in self._cache:
             self._cache.setdefault(key, self._build(canonical_graph(key), key))
         return _map_combination(self._cache[key][0], g, perm), key
 
-    def _build(self, K: Graph, key: str) -> tuple[ConvexCombination, dict]:
+    def _build(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:
         if not K.is_cubic or connectivity.edge_connectivity(K) < 3:
             raise InvariantViolation(
                 f"canonical graph {key} is not cubic 3-edge-connected"
@@ -752,7 +975,7 @@ class Certifier:
             return self._case2(K, key, cut)
         if K.n <= 6:
             log.debug("base case at n=%d (%s)", K.n, key)
-            comb = base_case_combination(K)
+            comb = _masked(base_case_combination(K))
             record = {
                 "kind": "base",
                 "graph6": key,
@@ -766,7 +989,9 @@ class Certifier:
 
     def _pivot_lifts(self, g: Graph, uv: int):
         """The two lifted children of pivot uv, checked: ½ of their summed
-        occurrences is the piecewise profile, and 2t + r = 8."""
+        occurrences is the piecewise profile, and 2t + r = 8.  The sum is
+        compared on the integers, over the product of the two
+        denominators."""
         decision = connectivity.find_safe_pair(g, uv)
         child_keys = []
         lifted = []
@@ -776,8 +1001,15 @@ class Certifier:
             child_keys.append(child_key)
             lifted.append(lift(child_comb, red))
         profile, expected = _case1_expectation(g, uv)
-        both = _occurrences(g.m, lifted[0].entries + lifted[1].entries)
-        if [x / 2 for x in both] != expected:
+        a, b = lifted
+        den = 2 * a.den * b.den
+        both = [
+            x * b.den + y * a.den
+            for x, y in zip(_occurrence_nums(a), _occurrence_nums(b))
+        ]
+        if any(
+            x * f.denominator != f.numerator * den for x, f in zip(both, expected)
+        ):
             raise InvariantViolation(
                 f"pivot {uv}: occurrences deviate from the piecewise profile"
             )
@@ -787,7 +1019,7 @@ class Certifier:
             )
         return lifted, profile, (decision, child_keys)
 
-    def _case1(self, K: Graph, key: str) -> tuple[ConvexCombination, dict]:
+    def _case1(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:
         """One average of all 2m lifted children at 1/(2m) each: 7/9 +
         (2t + r - 8)/(9m) on each edge, so 7/9, as every pivot has 2t + r = 8."""
         weight = Fraction(1, 2 * K.m)
@@ -824,7 +1056,7 @@ class Certifier:
         }
         return final, record
 
-    def _case2(self, K: Graph, key: str, cut) -> tuple[ConvexCombination, dict]:
+    def _case2(self, K: Graph, key: str, cut) -> tuple[_MaskedCombination, dict]:
         red_in = contract_shore(K, cut, "inside")
         red_out = contract_shore(K, cut, "outside")
         c_in, key_in = self._combination_with_key(red_in.child)
@@ -859,19 +1091,16 @@ class Certifier:
 
 
 def _map_combination(
-    comb_k: ConvexCombination, g: Graph, perm: tuple[int, ...]
-) -> ConvexCombination:
-    """Pull a combination on the canonical graph back to g's labeling; a
-    relabeling keeps members distinct and weights as they are, so it only
-    re-sorts.  With nothing to merge it skips ``_map_members``, which took
-    0.065-0.092 s of CPU instead of 0.041-0.049 s on the 338 child
-    relabelings (11982 entries) of one n = 16 certification (Python 3.11)."""
+    comb_k: _MaskedCombination, g: Graph, perm: tuple[int, ...]
+) -> _MaskedCombination:
+    """Pull a combination on the canonical graph back to g's labeling,
+    through ``_map_members`` with each canonical edge sent to one edge of g;
+    a relabeling keeps members distinct, so nothing merges."""
     K = comb_k.host
     back = [0] * g.m
     for e, (u, v) in enumerate(g.edges):
         back[K.edge_id(perm[u], perm[v])] = e
-    mapped = [(w, tuple(sorted(back[ke] for ke in es))) for w, es in comb_k.entries]
-    return ConvexCombination(g, tuple(sorted(mapped, key=lambda t: t[1])))
+    return _map_members(comb_k, g, [(e,) for e in back])
 
 
 def certify(g: Graph, certifier: Certifier | None = None) -> Certificate:
@@ -949,9 +1178,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
         add("weights_sum_to_one", False, "a weight is not a number")
     add("target_is_7_9", cert.target == TARGET, f"target = {cert.target}")
     # bool is not an edge id, as in certificate_from_json
+    m = g.m
     valid_ids = all(
         es is not None
-        and all(type(e) is int and 0 <= e < g.m for e in es)
+        and all(type(e) is int and 0 <= e < m for e in es)
         and tuple(sorted(set(es))) == es
         for _, es in entries
     )

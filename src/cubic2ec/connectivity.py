@@ -76,6 +76,9 @@ class Lemma3Report:
 # ---------------------------------------------------------------------------
 
 
+_DIGIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -213,25 +216,30 @@ def _cut_summary(g: Graph) -> CutIndex:
 def is_2ec(g: Graph, sub) -> bool:
     """True iff the spanning subgraph (V, sub) is connected and bridgeless.
 
-    ``sub`` may be an iterable of edge ids or an edge bitmask; an id
-    outside [0, m) raises ValueError, and a repeated id counts once.  The
-    member is connected iff its breadth-first tree from vertex 0 spans, and
-    a tree edge is a bridge iff no non-tree edge closes a cycle through it;
-    a non-tree edge never is one.
+    ``sub`` may be an iterable of edge ids or an edge bitmask (edge e at
+    bit e); an id that is not an int in [0, m), a bool or a float among
+    them, raises ValueError, and a repeated id counts once.  The member is
+    connected iff its breadth-first tree from vertex 0 spans, and a tree
+    edge is a bridge iff no non-tree edge closes a cycle through it; a
+    non-tree edge never is one.
     """
     n = g.n
     if isinstance(sub, int):
         if sub < 0 or sub >> g.m:
             raise ValueError(f"edge mask {sub:#x} has bits outside [0, {g.m})")
-        sub = _iter_bits(sub)
-    member = bytearray(g.m)
-    try:
-        for e in sub:
-            if e < 0:  # would index from the end; e >= m fails the indexing
-                raise IndexError
-            member[e] = 1
-    except IndexError:
-        raise ValueError(f"edge id {e} must lie in [0, {g.m})") from None
+        # one byte per edge, from the binary digits read lowest bit first
+        member = f"{sub:0{g.m}b}"[::-1].encode().translate(_DIGIT_BYTE)
+    else:
+        member = bytearray(g.m)
+        try:
+            for e in sub:
+                # a bool or a float is not an edge id, and e < 0 would index
+                # from the end; e >= m fails the indexing
+                if type(e) is not int or e < 0:
+                    raise IndexError
+                member[e] = 1
+        except IndexError:
+            raise ValueError(f"edge id {e!r} must lie in [0, {g.m})") from None
     if n <= 1:
         return True
 

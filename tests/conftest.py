@@ -1,11 +1,23 @@
 from pathlib import Path
 
 import pytest
+from support import time_limit
 
 from cubic2ec import Certifier, builtin, parse_graph6
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CORPUS_PATH = DATA / "cubic_3ec_n4_14.g6"
+
+# Each test fails once it has run this long, so a kernel that loops forever
+# fails its test instead of hanging the suite.  The slowest test takes
+# about 10 s.
+TEST_TIME_LIMIT_S = 300
+
+
+@pytest.fixture(autouse=True)
+def per_test_time_limit():
+    with time_limit(TEST_TIME_LIMIT_S):
+        yield
 
 
 @pytest.fixture(scope="session")

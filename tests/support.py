@@ -10,29 +10,71 @@ graphs over the edge subsets of K_n, the base-case combinations by
 exact feasibility search over every 2EC spanning subgraph, and the
 Carathéodory compaction with a Fraction inverse of its basis.
 
-Five oracles keep a construction the package replaced, built from its
-own public steps: the case-1 node as a merge per pivot, averaged over the
-pivots and padded; the relabeling of a combination rebuilt through
-``combination()``; lift and glue with a set per mapped member, lift
-rebuilt through ``combination()`` and glue classing members by their
+Five oracles keep a construction the package replaced: the case-1 node
+as a merge per pivot, averaged over the pivots and padded; the
+relabeling of a combination rebuilt through ``reference_combination``;
+lift and glue with a set per mapped member, lift rebuilt through
+``reference_combination`` and glue classing members by their
 pseudo-vertex edges in child space; and the case-1 smoothing that walks
-each path outwards from a suppressed vertex in both directions.  One
-keeps a replaced kernel whole: the 2EC check as Tarjan's low-link bridge
-search.
+each path outwards from a suppressed vertex in both directions.  Some
+keep a replaced kernel whole: the 2EC check as Tarjan's low-link bridge
+search, and the combination plumbing on (Fraction, edge tuple) entries
+(``reference_combination``, ``reference_average`` and
+``reference_occurrences``) that the certifier's edge masks and integer
+numerators replaced.
 """
 
 from __future__ import annotations
 
+import math
+import signal
+import threading
+import time
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
-from cubic2ec.combine import TARGET, average, combination, pad_to_uniform, reduce_case1
+import pytest
+
+from cubic2ec.combine import TARGET, ConvexCombination, pad_to_uniform, reduce_case1
 from cubic2ec.connectivity import Cut
 from cubic2ec.errors import InvariantViolation, StructuralViolation
 from cubic2ec.exact_lp import feasible_basic_solution
 from cubic2ec.graphs import Graph, Reduction
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the code inside with ``pytest.fail`` once ``seconds`` of wall
+    time have passed.
+
+    SIGALRM from ``setitimer(ITIMER_REAL)`` interrupts the main thread
+    wherever it is, so the limit needs POSIX and the main thread; anywhere
+    else it does nothing.  An enclosing limit gets its remaining time
+    back on exit.
+    """
+    if not hasattr(signal, "setitimer") or (
+        threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"time limit of {seconds} s exceeded", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 0.001))
 
 
 def maxflow_edge_connectivity(g) -> int:
@@ -381,6 +423,74 @@ def reference_edge_occurrences(comb) -> tuple[Fraction, ...]:
     return tuple(occ)
 
 
+def _reference_numerators(weights) -> tuple[list[int], int]:
+    den = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
+def reference_combination(host, raw_entries, check: bool = True):
+    """combination() on (weight, edge ids) entries with one Fraction per
+    entry: deduplicated over integer numerators, members as sorted tuples
+    in ascending order; ``check`` tests each member with reference_is_2ec."""
+    weights: list[Fraction] = []
+    keys: list[tuple[int, ...]] = []
+    for weight, edge_ids in raw_entries:
+        w = weight if type(weight) is Fraction else Fraction(weight)
+        if w < 0:
+            raise ValueError("weights must be nonnegative")
+        if w == 0:
+            continue
+        key = tuple(sorted(set(edge_ids)))
+        if key and not (0 <= key[0] and key[-1] < host.m):
+            raise ValueError(f"edge id out of range in entry {key}")
+        weights.append(w)
+        keys.append(key)
+    if not keys:
+        raise ValueError("a convex combination needs at least one entry")
+    nums, den = _reference_numerators(weights)
+    acc: dict[tuple[int, ...], int] = {}
+    for key, num in zip(keys, nums):
+        acc[key] = acc.get(key, 0) + num
+    total = sum(acc.values())
+    if total != den:
+        raise ValueError(f"weights must sum to 1 exactly (got {Fraction(total, den)})")
+    entries = tuple((Fraction(num, den), k) for k, num in sorted(acc.items()))
+    if check:
+        for _, es in entries:
+            if not reference_is_2ec(host, es):
+                raise ValueError(f"entry {es} is not a spanning 2-edge-connected subgraph")
+    return ConvexCombination(host, entries)
+
+
+def reference_average(parts):
+    """average() with one Fraction product per entry, merged through
+    reference_combination."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError("average needs at least one part")
+    total = sum(Fraction(w) for w, _ in parts)
+    if total != 1:
+        raise ValueError(f"part weights must sum to 1 exactly (got {total})")
+    host = parts[0][1].host
+    raw = []
+    for w, comb in parts:
+        if comb.host != host:
+            raise ValueError("all combinations must share one host graph")
+        raw.extend((Fraction(w) * ew, es) for ew, es in comb.entries)
+    return reference_combination(host, raw, check=False)
+
+
+def reference_occurrences(m: int, entries) -> tuple[Fraction, ...]:
+    """Per-edge weight sums of (weight, edge ids) entries, over integer
+    numerators on the weights' common denominator."""
+    nums, den = _reference_numerators([w for w, _ in entries])
+    occ = [0] * m
+    for num, (_, es) in zip(nums, entries):
+        for e in es:
+            occ[e] += num
+    return tuple(Fraction(x, den) for x in occ)
+
+
 def _reference_refine(cells, nbrs):
     cells = list(cells)
     while True:
@@ -582,23 +692,23 @@ def reference_case1_combination(K, certifier):
     each pivot's ½·lift(C1) + ½·lift(C2), padded up to 7/9."""
     m = K.m
     parts = [(Fraction(1, m), reduce_case1(K, uv, certifier)[0]) for uv in range(m)]
-    return pad_to_uniform(average(parts), TARGET)
+    return pad_to_uniform(reference_average(parts), TARGET)
 
 
 def reference_map_combination(comb_k, g, perm):
-    """comb_k on g's labeling, rebuilt through ``combination()``."""
+    """comb_k on g's labeling, rebuilt through ``reference_combination``."""
     K = comb_k.host
     back = [0] * g.m
     for e, (u, v) in enumerate(g.edges):
         back[K.edge_id(perm[u], perm[v])] = e
     raw = [(w, tuple(sorted(back[ke] for ke in es))) for w, es in comb_k.entries]
-    return combination(g, raw, check=False)
+    return reference_combination(g, raw, check=False)
 
 
 def reference_lift(child_combination, red):
     """lift with a set per member: the provenance paths, plus
     forced_include, minus forced_exclude, rebuilt through
-    ``combination()``."""
+    ``reference_combination``."""
     if red.kind != "case1_removal":
         raise ValueError("lift applies to removal reductions only")
     if child_combination.host != red.child:
@@ -611,7 +721,7 @@ def reference_lift(child_combination, red):
         parent_edges |= red.forced_include
         parent_edges -= red.forced_exclude
         raw.append((w, tuple(sorted(parent_edges))))
-    return combination(red.parent, raw, check=False)
+    return reference_combination(red.parent, raw, check=False)
 
 
 def _reference_pattern_classes(comb, red):
@@ -679,7 +789,7 @@ def reference_glue(c1, c2, red1, red2):
                 j += 1
         if any(t[0] != 0 for t in lst1[i:]) or any(t[0] != 0 for t in lst2[j:]):
             raise InvariantViolation("pattern class weights fell out of alignment")
-    out = combination(red1.parent, raw, check=False)
+    out = reference_combination(red1.parent, raw, check=False)
     if set(reference_edge_occurrences(out)) != {TARGET}:
         raise InvariantViolation("glued combination is not uniform 7/9")
     return out

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,13 @@ def test_combination_rejects_non_2ec_member(k4):
     tree = (k4.edge_id(0, 1), k4.edge_id(0, 2), k4.edge_id(0, 3))
     with pytest.raises(ValueError):
         combination(k4, [(F(1), tree)])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_combination_rejects_non_int_edge_ids(k4, bad):
+    """True would stand for edge 1 and 1.0 would merge into it."""
+    with pytest.raises(ValueError, match=f"edge id {bad!r} in entry"):
+        combination(k4, [(1, (0, 1, 2, 3, 4, bad))], check=False)
 
 
 def test_occurrences_invariant_under_entry_order_and_dups(k4):
@@ -277,6 +286,83 @@ def test_average_rejects_bad_weights_and_hosts(k4, k33):
     w33 = base_case_combination(k33)
     with pytest.raises(ValueError):
         average([(F(1, 2), w), (F(1, 2), w33)])
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/2"], ids=["float", "bool", "str"])
+def test_average_rejects_part_weights_other_than_int_or_fraction(k4, bad):
+    w = k4_witness(k4)
+    with pytest.raises(ValueError, match=f"part 1 has weight {bad!r}, not an int"):
+        average([(F(1, 2), w), (bad, w)])
+
+
+def test_average_rejects_a_negative_part_weight_by_name(k4):
+    w = k4_witness(k4)
+    with pytest.raises(ValueError, match="part 1 has negative weight -1/2"):
+        average([(F(3, 2), w), (F(-1, 2), w)])
+
+
+def test_average_takes_int_part_weights(k4):
+    w = k4_witness(k4)
+    assert average([(1, w), (0, w)]) == w
+
+
+# the certifier's edge masks ---------------------------------------------------
+
+
+def mask_of(es, m):
+    return sum(1 << (m - 1 - e) for e in es)
+
+
+def assert_tuple_order(members, m):
+    """Sorting masks by _tuple_order gives the order of sorted tuples."""
+    masks = [mask_of(es, m) for es in members]
+    by_key = sorted(masks, key=combine._tuple_order(m))
+    assert [combine._edges(x, m) for x in by_key] == sorted(members)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_tuple_order_matches_tuples_on_every_subset(m):
+    members = [
+        es for k in range(m + 1) for es in itertools.combinations(range(m), k)
+    ]
+    assert_tuple_order(members, m)
+
+
+def test_tuple_order_matches_tuples_on_random_masks_at_27_edges():
+    rng = random.Random(27)
+    members = {
+        tuple(e for e in range(27) if rng.random() < p)
+        for p in (0.1, 0.5, 0.8, 0.95)
+        for _ in range(500)
+    }
+    assert_tuple_order(sorted(members), 27)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [((0, 1), (0, 1, 2)), ((0, 2), (0, 1, 3)), ((0, 1, 3), (0, 2)), ((), (0,))],
+    ids=["prefix", "longer-first", "shorter-first", "empty"],
+)
+def test_tuple_order_on_named_pairs(first, second):
+    order = combine._tuple_order(8)
+    want = first < second
+    assert (order(mask_of(first, 8)) < order(mask_of(second, 8))) == want
+
+
+def test_masked_round_trip_keeps_entries(petersen, certifier):
+    comb = certifier.certify(petersen).combination
+    masked = combine._masked(comb)
+    assert [combine._edges(x, petersen.m) for _, x in masked.entries] == [
+        es for _, es in comb.entries
+    ]
+    assert combine._public(masked) == comb
+    assert [
+        combine.connectivity.is_2ec(petersen, combine._natural(x, petersen.m))
+        for _, x in masked.entries
+    ] == [True] * len(comb.entries)
+    for _, x in masked.entries:
+        natural = combine._natural(x, petersen.m)
+        assert natural == sum(1 << e for e in combine._edges(x, petersen.m))
 
 
 # pad_to_uniform -------------------------------------------------------------

@@ -60,8 +60,18 @@ def test_is_2ec_accepts_bitmask_form(k4):
         (builtin("petersen"), -1, r"edge mask -0x1 has bits outside \[0, 15\)"),
         (builtin("petersen"), 1 << 15, r"edge mask 0x8000 has bits outside \[0, 15\)"),
         (Graph(1, ()), [0], r"edge id 0 must lie in \[0, 0\)"),
+        (builtin("k4"), [True, 1, 2, 3, 4, 5], r"edge id True must lie in \[0, 6\)"),
+        (builtin("k4"), [0, 1.0, 2, 3, 4, 5], r"edge id 1\.0 must lie in \[0, 6\)"),
     ],
-    ids=["k4-id-minus-1", "petersen-id-99", "negative-mask", "mask-bit-m", "one-vertex"],
+    ids=[
+        "k4-id-minus-1",
+        "petersen-id-99",
+        "negative-mask",
+        "mask-bit-m",
+        "one-vertex",
+        "k4-id-bool",
+        "k4-id-float",
+    ],
 )
 def test_is_2ec_rejects_edge_ids_out_of_range(g, sub, message):
     with pytest.raises(ValueError, match=message):

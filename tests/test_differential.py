@@ -10,9 +10,11 @@ member check against every member the lifts and glues return; lift
 and glue, mapped through one edge map, against the per-member sets and
 child-space pattern classes they replaced; the smoothing that walks
 each path once from each surviving end against the two-way walk from
-inside the path it replaced; and the 2EC check by a breadth-first tree
+inside the path it replaced; the 2EC check by a breadth-first tree
 and its fundamental cycles against Tarjan's low-link search it replaced
-and a per-edge removal scan."""
+and a per-edge removal scan; and every certified node and root, held as
+edge masks over integer numerators, against the (Fraction, edge tuple)
+plumbing it replaced, rebuilt from the same children."""
 
 import itertools
 from fractions import Fraction
@@ -30,11 +32,14 @@ from support import (
     reference_essential_4cut_with_pair,
     reference_is_essential,
     reference_is_essentially_4ec,
+    reference_average,
     reference_case1_combination,
+    reference_combination,
     reference_glue,
     reference_is_2ec,
     reference_lift,
     reference_map_combination,
+    reference_occurrences,
     reference_remove_edges_and_smooth,
     reference_shore_scan,
     reference_small_cubic_graphs,
@@ -53,6 +58,7 @@ from cubic2ec import (
     builtin,
     canonical_form,
     combination,
+    contract_shore,
     edge_connectivity,
     edge_occurrences,
     enumerate_cuts,
@@ -459,7 +465,7 @@ def certified(corpus):
 @pytest.fixture(scope="module")
 def compacted(corpus, certified):
     """(unreduced, compacted) canonical combinations of every corpus root
-    and GP(8,3)."""
+    and GP(8,3), in the certifier's masked form."""
     keys = [canonical_form(g)[0] for g in corpus + [generalized_petersen(8, 3)]]
     return [(certified._cache[key][0], certified._roots[key]) for key in keys]
 
@@ -468,6 +474,7 @@ def test_compaction_matches_fraction_reference(compacted):
     reduced = [(full, red) for full, red in compacted if len(full.entries) > full.host.m + 1]
     assert len(reduced) == 19  # 18 corpus roots and GP(8,3)
     for full, red in reduced:
+        full, red = combine._public(full), combine._public(red)
         assert combination(full.host, reference_caratheodory(full), check=False) == red
 
 
@@ -493,7 +500,7 @@ def assert_compacted(full, red):
 
 def test_compaction_keeps_members_occurrences_and_min_size(compacted):
     for full, red in compacted:
-        assert_compacted(full, red)
+        assert_compacted(combine._public(full), combine._public(red))
         if len(full.entries) <= full.host.m + 1:
             assert red is full
 
@@ -507,7 +514,8 @@ def test_compaction_keeps_min_size_on_relabelings(corpus, certifier, data):
     h = relabel(g, perm, order)
     cert = certifier.certify(h)
     key, kperm = canonical_form(h)
-    assert_compacted(combine._map_combination(certifier._cache[key][0], h, kperm), cert.combination)
+    full = combine._map_combination(certifier._cache[key][0], h, kperm)
+    assert_compacted(combine._public(full), cert.combination)
 
 
 # case 1 and relabeling --------------------------------------------------------
@@ -522,7 +530,9 @@ def test_case1_nodes_match_per_pivot_construction(corpus, certified):
         key, _ = canonical_form(g)
         comb, record = certified._cache[key]
         assert record["kind"] == "case1"
-        assert comb == reference_case1_combination(canonical_graph(key), certified)
+        assert combine._public(comb) == reference_case1_combination(
+            canonical_graph(key), certified
+        )
 
 
 @settings(max_examples=15, deadline=None)
@@ -534,23 +544,103 @@ def test_map_combination_matches_rebuild_on_relabelings(corpus, certified, data)
     h = relabel(g, perm, order)
     key, kperm = canonical_form(h)
     for comb in (certified._cache[key][0], certified._roots[key]):
-        assert combine._map_combination(comb, h, kperm) == reference_map_combination(
-            comb, h, kperm
+        mapped = combine._map_combination(comb, h, kperm)
+        assert combine._public(mapped) == reference_map_combination(
+            combine._public(comb), h, kperm
         )
+
+
+# nodes against the (Fraction, edge tuple) plumbing -----------------------------
+
+
+def reference_node(certifier, key):
+    """Node ``key`` of certifier's cache rebuilt from its cached children by
+    the reference plumbing: the base table, glue of the two shores, or the
+    average of the 2m lifted children."""
+    K = canonical_graph(key)
+    record = certifier._cache[key][1]
+
+    def child(g):
+        child_key, perm = canonical_form(g)
+        assert child_key in record["children"]
+        comb = combine._public(certifier._cache[child_key][0])
+        return reference_map_combination(comb, g, perm)
+
+    if record["kind"] == "base":
+        table = reference_combination(K, combine._BASE_CASES[key])
+        return reference_map_combination(table, K, canonical_form(K)[1])
+    if record["kind"] == "case2":
+        cut = find_essential_3cut(K)
+        assert list(cut.shore) == record["shore"]
+        red_in, red_out = (contract_shore(K, cut, side) for side in ("inside", "outside"))
+        return reference_glue(child(red_in.child), child(red_out.child), red_in, red_out)
+    parts = []
+    for uv, pivot in enumerate(record["pivots"]):
+        assert pivot["pivot"] == uv
+        for pair in pivot["removed"]:
+            red = remove_edges_and_smooth(K, *pair)
+            parts.append((Fraction(1, 2 * K.m), reference_lift(child(red.child), red)))
+    return reference_average(parts)
+
+
+def assert_nodes_match_references(certifier):
+    """Every cached node and every root of certifier, converted to
+    (Fraction, edge tuple) entries, equals its reference rebuild entry for
+    entry, in order, and has the reference occurrences."""
+    for key, (node, record) in certifier._cache.items():
+        public = combine._public(node)
+        assert public == reference_node(certifier, key), key
+        assert len(public.entries) == record["entries"]
+        occ = reference_occurrences(node.host.m, public.entries)
+        assert edge_occurrences(node) == occ
+    for key, root in certifier._roots.items():
+        full = combine._public(certifier._cache[key][0])
+        if len(full.entries) > full.host.m + 1:
+            full = reference_combination(full.host, reference_caratheodory(full), check=False)
+        assert combine._public(root) == full, key
+
+
+def test_nodes_match_references_on_corpus(corpus):
+    certifier = Certifier(max_n=16)
+    for g in corpus + [generalized_petersen(8, 3)]:
+        certifier.certify(g)
+    kinds = {record["kind"] for _, record in certifier._cache.values()}
+    assert kinds == {"base", "case1", "case2"}
+    assert_nodes_match_references(certifier)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_nodes_match_references_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    h = relabel(g, perm, order)
+    certifier = Certifier()
+    cert = certifier.certify(h)
+    assert_nodes_match_references(certifier)
+    key, kperm = canonical_form(h)
+    root = combine._public(certifier._roots[key])
+    assert cert.combination == reference_map_combination(root, h, kperm)
 
 
 # lift and glue ----------------------------------------------------------------
 
 
+def public(x):
+    """x as a ConvexCombination if it is a masked one, else x."""
+    return combine._public(x) if isinstance(x, combine._MaskedCombination) else x
+
+
 def certify_recording(monkeypatch, graphs):
     """(reference, args, result) of every lift and glue call while a fresh
-    Certifier certifies graphs."""
+    Certifier certifies graphs, combinations as ConvexCombinations."""
     calls = []
 
     def recording(fn, reference):
         def recorded(*args):
             out = fn(*args)
-            calls.append((reference, args, out))
+            calls.append((reference, tuple(map(public, args)), public(out)))
             return out
 
         return recorded
@@ -593,7 +683,8 @@ def test_lifted_and_glued_members_are_each_checked_once(corpus, monkeypatch):
     honest = connectivity.is_2ec
 
     def counted(g, sub):
-        checked.append((to_graph6(g), tuple(sub)))
+        ids = tuple(_iter_bits(sub)) if isinstance(sub, int) else tuple(sub)
+        checked.append((to_graph6(g), ids))
         return honest(g, sub)
 
     monkeypatch.setattr(connectivity, "is_2ec", counted)

@@ -146,7 +146,9 @@ from cubic2ec.errors import InvariantViolation
 
 assert False, "assert statements must be stripped"
 honest = combine.average
-combine.average = lambda parts: shifted(honest(parts))
+combine.average = lambda parts: combine._masked(
+    shifted(combine._public(honest(parts)))
+)
 if sys.argv[1] == "cli":
     from cubic2ec.cli import main
     sys.exit(main(["certify", "--graph", "petersen"]))
@@ -176,7 +178,7 @@ def test_skewed_case1_average_exits_3_under_optimize():
 
 # Compactions that break their contract, by name: no certificate may be
 # issued.  `foreign` puts in the full edge set, which is not a Petersen
-# member.
+# member.  Members are edge masks, as the certifier holds them.
 BROKEN_COMPACTION = """
 import sys
 from fractions import Fraction
@@ -188,14 +190,14 @@ honest = combine._caratheodory
 
 def foreign(comb):
     (w, _), *rest = honest(comb)
-    return [(w, tuple(range(comb.host.m)))] + rest
+    return [(w, (1 << comb.host.m) - 1)] + rest
 
 def perturbed(comb):
     (w, es), *rest = honest(comb)
     return [(w * Fraction(1000001, 1000000), es)] + rest
 
 def no_smallest(comb):
-    smallest = combine._smallest(comb)
+    smallest = combine._smallest_mask(comb)
     out = [(w, es) for w, es in honest(comb) if es != smallest]
     lost = 1 - sum(w for w, _ in out)
     return [(out[0][0] + lost, out[0][1])] + out[1:]
