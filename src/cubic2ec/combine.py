@@ -17,7 +17,9 @@ graph size:
 ``lift`` and ``glue`` only map edges, through one helper that carries
 members along an edge map as they are, so each node is normalized once
 (by ``average`` or by ``glue``'s merge); each member of a finished node is
-checked spanning 2EC once, however many lifts or glues produced it.
+checked spanning 2EC once, however many lifts or glues produced it, and
+all of a node's members in one lane-parallel pass
+(``connectivity.first_non_2ec``).
 
 All arithmetic is exact; no floats anywhere in the certification path.
 Inside the certifier a combination is one integer denominator and
@@ -163,17 +165,6 @@ def _edges(x: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _natural(x: int, m: int) -> int:
-    """Mask x with edge e at bit e, as ``connectivity.is_2ec`` reads one:
-    the bytes in reverse order, each with its bits reversed."""
-    size = (m + 7) // 8
-    flipped = x.to_bytes(size, "little").translate(_REVERSED_BYTE)
-    return int.from_bytes(flipped, "big") >> (8 * size - m)
-
-
 def _tuple_order(m: int):
     """Sort key on the masks of an m-edge host that orders them as their
     ascending edge tuples.
@@ -296,19 +287,17 @@ def _public_combination(host: Graph, raw_entries) -> ConvexCombination:
 
 
 def _check_members(c, what: str, error=InvariantViolation):
-    """Raise ``error``, prefixed by ``what``, at the first non-2EC member;
-    ``is_2ec`` reads a masked member as a mask."""
+    """Raise ``error``, prefixed by ``what``, at the first member in entry
+    order that is not spanning 2EC; one ``first_non_2ec`` pass checks all."""
     g = c.host
     if type(c) is _MaskedCombination:
-        m = g.m
-        for _, x in c.entries:
-            if not connectivity.is_2ec(g, _natural(x, m)):
-                es = _edges(x, m)
-                raise error(f"{what}{es} is not a spanning 2-edge-connected subgraph")
-        return
-    for _, es in c.entries:
-        if not connectivity.is_2ec(g, es):
-            raise error(f"{what}{es} is not a spanning 2-edge-connected subgraph")
+        masks = [x for _, x in c.entries]
+    else:
+        masks = [_bits(es, g.m) for _, es in c.entries]
+    k = connectivity.first_non_2ec(g, masks)
+    if k is not None:
+        es = _edges(masks[k], g.m)
+        raise error(f"{what}{es} is not a spanning 2-edge-connected subgraph")
 
 
 def _numerators(weights) -> tuple[list[int], int]:
@@ -1186,7 +1175,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
         for _, es in entries
     )
     add("entries_well_formed", valid_ids, "sorted unique edge ids in range")
-    twoec = all(connectivity.is_2ec(g, es) for _, es in entries) if valid_ids else False
+    twoec = (
+        valid_ids
+        and connectivity.first_non_2ec(g, [_bits(es, m) for _, es in entries]) is None
+    )
     add("members_spanning_2ec", twoec, "")
     if valid_ids:
         if readable:
@@ -1231,7 +1223,7 @@ def certificate_to_json(cert: Certificate) -> str:
     doc = {
         "n": cert.graph.n,
         "edges": [[u, v] for u, v in cert.graph.edges],
-        "target": "7/9",
+        "target": _frac_str(cert.target),
         "entries": [
             {"weight": _frac_str(w), "edges": list(es)}
             for w, es in cert.combination.entries

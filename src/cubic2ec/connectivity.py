@@ -13,6 +13,15 @@ The cuts are indexed once per graph: one cached :class:`CutIndex`, read
 only in this module, holds the min cut size, the cuts of size <= 4 and
 the essential 3- and 4-cuts, so every cut query up to size 4 reads it
 instead of walking the shores again.
+
+Spanning 2-edge-connectivity is checked two ways.  ``is_2ec`` decides one
+member, given as edge ids or as a mask with edge e at bit e, from a
+breadth-first tree.  ``first_non_2ec`` decides a whole list of members
+at once, given as masks in the certifier's order (edge e at bit m - 1 - e,
+so the binary digits read left to right are edges 0..m-1).  It rests on
+this: for n >= 2, H is spanning 2EC iff H - e is connected for every edge
+e of G.  One bit lane per (edge e, member k) stands for H_k - e, and
+reachability from vertex 0 spreads through all lanes at once.
 """
 
 from __future__ import annotations
@@ -268,6 +277,62 @@ def is_2ec(g: Graph, sub) -> bool:
                 on_cycle[u] = 1
                 u = parent[u]
     return all(on_cycle[1:])
+
+
+def first_non_2ec(g: Graph, masks) -> int | None:
+    """Index of the first member that is not a spanning 2EC subgraph of g,
+    or None if every one is.
+
+    ``masks`` is a sequence of edge masks in the certifier's order: edge e
+    sits at bit m - 1 - e, so ``f"{x:0{m}b}"`` lists edges 0..m-1 left to
+    right.  A mask with bits outside m bits raises ValueError.  For n >= 2,
+    H is spanning 2EC iff H - e is connected for every edge e of g (an e
+    outside H leaves H itself).  Lane (e, k) of a K * m bit int stands for
+    member k without edge e: ``lane[f]`` has it set iff f is in member k
+    and f != e.  Reachability from vertex 0 spreads as big-int AND/OR over
+    the edges until a sweep over them all changes nothing; member k is
+    2EC iff its m lanes reach every vertex.  Only integers, so the answer
+    is exact.
+    """
+    n, m, count = g.n, g.m, len(masks)
+    if count and (min(masks) < 0 or max(masks) >> m):
+        k = next(k for k, x in enumerate(masks) if x < 0 or x >> m)
+        raise ValueError(f"member {k} mask {masks[k]:#x} has bits outside {m} bits")
+    if not count or n <= 1:
+        return None
+    if m == 0:
+        return 0
+    # transpose: the digits of member k are chars 3..m+2 of its block in s
+    # ("0b1" and then the mask, padded by the bit above it), so s[3 + f :: m + 3]
+    # is edge f's column, member 0 first; each column goes into every block of
+    # its lane but block f, as bytes, so the top 8 * size - count bits of a
+    # block are padding that reaches nothing past vertex 0
+    top = 1 << m
+    s = "".join(map(bin, [x | top for x in masks]))
+    size = (count + 7) >> 3
+    gap = bytes(size)
+    lane = []
+    for f in range(m):
+        column = int(s[3 + f :: m + 3], 2).to_bytes(size, "big")
+        lane.append(int.from_bytes(column * f + gap + column * (m - 1 - f), "big"))
+    reach = [0] * n
+    reach[0] = (1 << (8 * size * m)) - 1
+    while True:
+        before = reach[:]
+        for e, (u, v) in enumerate(g.edges):
+            reach[v] |= reach[u] & lane[e]
+            reach[u] |= reach[v] & lane[e]
+        if reach == before:
+            break
+    every = reach[0]
+    for r in reach[1:]:
+        every &= r
+    blocks = every.to_bytes(size * m, "big")
+    good = (1 << count) - 1
+    for j in range(0, size * m, size):
+        good &= int.from_bytes(blocks[j : j + size], "big")
+    bad = good ^ ((1 << count) - 1)  # member k at bit count - 1 - k
+    return count - bad.bit_length() if bad else None
 
 
 def edge_connectivity(g: Graph) -> int:

@@ -173,6 +173,18 @@ def bridgeless(g, edge_ids) -> bool:
     return True
 
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def natural_mask(x: int, m: int) -> int:
+    """Certifier mask x (edge e at bit m - 1 - e) with edge e at bit e, as
+    ``connectivity.is_2ec`` reads one: the bytes in reverse order, each
+    with its bits reversed."""
+    size = (m + 7) // 8
+    flipped = x.to_bytes(size, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "big") >> (8 * size - m)
+
+
 def reference_is_2ec(g, edge_ids) -> bool:
     return connected_spanning(g, edge_ids) and bridgeless(g, edge_ids)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from support import (
     maxflow_edge_connectivity,
+    natural_mask,
     pattern_weights_at_vertex,
     piecewise_pivot_occurrences,
     reference_is_2ec,
@@ -357,11 +359,11 @@ def test_masked_round_trip_keeps_entries(petersen, certifier):
     ]
     assert combine._public(masked) == comb
     assert [
-        combine.connectivity.is_2ec(petersen, combine._natural(x, petersen.m))
+        combine.connectivity.is_2ec(petersen, natural_mask(x, petersen.m))
         for _, x in masked.entries
     ] == [True] * len(comb.entries)
     for _, x in masked.entries:
-        natural = combine._natural(x, petersen.m)
+        natural = natural_mask(x, petersen.m)
         assert natural == sum(1 << e for e in combine._edges(x, petersen.m))
 
 
@@ -658,6 +660,21 @@ def test_certificate_json_roundtrip(petersen, certifier):
     assert loaded.graph == cert.graph
     assert loaded.combination.entries == cert.combination.entries
     assert verify_certificate(petersen, loaded).ok
+
+
+def test_certificate_json_keeps_a_target_other_than_7_9(petersen, certifier):
+    """A certificate's target survives the JSON round trip, so one that
+    fails verification for its target still fails after it."""
+    cert = dataclasses.replace(certifier.certify(petersen), target=F(1, 2))
+    loaded = certificate_from_json(certificate_to_json(cert))
+    assert loaded.target == F(1, 2)
+
+    def failed(c):
+        checks = verify_certificate(petersen, c).checks
+        return {check.name for check in checks if not check.passed}
+
+    assert failed(cert) == {"target_is_7_9", "occurrences_uniform"}
+    assert failed(loaded) == failed(cert)
 
 
 def test_certify_k33_support_within_bound(k33, certifier):

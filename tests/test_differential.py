@@ -12,9 +12,11 @@ child-space pattern classes they replaced; the smoothing that walks
 each path once from each surviving end against the two-way walk from
 inside the path it replaced; the 2EC check by a breadth-first tree
 and its fundamental cycles against Tarjan's low-link search it replaced
-and a per-edge removal scan; and every certified node and root, held as
-edge masks over integer numerators, against the (Fraction, edge tuple)
-plumbing it replaced, rebuilt from the same children."""
+and a per-edge removal scan; the lane-parallel check of a node's members
+against that check and both references, member by member; and every
+certified node and root, held as edge masks over integer numerators,
+against the (Fraction, edge tuple) plumbing it replaced, rebuilt from the
+same children."""
 
 import itertools
 from fractions import Fraction
@@ -680,14 +682,13 @@ def test_lifted_and_glued_members_are_each_checked_once(corpus, monkeypatch):
     """Every (host, member) that lift and glue return is checked spanning
     2EC, and no pair is checked twice, over one Certifier's whole run."""
     checked = []
-    honest = connectivity.is_2ec
+    honest = connectivity.first_non_2ec
 
-    def counted(g, sub):
-        ids = tuple(_iter_bits(sub)) if isinstance(sub, int) else tuple(sub)
-        checked.append((to_graph6(g), ids))
-        return honest(g, sub)
+    def counted(g, masks):
+        checked.extend((to_graph6(g), combine._edges(x, g.m)) for x in masks)
+        return honest(g, masks)
 
-    monkeypatch.setattr(connectivity, "is_2ec", counted)
+    monkeypatch.setattr(connectivity, "first_non_2ec", counted)
     calls = certify_recording(monkeypatch, corpus + [generalized_petersen(8, 3)])
     returned = {(to_graph6(out.host), es) for *_, out in calls for _, es in out.entries}
     assert returned and returned <= set(checked)
@@ -737,11 +738,16 @@ def test_smoothing_matches_reference_on_relabelings(corpus, data):
 
 
 def recorded_is_2ec_calls(monkeypatch, corpus):
-    """(graph, member, answer) of every is_2ec call while a fresh Certifier
-    certifies the corpus and GP(8,3), and while exact_opt runs on the
-    corpus.  A member is kept as the bitmask or the tuple of ids passed."""
+    """(graph, member, answer) of every is_2ec call, and of every member of
+    every first_non_2ec call, while a fresh Certifier certifies the corpus
+    and GP(8,3), and while exact_opt runs on the corpus.  An is_2ec member
+    is kept as the bitmask or the tuple of ids passed, a first_non_2ec
+    member as the tuple of its ids, with the kernel's own answer: the
+    members before the index it returns pass, the one at it fails, and
+    the kernel is asked again about the rest."""
     calls = []
     honest = connectivity.is_2ec
+    honest_kernel = connectivity.first_non_2ec
 
     def recorded(g, sub):
         sub = sub if isinstance(sub, int) else tuple(sub)
@@ -749,7 +755,19 @@ def recorded_is_2ec_calls(monkeypatch, corpus):
         calls.append((g, sub, answer))
         return answer
 
+    def recorded_kernel(g, masks):
+        first = k = honest_kernel(g, masks)
+        rest = list(masks)
+        while k is not None:
+            calls.extend((g, combine._edges(x, g.m), True) for x in rest[:k])
+            calls.append((g, combine._edges(rest[k], g.m), False))
+            rest = rest[k + 1 :]
+            k = honest_kernel(g, rest)
+        calls.extend((g, combine._edges(x, g.m), True) for x in rest)
+        return first
+
     monkeypatch.setattr(connectivity, "is_2ec", recorded)
+    monkeypatch.setattr(connectivity, "first_non_2ec", recorded_kernel)
     certifier = Certifier(max_n=16)
     for g in corpus + [generalized_petersen(8, 3)]:
         certifier.certify(g)
@@ -836,3 +854,123 @@ def test_is_2ec_matches_references_on_edge_cases(case, want, form):
     if case == "one-vertex":
         g = Graph(1, ())
     assert checked_is_2ec(g, member_forms(ids, ids + ids)[form]) is want
+
+
+# lane-parallel 2EC check ------------------------------------------------------
+
+
+def member_answers(g, masks):
+    """is_2ec's answer on each certifier-order mask, once the Tarjan search
+    and the per-edge removal scan agree with it."""
+    answers = []
+    for x in masks:
+        ids = combine._edges(x, g.m)
+        got = connectivity.is_2ec(g, ids)
+        assert got == reference_tarjan_is_2ec(g, ids) == reference_is_2ec(g, set(ids))
+        answers.append(got)
+    return answers
+
+
+def first_false(answers):
+    return next((k for k, ok in enumerate(answers) if not ok), None)
+
+
+def recorded_member_lists(monkeypatch, graphs):
+    """(graph, masks) of every first_non_2ec call while a fresh Certifier
+    certifies graphs."""
+    lists = []
+    honest = connectivity.first_non_2ec
+
+    def recorded(g, masks):
+        lists.append((g, list(masks)))
+        return honest(g, masks)
+
+    monkeypatch.setattr(connectivity, "first_non_2ec", recorded)
+    certifier = Certifier(max_n=16)
+    for g in graphs:
+        certifier.certify(g)
+    monkeypatch.undo()
+    return lists
+
+
+def assert_kernel_matches_references(lists):
+    """The kernel's answer on each recorded list, and on the same list with
+    its middle member short of its last edge, is the first member is_2ec
+    and both references reject."""
+    for g, masks in lists:
+        answers = member_answers(g, masks)
+        assert connectivity.first_non_2ec(g, masks) == first_false(answers)
+        k = len(masks) // 2
+        thinner = list(masks)
+        thinner[k] &= thinner[k] - 1
+        answers[k] = member_answers(g, [thinner[k]])[0]
+        assert connectivity.first_non_2ec(g, thinner) == first_false(answers)
+
+
+def test_first_non_2ec_matches_references_on_node_lists(corpus, monkeypatch):
+    lists = recorded_member_lists(monkeypatch, corpus + [generalized_petersen(8, 3)])
+    assert sum(len(masks) for _, masks in lists) > 1000
+    assert_kernel_matches_references(lists)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_first_non_2ec_matches_references_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        lists = recorded_member_lists(monkeypatch, [relabel(g, perm, order)])
+    assert lists
+    assert_kernel_matches_references(lists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_non_2ec_matches_references_on_drawn_lists(corpus, data):
+    """Members short of at most two edges, mostly 2EC, with any masks put
+    in at random positions, so the first non-2EC member falls anywhere."""
+    g = data.draw(st.sampled_from([builtin(name) for name in BUILTIN_NAMES] + corpus))
+    full = (1 << g.m) - 1
+    near_full = st.sets(st.integers(0, g.m - 1), max_size=2).map(
+        lambda left_out: full ^ combine._bits(left_out, g.m)
+    )
+    masks = data.draw(st.lists(near_full, max_size=12))
+    for x in data.draw(st.lists(st.integers(0, full), max_size=3)):
+        masks.insert(data.draw(st.integers(0, len(masks))), x)
+    assert connectivity.first_non_2ec(g, masks) == first_false(member_answers(g, masks))
+
+
+def kernel_edge_cases():
+    """Named edge cases as (graph, masks, first non-2EC index)."""
+    g, outer, inner = petersen_cycles()
+    full = (1 << g.m) - 1
+    cycles = combine._bits(outer + inner, g.m)
+    bridged = combine._bits(outer + inner + [g.edge_id(0, 5)], g.m)
+    return {
+        "no-members": (g, [], None),
+        "one-full": (g, [full], None),
+        "one-empty": (g, [0], 0),
+        "one-vertex": (Graph(1, ()), [0, 0], None),
+        "no-vertex": (Graph(0, ()), [0], None),
+        "two-vertices-no-edge": (Graph(2, ()), [0], 0),
+        "empty-among-full": (g, [full, full, 0, full], 2),
+        "two-cycles": (g, [full, cycles, bridged], 1),
+        "bridged-cycles": (g, [full, bridged, cycles], 1),
+        "all-full": (g, [full] * 9, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(kernel_edge_cases()))
+def test_first_non_2ec_matches_references_on_edge_cases(case):
+    g, masks, want = kernel_edge_cases()[case]
+    assert connectivity.first_non_2ec(g, masks) == want
+    if g.n >= 1:  # reference_is_2ec reads vertex 0
+        assert first_false(member_answers(g, masks)) == want
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 15], ids=["negative", "wide"])
+def test_first_non_2ec_rejects_masks_outside_m_bits(mask):
+    g = builtin("petersen")
+    with pytest.raises(ValueError, match="member 1 mask .* has bits outside 15 bits"):
+        connectivity.first_non_2ec(g, [(1 << 15) - 1, mask])

@@ -244,8 +244,8 @@ def test_broken_compaction_exits_3_under_optimize(how):
 
 # A member that is not spanning 2EC on one node's graph: lift and glue only
 # map edges, so the finished node's own member check must name that node.
-# is_2ec rejects every member on the canonical graph of the input, which is
-# the root, and no other node is built on it.
+# first_non_2ec rejects the first member on the canonical graph of the input,
+# which is the root, and no other node is built on it.
 NON_2EC_ROOT = """
 import sys
 from pathlib import Path
@@ -257,8 +257,8 @@ assert False, "assert statements must be stripped"
 path = sys.argv[1]
 key = canonical_form(parse_graph6(Path(path).read_text().strip()))[0]
 root = canonical_graph(key)
-honest = connectivity.is_2ec
-connectivity.is_2ec = lambda g, sub: g != root and honest(g, sub)
+honest = connectivity.first_non_2ec
+connectivity.first_non_2ec = lambda g, masks: 0 if g == root else honest(g, masks)
 print(key)
 if sys.argv[2] == "cli":
     from cubic2ec.cli import main

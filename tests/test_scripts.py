@@ -1,14 +1,16 @@
 """The tooling under ``scripts/``: the cubic-graph enumeration the corpus
-relies on, that the corpus script imports without regenerating, and the
-bounds report over the committed corpus."""
+relies on, that the corpus script imports without regenerating, the
+bounds report over the committed corpus, and the member-check timing
+harness."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 from test_oracle import TWO_K4_MINUS_EDGE
 
-from cubic2ec import edge_connectivity, to_graph6
+from cubic2ec import builtin, connectivity, edge_connectivity, to_graph6
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -74,3 +76,22 @@ def test_reproduce_bounds_counts_a_rejected_graph_as_a_failure(
     assert row.split() == [line, "8", "9", "NO"]  # n, bound, ok
     assert summary.endswith("; 1 invariant failures")
     assert err == f"{line}: graph is not 3-edge-connected\n"
+
+
+def test_bench_member_checks_writes_a_report(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_member_checks")
+    honest = connectivity.first_non_2ec
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(builtin('petersen'))}\n{to_graph6(builtin('k4'))}\n")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(out)]) == 0
+    assert connectivity.first_non_2ec is honest
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    assert report["input"] == "graphs.g6"
+    assert report["graphs"] == 2
+    assert report["node_checks"] >= 2
+    assert report["members"] >= report["largest_node"] > 1
+    assert report["non_2ec_found"] == 0
+    assert report["is_2ec_loop_s"] >= 0 and report["first_non_2ec_s"] >= 0
