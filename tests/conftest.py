@@ -9,8 +9,9 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 CORPUS_PATH = DATA / "cubic_3ec_n4_14.g6"
 
 # Each test fails once it has run this long, so a kernel that loops forever
-# fails its test instead of hanging the suite.  The slowest test takes
-# about 10 s.
+# fails its test instead of hanging the suite.  The slowest tests, the
+# Fraction simplex references on two n = 12 least-support systems, take
+# about 25 s each.
 TEST_TIME_LIMIT_S = 300
 
 

@@ -18,10 +18,14 @@ lift and glue with a set per mapped member, lift rebuilt through
 pseudo-vertex edges in child space; and the case-1 smoothing that walks
 each path outwards from a suppressed vertex in both directions.  Some
 keep a replaced kernel whole: the 2EC check as Tarjan's low-link bridge
-search, and the combination plumbing on (Fraction, edge tuple) entries
+search, the combination plumbing on (Fraction, edge tuple) entries
 (``reference_combination``, ``reference_average`` and
 ``reference_occurrences``) that the certifier's edge masks and integer
-numerators replaced.
+numerators replaced, and the two Fraction simplexes that the integer
+engine of ``exact_lp`` replaced: the dense phase-1 tableau
+(``reference_feasible_basic_solution``, which also rebuilds the base-case
+table) and the revised dual simplex of the cut LP
+(``reference_solve_cut_lp``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import pytest
 from cubic2ec.combine import TARGET, ConvexCombination, pad_to_uniform, reduce_case1
 from cubic2ec.connectivity import Cut
 from cubic2ec.errors import InvariantViolation, StructuralViolation
-from cubic2ec.exact_lp import feasible_basic_solution
 from cubic2ec.graphs import Graph, Reduction
 
 
@@ -580,6 +583,177 @@ def reference_canonical_form(g) -> tuple[str, tuple[int, ...]]:
     return reference_graph6(relabeled), tuple(perm)
 
 
+_REFERENCE_MAX_PIVOTS = 100_000
+
+
+def reference_feasible_basic_solution(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> list[Fraction] | None:
+    """Find x >= 0 with ``rows @ x == rhs`` (rhs >= 0), or None.
+
+    The dense phase-1 Fraction tableau the integer engine replaced:
+    artificial variables and Bland's rule; returns the basic feasible
+    solution reached, deterministic in the column order.
+    """
+    r = len(rows)
+    if r == 0:
+        return []
+    k = len(rows[0])
+    if any(b < 0 for b in rhs):
+        raise ValueError("rhs must be nonnegative")
+    tab = [list(map(Fraction, rows[i])) + [rhs[i]] for i in range(r)]
+    basis = [k + i for i in range(r)]  # artificial ids k..k+r-1
+
+    def artificial_rows():
+        return [i for i in range(r) if basis[i] >= k]
+
+    for _ in range(_REFERENCE_MAX_PIVOTS):
+        arts = artificial_rows()
+        if not arts:
+            break
+        # price original columns against the artificial objective
+        enter = -1
+        for j in range(k):
+            price = sum(tab[i][j] for i in arts)
+            if price > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        # ratio test (Bland tie-break on basis variable index)
+        leave = -1
+        best = None
+        for i in range(r):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            break
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(r):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        basis[leave] = enter
+    else:  # pragma: no cover
+        raise RuntimeError("phase-1 simplex exceeded the pivot limit")
+
+    if any(tab[i][-1] != 0 for i in artificial_rows()):
+        return None
+    x = [Fraction(0)] * k
+    for i in range(r):
+        if basis[i] < k:
+            x[basis[i]] = tab[i][-1]
+    return x
+
+
+def reference_solve_cut_lp(m: int, cut_masks: list[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact optimum of ``min sum x : x(delta(S)) >= 2, 0 <= x <= 1``.
+
+    The revised dual simplex on a Fraction B^-1 that the integer engine
+    replaced.  ``cut_masks[j]`` is the edge bitmask of the j-th cut; every
+    cut is a column of the dual from the start (no separation).  Returns
+    ``(value, x)`` where ``x`` are the simplex multipliers of the optimal
+    dual basis, i.e. the exact primal solution.
+    """
+    if m <= 0:
+        raise ValueError("need at least one edge")
+    K = len(cut_masks)
+    # dual variables: y_j (j < K, cost 2), w_e (K..K+m-1, cost -1),
+    # slack t_e (K+m.., cost 0); rows are edges, rhs 1.
+    basis = list(range(K + m, K + m + m))
+    binv = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    xb = [Fraction(1)] * m
+
+    def cost(var: int) -> Fraction:
+        if var < K:
+            return Fraction(2)
+        if var < K + m:
+            return Fraction(-1)
+        return Fraction(0)
+
+    def column(var: int) -> list[tuple[int, int]]:
+        if var < K:
+            out = []
+            mask = cut_masks[var]
+            while mask:
+                low = mask & -mask
+                out.append((low.bit_length() - 1, 1))
+                mask ^= low
+            return out
+        if var < K + m:
+            return [(var - K, -1)]
+        return [(var - K - m, 1)]
+
+    pi = [Fraction(0)] * m
+    for _ in range(_REFERENCE_MAX_PIVOTS):
+        cb = [cost(b) for b in basis]
+        pi = [
+            sum(cb[r] * binv[r][col] for r in range(m) if cb[r] != 0)
+            for col in range(m)
+        ]
+        den = math.lcm(*(f.denominator for f in pi)) if m else 1
+        p = [int(f * den) for f in pi]
+        two_den = 2 * den
+        # Bland: scan y columns, then w, then t, for positive reduced cost
+        enter = -1
+        for j, mask in enumerate(cut_masks):
+            s = 0
+            mm = mask
+            while mm:
+                low = mm & -mm
+                s += p[low.bit_length() - 1]
+                mm ^= low
+            if s < two_den:  # rc = 2 - pi . a_j > 0
+                enter = j
+                break
+        if enter < 0:
+            for e in range(m):
+                if p[e] > den:  # rc(w_e) = -1 + pi_e > 0
+                    enter = K + e
+                    break
+        if enter < 0:
+            for e in range(m):
+                if p[e] < 0:  # rc(t_e) = -pi_e > 0
+                    enter = K + m + e
+                    break
+        if enter < 0:
+            value = sum(cb[r] * xb[r] for r in range(m))
+            return value, tuple(pi)
+        d = [Fraction(0)] * m
+        for row, coeff in column(enter):
+            for i in range(m):
+                if binv[i][row] != 0:
+                    d[i] += coeff * binv[i][row]
+        leave = -1
+        best = None
+        for i in range(m):
+            if d[i] > 0:
+                ratio = xb[i] / d[i]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise RuntimeError(
+                "cut LP dual is unbounded (primal infeasible: not 2-edge-connected?)"
+            )
+        piv = d[leave]
+        binv[leave] = [x / piv for x in binv[leave]]
+        xb[leave] /= piv
+        for i in range(m):
+            if i != leave and d[i] != 0:
+                f = d[i]
+                binv[i] = [x - f * y for x, y in zip(binv[i], binv[leave])]
+                xb[i] -= f * xb[leave]
+        basis[leave] = enter
+    raise RuntimeError("cut LP simplex exceeded the pivot limit")  # pragma: no cover
+
+
 def reference_two_ec_spanning_subgraphs(g) -> list[tuple[int, ...]]:
     """All spanning 2EC edge subsets, ascending by edge bitmask (2^m scan)."""
     out = []
@@ -592,18 +766,53 @@ def reference_two_ec_spanning_subgraphs(g) -> list[tuple[int, ...]]:
     return out
 
 
+def two_ec_system(g, target: Fraction):
+    """(subgraphs, rows, rhs): every 2EC spanning subgraph of g as a
+    column, in bitmask order, with a row per edge at rhs ``target`` and a
+    last row of ones at rhs 1."""
+    subgraphs = reference_two_ec_spanning_subgraphs(g)
+    rows = [[Fraction(int(e in sub)) for sub in subgraphs] for e in range(g.m)]
+    rows.append([Fraction(1)] * len(subgraphs))
+    return subgraphs, rows, [target] * g.m + [Fraction(1)]
+
+
 def reference_base_case(g) -> tuple[tuple[Fraction, tuple[int, ...]], ...] | None:
     """Uniform-7/9 (weight, edge ids) entries for a small graph: the first
     basic solution of the phase-1 simplex over all 2EC spanning subgraphs
     (in bitmask order), ascending by edge tuple; None if infeasible."""
-    subgraphs = reference_two_ec_spanning_subgraphs(g)
-    rows = [[Fraction(int(e in sub)) for sub in subgraphs] for e in range(g.m)]
-    rows.append([Fraction(1)] * len(subgraphs))
-    lam = feasible_basic_solution(rows, [Fraction(7, 9)] * g.m + [Fraction(1)])
+    subgraphs, rows, rhs = two_ec_system(g, Fraction(7, 9))
+    lam = reference_feasible_basic_solution(rows, rhs)
     if lam is None:
         return None
     return tuple(sorted(((w, sub) for w, sub in zip(lam, subgraphs) if w > 0),
                         key=lambda t: t[1]))
+
+
+def valid_matching_system(g) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The least-support system of g: one column per valid matching M,
+    ascending by edge bitmask, where M is valid iff G - M is spanning 2EC;
+    a row per edge e reading [e in M] at rhs 2/9, and a last row of ones
+    at rhs 1.  A solution is a uniform-7/9 combination: a distribution on
+    spanning 2EC subgraphs that omits each edge with probability 2/9."""
+    matchings = []
+
+    def grow(e, mask, used):
+        if e == g.m:
+            matchings.append(mask)
+            return
+        grow(e + 1, mask, used)
+        u, v = g.edges[e]
+        if not (used >> u) & 1 and not (used >> v) & 1:
+            grow(e + 1, mask | 1 << e, used | 1 << u | 1 << v)
+
+    grow(0, 0, 0)
+    valid = sorted(
+        x for x in matchings
+        if reference_is_2ec(g, [e for e in range(g.m) if not (x >> e) & 1])
+    )
+    rows = [[Fraction((x >> e) & 1) for x in valid] for e in range(g.m)]
+    rows.append([Fraction(1)] * len(valid))
+    return rows, [Fraction(2, 9)] * g.m + [Fraction(1)]
 
 
 def reference_small_cubic_graphs(n: int) -> list:

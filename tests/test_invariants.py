@@ -302,3 +302,57 @@ def test_non_2ec_member_exits_3_under_optimize(kind, tmp_path, corpus):
     key = proc.stdout.strip()
     assert "internal invariant violation" in proc.stderr
     assert f"node {key}: member (" in proc.stderr
+
+
+# A simplex answer corrupted between the engine and its check: the moved
+# basic point no longer solves its system, an infeasibility answer loses
+# its Farkas certificate, and the cut LP's prices stop proving optimality.
+CORRUPTED_LP = """
+import sys
+from cubic2ec import exact_lp
+from cubic2ec.errors import InvariantViolation
+
+assert False, "assert statements must be stripped"
+honest = exact_lp._simplex
+
+def moved_point(basis, xd, d, p):
+    return basis, [xd[0] + 1] + xd[1:], d, p
+
+def zeroed_prices(basis, xd, d, p):
+    return basis, xd, d, [0] * len(p)
+
+def shifted_price(basis, xd, d, p):
+    return basis, xd, d, [p[0] - 1] + p[1:]
+
+corrupt = {
+    "moved_point": moved_point,
+    "zeroed_prices": zeroed_prices,
+    "shifted_price": shifted_price,
+}[sys.argv[1]]
+exact_lp._simplex = lambda *args: corrupt(*honest(*args))
+calls = {
+    "feasible": lambda: exact_lp.feasible_basic_solution([[1, 1], [1, -1]], [2, 0]),
+    "infeasible": lambda: exact_lp.feasible_basic_solution([[1, 1], [1, 1]], [1, 2]),
+    "cut_lp": lambda: exact_lp.solve_cut_lp(3, [0b011, 0b101, 0b110]),
+}
+try:
+    calls[sys.argv[2]]()
+except InvariantViolation as exc:
+    print(f"optimize={sys.flags.optimize} {exc}")
+    sys.exit(0)
+sys.exit("a corrupted simplex answer went unnoticed")
+"""
+
+
+@pytest.mark.parametrize(
+    "how, call, message",
+    [
+        ("moved_point", "feasible", "the simplex's basic point does not solve"),
+        ("zeroed_prices", "infeasible", "the simplex objective differs"),
+        ("shifted_price", "cut_lp", "a column still prices out"),
+    ],
+)
+def test_corrupted_simplex_answer_raises_under_optimize(how, call, message):
+    proc = run_optimized("-c", CORRUPTED_LP, how, call)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"optimize=1 {message}")

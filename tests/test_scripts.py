@@ -1,7 +1,7 @@
 """The tooling under ``scripts/``: the cubic-graph enumeration the corpus
 relies on, that the corpus script imports without regenerating, the
-bounds report over the committed corpus, and the member-check timing
-harness."""
+bounds report over the committed corpus, the member-check timing
+harness, and the LP engine timing harness."""
 
 import importlib.util
 import json
@@ -95,3 +95,24 @@ def test_bench_member_checks_writes_a_report(monkeypatch, capsys, tmp_path):
     assert report["members"] >= report["largest_node"] > 1
     assert report["non_2ec_found"] == 0
     assert report["is_2ec_loop_s"] >= 0 and report["first_non_2ec_s"] >= 0
+
+
+def test_bench_lp_engine_writes_a_report(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_lp_engine")
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(builtin('k4'))}\n{to_graph6(builtin('petersen'))}\n")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    assert report["input"] == "graphs.g6"
+    assert report["reference_max_n"] == 10
+    assert [(r["n"], r["columns"]) for r in report["phase1"]] == [(4, 10), (10, 296)]
+    assert [r["graph"] for r in report["cut_lp"]] == [
+        "C5", "K5", "K6", "two_K4_minus_edge"
+    ]
+    assert report["phase1_totals"]["systems_both_ran"] == 2
+    assert report["cut_lp_totals"]["systems_both_ran"] == 4
+    for row in report["phase1"] + report["cut_lp"]:
+        assert row["engine_s"] >= 0 and row["reference_s"] >= 0
