@@ -7,10 +7,16 @@ one integer holding the upper-triangle adjacency bits in graph6 order, built
 with one shift per edge.  Children of the root that lie in the orbit of an
 explored child under automorphisms found so far are skipped.  Adequate for
 the n <= 20 graphs this package handles.
+
+Two entry points share one search.  :func:`canonical_form` walks the whole
+tree.  :func:`canonical_lookup` is given the encodings of keys already
+known for ``g.n`` and stops at the first leaf whose encoding is one of
+them, which is the leaf the whole search returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container
 from functools import lru_cache
 
 from .graphs import Graph, parse_graph6, to_graph6
@@ -63,20 +69,33 @@ def _first_split(cells) -> int | None:
     return None
 
 
-@lru_cache(maxsize=4096)
-def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
-    """Return ``(key, perm)``: a canonical graph6 string and the relabeling.
+def _encoding(edges, at, top: int) -> int:
+    """Edge {u, v} at positions p < q sets bit ``top - (q(q-1)/2 + p)``."""
+    enc = 0
+    for u, v in edges:
+        p, q = at[u], at[v]
+        if p > q:
+            p, q = q, p
+        enc |= 1 << (top - (q * (q - 1) // 2 + p))
+    return enc
 
-    ``perm[v]`` is the canonical index of vertex ``v``.  Isomorphic graphs
-    produce identical keys, and applying ``perm`` to ``g`` reproduces
-    ``parse_graph6(key)`` exactly.
 
-    The key is the least leaf encoding of the individualization-refinement
-    tree.  Edge {u, v} at leaf positions p < q sets bit
-    ``n(n-1)/2 - 1 - (q(q-1)/2 + p)`` of the encoding, the graph6 bit order,
-    so comparing the integers compares the graph6 adjacency strings.
-    ``perm`` is the first least leaf in search order (ties never replace the
-    best), which root-orbit pruning preserves.
+def encoding(g: Graph) -> int:
+    """The leaf encoding of g under its own labeling.  For the graph of a
+    canonical key this is the least leaf encoding of the key's class."""
+    return _encoding(g.edges, range(g.n), g.n * (g.n - 1) // 2 - 1)
+
+
+def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int, int]:
+    """``(order, enc, leaves)``: the first least leaf of g's tree in search
+    order, its encoding, and the number of leaves visited.
+
+    The search stops at the first leaf whose encoding is in ``known``.  When
+    ``known`` holds only keys' encodings, the least of their classes, that
+    leaf is the one the whole search returns: its encoding shows that g lies
+    in that class, so no leaf of g encodes lower, and ties never replace the
+    best.  Up to that leaf both searches visit the same leaves and record
+    the same automorphisms, so they prune alike.
     """
     n = g.n
     if n < 1:
@@ -86,6 +105,7 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
     top = n * (n - 1) // 2 - 1
     best_enc = -1
     best_order: tuple[int, ...] = ()
+    leaves = 0
     orbit = list(range(n))  # union-find over the automorphisms found
 
     def find(v: int) -> int:
@@ -94,18 +114,15 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
             v = orbit[v]
         return v
 
-    def leaf(cells):
-        nonlocal best_enc, best_order
+    def leaf(cells) -> bool:
+        """Visit a leaf; True when its encoding is known."""
+        nonlocal best_enc, best_order, leaves
+        leaves += 1
         order = tuple(cell[0] for cell in cells)
         at = [0] * n
         for position, old in enumerate(order):
             at[old] = position
-        enc = 0
-        for u, v in edges:
-            p, q = at[u], at[v]
-            if p > q:
-                p, q = q, p
-            enc |= 1 << (top - (q * (q - 1) // 2 + p))
+        enc = _encoding(edges, at, top)
         if best_enc < 0 or enc < best_enc:
             best_enc, best_order = enc, order
         elif enc == best_enc:
@@ -114,15 +131,17 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     orbit[max(ra, rb)] = min(ra, rb)
+        return enc in known
 
-    def search(cells):
+    def search(cells) -> bool:
         cells = _refine(cells, nbrs)
         target = _first_split(cells)
         if target is None:
-            leaf(cells)
-            return
+            return leaf(cells)
         for v in cells[target]:
-            search(_individualize(cells, target, v))
+            if search(_individualize(cells, target, v)):
+                return True
+        return False
 
     root = _refine((tuple(range(n)),), nbrs)
     target = _first_split(root)
@@ -143,12 +162,48 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
             if any(find(v) == find(u) for u in explored):
                 continue
             explored.add(v)
-            search(_individualize(root, target, v))
-    perm = [0] * n
-    for position, old in enumerate(best_order):
+            if search(_individualize(root, target, v)):
+                break
+    return best_order, best_enc, leaves
+
+
+def _labeling(g: Graph, order: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """``(key, perm)`` of the leaf ``order``."""
+    perm = [0] * g.n
+    for position, old in enumerate(order):
         perm[old] = position
-    canon = Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
+    canon = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
     return to_graph6(canon), tuple(perm)
+
+
+@lru_cache(maxsize=4096)
+def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
+    """Return ``(key, perm)``: a canonical graph6 string and the relabeling.
+
+    ``perm[v]`` is the canonical index of vertex ``v``.  Isomorphic graphs
+    produce identical keys, and applying ``perm`` to ``g`` reproduces
+    ``parse_graph6(key)`` exactly.
+
+    The key is the least leaf encoding of the individualization-refinement
+    tree.  Edge {u, v} at leaf positions p < q sets bit
+    ``n(n-1)/2 - 1 - (q(q-1)/2 + p)`` of the encoding, the graph6 bit order,
+    so comparing the integers compares the graph6 adjacency strings.
+    ``perm`` is the first least leaf in search order (ties never replace the
+    best), which root-orbit pruning preserves.
+    """
+    return _labeling(g, _search(g)[0])
+
+
+def canonical_lookup(g: Graph, known: Container[int]) -> tuple[str, tuple[int, ...]]:
+    """``canonical_form(g)``, found sooner when g's class is known.
+
+    ``known`` holds the :func:`encoding` of the graph of each known key with
+    ``g.n`` vertices.  The search stops at the first leaf whose encoding is
+    one of them, and that leaf's key and perm equal what
+    :func:`canonical_form` returns; with no known class it is the whole
+    search.  Uncached, so that each caller keeps its own index.
+    """
+    return _labeling(g, _search(g, known)[0])
 
 
 def canonical_graph(key: str) -> Graph:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connectivity
-from .canon import canonical_form, canonical_graph
+from .canon import canonical_form, canonical_graph, canonical_lookup, encoding
 from .errors import InvariantViolation
 from .graphs import Graph, Reduction, contract_shore, remove_edges_and_smooth
 
@@ -888,7 +888,10 @@ class Certifier:
     canonical permutation, so output depends only on the input graph.
     λ is checked on canonical graphs only, so each graph is indexed once.
     A key certified as a root also gets its compacted combination, kept
-    apart from the cache that parents are built from.
+    apart from the cache that parents are built from.  Every cached key is
+    indexed by n and by the encoding of its graph, so the canonical search
+    for a graph of a class already held stops at that class's leaf; a
+    fresh Certifier holds none, and output never depends on what it held.
     """
 
     def __init__(self, max_n: int = DEFAULT_MAX_N):
@@ -897,6 +900,8 @@ class Certifier:
         self.max_n = max_n
         self._cache: dict[str, tuple[_MaskedCombination, dict]] = {}
         self._roots: dict[str, _MaskedCombination] = {}
+        # n -> encodings of the graphs of the keys in _cache with n vertices
+        self._known: dict[int, set[int]] = {}
 
     # -- public ops --------------------------------------------------------
 
@@ -908,12 +913,12 @@ class Certifier:
         anyway; a cached key has passed ``_build``'s own check.  The trace
         describes the construction before compaction."""
         self._validate_input(g)
-        key, perm = canonical_form(g)
+        key, perm = self._canonical_form(g)
         if key not in self._cache:
             K = canonical_graph(key)
             if connectivity.edge_connectivity(K) < 3:
                 raise ValueError("input graph must be 3-edge-connected")
-            self._cache.setdefault(key, self._build(K, key))
+            self._insert(K, key)
         if key not in self._roots:
             self._roots[key] = _compact(self._cache[key][0])
         comb = _map_combination(self._roots[key], g, perm)
@@ -947,10 +952,20 @@ class Certifier:
                 f"n={g.n} exceeds the configured maximum {self.max_n}"
             )
 
+    def _canonical_form(self, g: Graph) -> tuple[str, tuple[int, ...]]:
+        """``canonical_form(g)``; the search stops at the first leaf that
+        encodes a key with g.n vertices that this Certifier holds."""
+        return canonical_lookup(g, self._known.get(g.n, ()))
+
+    def _insert(self, K: Graph, key: str):
+        """Build the node of canonical graph K and index its key."""
+        self._cache[key] = self._build(K, key)
+        self._known.setdefault(K.n, set()).add(encoding(K))
+
     def _combination_with_key(self, g: Graph) -> tuple[_MaskedCombination, str]:
-        key, perm = canonical_form(g)
+        key, perm = self._canonical_form(g)
         if key not in self._cache:
-            self._cache.setdefault(key, self._build(canonical_graph(key), key))
+            self._insert(canonical_graph(key), key)
         return _map_combination(self._cache[key][0], g, perm), key
 
     def _build(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:

@@ -7,6 +7,7 @@ from cubic2ec import Certifier, builtin, parse_graph6
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CORPUS_PATH = DATA / "cubic_3ec_n4_14.g6"
+SEED0_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs_seed0"
 
 # Each test fails once it has run this long, so a kernel that loops forever
 # fails its test instead of hanging the suite.  The slowest tests, the
@@ -53,6 +54,12 @@ def corpus_lines():
 @pytest.fixture(scope="session")
 def corpus(corpus_lines):
     return [parse_graph6(ln) for ln in corpus_lines]
+
+
+@pytest.fixture(scope="session")
+def cold_e4_n16():
+    """The benchmark's seed-0 essentially 4-edge-connected n = 16 input."""
+    return parse_graph6((SEED0_INPUTS / "cold_e4_n16.g6").read_text().strip())
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from support import (
     reference_small_cubic_graphs,
     reference_two_ec_spanning_subgraphs,
 )
+from test_differential import generalized_petersen
 from test_oracle import TWO_K4_MINUS_EDGE
 
 from cubic2ec import (
@@ -45,6 +46,7 @@ from cubic2ec import (
 )
 from cubic2ec import (
     InvariantViolation,
+    canon,
     canonical_form,
     combine,
     connectivity,
@@ -227,6 +229,51 @@ def test_certify_indexes_canonical_graphs_only(petersen, prism, monkeypatch):
         Certifier().certify(g)
     assert seen
     assert all(to_graph6(h) == canonical_form(h)[0] for h in seen)
+
+
+def test_certificates_do_not_depend_on_what_the_certifier_has_seen(corpus, cold_e4_n16):
+    seasoned = Certifier(max_n=16)
+    for g in corpus:
+        seasoned.certify(g)
+    for g in (cold_e4_n16, generalized_petersen(8, 3)):
+        fresh = certificate_to_json(Certifier(max_n=16).certify(g))
+        assert certificate_to_json(seasoned.certify(g)) == fresh
+
+
+def test_a_fresh_certifier_searches_in_full_for_its_first_graph_of_each_class(
+    corpus, monkeypatch
+):
+    seasoned = Certifier(max_n=16)
+    for g in corpus:
+        seasoned.certify(g)
+    stops = []  # per search: whether it stopped at a leaf of a known class
+    search = canon._search
+
+    def spy_search(g, known=()):
+        out = search(g, known)
+        stops.append(out[1] in known)
+        return out
+
+    lookups = []  # (key, stops) per lookup
+    lookup = Certifier._canonical_form
+
+    def spy_lookup(self, g):
+        stops.clear()
+        key, perm = lookup(self, g)
+        lookups.append((key, list(stops)))
+        return key, perm
+
+    monkeypatch.setattr(canon, "_search", spy_search)
+    monkeypatch.setattr(Certifier, "_canonical_form", spy_lookup)
+    fresh = Certifier(max_n=16)
+    for g in [generalized_petersen(8, 3)] + corpus:
+        fresh.certify(g)
+    first = {}
+    for key, found in lookups:
+        assert found == ([True] if key in first else [False])
+        first.setdefault(key, found)
+    assert set(first) == set(fresh._cache) >= set(seasoned._cache)
+    assert len(lookups) > len(first)
 
 
 # lift -----------------------------------------------------------------------

@@ -16,7 +16,8 @@ and a per-edge removal scan; the lane-parallel check of a node's members
 against that check and both references, member by member; and every
 certified node and root, held as edge masks over integer numerators,
 against the (Fraction, edge tuple) plumbing it replaced, rebuilt from the
-same children."""
+same children; and the canonical search that stops at a leaf of a known
+class against the whole search and the full tree."""
 
 import itertools
 from fractions import Fraction
@@ -72,8 +73,8 @@ from cubic2ec import (
     to_graph6,
     verify_lemma3,
 )
-from cubic2ec import combine, connectivity, oracle
-from cubic2ec.canon import canonical_graph
+from cubic2ec import canon, combine, connectivity, oracle
+from cubic2ec.canon import canonical_graph, canonical_lookup, encoding
 from cubic2ec.connectivity import _cut_summary, _iter_bits, _walk_cuts, is_essential_cut
 from cubic2ec.exact_lp import solve_cut_lp
 from cubic2ec.graphs import BUILTIN_NAMES
@@ -358,22 +359,43 @@ def test_closed_form_lp_matches_simplex(corpus, monkeypatch):
 # canonical form ---------------------------------------------------------------
 
 
-def test_canonical_form_matches_full_search_on_certified_graphs(corpus, monkeypatch):
-    seen = []  # every graph canonical_form receives while certifying the corpus
+def certifier_lookups(monkeypatch, certifier, graphs) -> list:
+    """(graph, (key, perm)) of every canonical-form lookup ``certifier``
+    makes while it certifies ``graphs``."""
+    seen = []
+    honest = Certifier._canonical_form
 
-    def record(g):
-        seen.append(g)
-        return canonical_form(g)
+    def record(self, g):
+        out = honest(self, g)
+        seen.append((g, out))
+        return out
 
-    monkeypatch.setattr(combine, "canonical_form", record)
-    certifier = Certifier()
-    for g in corpus:
+    monkeypatch.setattr(Certifier, "_canonical_form", record)
+    for g in graphs:
         certifier.certify(g)
     monkeypatch.undo()
-    graphs = list(dict.fromkeys(corpus + seen))
-    assert len(graphs) > len(corpus)
-    for g in graphs:
+    return seen
+
+
+def assert_lookups_match_full_search(seen):
+    assert all(found == canonical_form(g) for g, found in seen)
+    for g in dict.fromkeys(g for g, _ in seen):
         assert canonical_form(g) == reference_canonical_form(g)
+
+
+def test_canonical_form_matches_full_search_on_certified_graphs(corpus, monkeypatch):
+    seen = certifier_lookups(monkeypatch, Certifier(), corpus)
+    graphs = list(dict.fromkeys(corpus + [g for g, _ in seen]))
+    assert len(graphs) > len(corpus)
+    assert len({key for _, (key, _) in seen}) < len(seen)
+    assert_lookups_match_full_search(seen)
+
+
+def test_certifier_lookups_match_full_search_at_n16(cold_e4_n16, monkeypatch):
+    for g in (generalized_petersen(8, 3), cold_e4_n16):
+        seen = certifier_lookups(monkeypatch, Certifier(max_n=16), [g])
+        assert len({key for _, (key, _) in seen}) < len(seen)
+        assert_lookups_match_full_search(seen)
 
 
 @settings(max_examples=40, deadline=None)
@@ -434,6 +456,61 @@ def test_canonical_form_matches_full_search_on_symmetric_graphs(name):
     rotate = tuple((i + 1) % g.n for i in range(g.n))
     h = relabel(g, rotate, range(g.m)[::-1])
     assert canonical_form(h) == reference_canonical_form(h)
+
+
+def two_switches(g):
+    """Graphs one 2-switch away from g: edges ab and cd become ac and bd."""
+    for (a, b), (c, d) in itertools.combinations(g.edges, 2):
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            kept = tuple(e for e in g.edges if e not in ((a, b), (c, d)))
+            yield Graph(g.n, kept + ((a, c), (b, d)))
+
+
+def assert_lookup_matches_canonical_form(g, others, data):
+    """canonical_lookup on a relabeling of g, given a drawn subset of the
+    keys ``others`` (classes other than g's) with or without g's own key,
+    returns canonical_form's key and perm, and stops early exactly when
+    g's key is among those given."""
+    h = relabel(
+        g, data.draw(st.permutations(range(g.n))), data.draw(st.permutations(range(g.m)))
+    )
+    keys = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    own = data.draw(st.booleans())
+    if own:
+        keys.append(canonical_form(g)[0])
+    known = {encoding(canonical_graph(key)) for key in keys}
+    assert canonical_lookup(h, known) == canonical_form(h)
+    assert (canon._search(h, known)[1] in known) == own
+
+
+@pytest.fixture(scope="module")
+def corpus_keys(corpus):
+    return [canonical_form(g)[0] for g in corpus]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_lookup_matches_canonical_form_on_relabelings(corpus, corpus_keys, data):
+    g = data.draw(st.sampled_from(corpus))
+    own = canonical_form(g)[0]
+    others = [key for h, key in zip(corpus, corpus_keys) if h.n == g.n and key != own]
+    assert_lookup_matches_canonical_form(g, others, data)
+
+
+TIED = {name: g for name, g in SYMMETRIC.items() if g.n and g.is_cubic}
+TIED["petersen"] = builtin("petersen")
+
+
+@pytest.mark.parametrize("name", sorted(TIED))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_canonical_lookup_matches_canonical_form_on_symmetric_graphs(name, data):
+    g = TIED[name]
+    own = canonical_form(g)[0]
+    others = sorted(
+        {canonical_form(h)[0] for h in itertools.islice(two_switches(g), 8)} - {own}
+    )
+    assert_lookup_matches_canonical_form(g, others, data)
 
 
 # base-case table --------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from test_oracle import TWO_K4_MINUS_EDGE
 
-from cubic2ec import builtin, connectivity, edge_connectivity, to_graph6
+from cubic2ec import Certifier, builtin, connectivity, edge_connectivity, to_graph6
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -95,6 +95,26 @@ def test_bench_member_checks_writes_a_report(monkeypatch, capsys, tmp_path):
     assert report["members"] >= report["largest_node"] > 1
     assert report["non_2ec_found"] == 0
     assert report["is_2ec_loop_s"] >= 0 and report["first_non_2ec_s"] >= 0
+
+
+def test_bench_canon_writes_a_report(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_canon")
+    honest = Certifier._canonical_form
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(builtin('k4'))}\n{to_graph6(builtin('petersen'))}\n")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(out)]) == 0
+    assert Certifier._canonical_form is honest
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    [row] = report["inputs"]
+    assert row["input"] == "graphs.g6"
+    assert row["graphs"] == 2
+    assert row["lookups"] > row["classes"] >= 2
+    assert 0 < row["hits"] == row["lookups"] - row["classes"]
+    assert row["full_leaves"] > row["lookup_leaves"] >= row["lookups"]
+    assert row["full_s"] >= 0 and row["lookup_s"] >= 0
 
 
 def test_bench_lp_engine_writes_a_report(monkeypatch, capsys, tmp_path):
