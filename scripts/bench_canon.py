@@ -28,7 +28,6 @@ import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +36,7 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 from cubic2ec import Certifier, Graph, canon, parse_graph6
 from make_corpus import generalized_petersen
+from timing import best_time
 
 MAX_N = 18
 OUT = ROOT / "BENCH_canon.json"
@@ -86,20 +86,10 @@ def known_searches(lookups) -> list:
     return [canon.canonical_lookup(g, known) for g, known in lookups]
 
 
-def best_time(fn, arg, repeat: int):
-    best, answer = None, None
-    for _ in range(repeat):
-        t0 = time.process_time()
-        answer = fn(arg)
-        spent = time.process_time() - t0
-        best = spent if best is None else min(best, spent)
-    return best, answer
-
-
 def measure(name: str, graphs, repeat: int) -> dict:
     lookups = record_lookups(graphs)
-    full_s, full = best_time(full_searches, lookups, repeat)
-    known_s, found = best_time(known_searches, lookups, repeat)
+    full_s, full = best_time(full_searches, lookups, repeat=repeat)
+    known_s, found = best_time(known_searches, lookups, repeat=repeat)
     if full != found:
         raise AssertionError(f"{name}: a lookup differs from the full search")
     hits = full_leaves = lookup_leaves = 0

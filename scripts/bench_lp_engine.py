@@ -32,11 +32,10 @@ import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts"), str(ROOT / "tests")]
 
 from support import (
     reference_feasible_basic_solution,
@@ -44,6 +43,7 @@ from support import (
     valid_matching_system,
 )
 from test_oracle import C5, TWO_K4_MINUS_EDGE, complete
+from timing import best_time
 
 from cubic2ec import parse_graph6
 from cubic2ec.connectivity import _walk_cuts
@@ -61,23 +61,14 @@ CUT_LP_GRAPHS = {
 }
 
 
-def best_time(solve, args, repeat: int):
-    best, answer = None, None
-    for _ in range(repeat):
-        t0 = time.process_time()
-        answer = solve(*args)
-        spent = time.process_time() - t0
-        best = spent if best is None else min(best, spent)
-    return round(best, 6), answer
-
-
 def compare(row, n, engine, reference, args, repeat):
     """Fill row with the engine's time and, up to REFERENCE_MAX_N, the
     reference's; the two answers must be equal."""
-    row["engine_s"], answer = best_time(engine, args, repeat)
-    row["reference_s"] = None
+    engine_s, answer = best_time(engine, *args, repeat=repeat)
+    row["engine_s"], row["reference_s"] = round(engine_s, 6), None
     if n <= REFERENCE_MAX_N:
-        row["reference_s"], expected = best_time(reference, args, repeat)
+        reference_s, expected = best_time(reference, *args, repeat=repeat)
+        row["reference_s"] = round(reference_s, 6)
         if answer != expected:
             raise AssertionError(f"engine and reference differ on {row}")
     return row

@@ -24,11 +24,12 @@ import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
+
+from timing import best_time
 
 from cubic2ec import Certifier, connectivity, parse_graph6
 
@@ -68,16 +69,6 @@ def one_pass(lists) -> list:
     return [connectivity.first_non_2ec(g, masks) for g, masks in lists]
 
 
-def best_time(fn, arg, repeat: int):
-    best, answer = None, None
-    for _ in range(repeat):
-        t0 = time.process_time()
-        answer = fn(arg)
-        spent = time.process_time() - t0
-        best = spent if best is None else min(best, spent)
-    return best, answer
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--input", type=Path, default=INPUT)
@@ -91,8 +82,8 @@ def main(argv=None) -> int:
     naturals = [
         (g, [int(f"{x:0{g.m}b}"[::-1], 2) for x in masks]) for g, masks in lists
     ]
-    loop_s, loop_answers = best_time(per_member, naturals, args.repeat)
-    pass_s, pass_answers = best_time(one_pass, lists, args.repeat)
+    loop_s, loop_answers = best_time(per_member, naturals, repeat=args.repeat)
+    pass_s, pass_answers = best_time(one_pass, lists, repeat=args.repeat)
     if loop_answers != pass_answers:
         raise AssertionError(f"is_2ec {loop_answers} != first_non_2ec {pass_answers}")
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from cubic2ec.canon import canonical_form, canonical_graph
-from cubic2ec.graphs import Graph
+from cubic2ec.canon import canonical_form
+from cubic2ec.graphs import Graph, parse_graph6
 
 
 def _connected(n: int, adj: list[set[int]]) -> bool:
@@ -73,4 +73,4 @@ def connected_cubic_graphs(n: int) -> list[Graph]:
     for u in (1, 2, 3):
         add(0, u)
     rec()
-    return [canonical_graph(key) for key in sorted(found)]
+    return [parse_graph6(key) for key in sorted(found)]

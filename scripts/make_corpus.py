@@ -21,9 +21,9 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
-from cubic2ec.canon import canonical_form, canonical_graph
+from cubic2ec.canon import canonical_form
 from cubic2ec.connectivity import edge_connectivity, is_essentially_4ec
-from cubic2ec.graphs import Graph, builtin
+from cubic2ec.graphs import Graph, builtin, parse_graph6
 from enumeration import connected_cubic_graphs
 
 OUT = HERE.parent / "data" / "cubic_3ec_n4_14.g6"
@@ -128,7 +128,7 @@ def main():
 
     census = Counter()
     for key in ordered:
-        g = canonical_graph(key)
+        g = parse_graph6(key)
         census[(g.n, is_essentially_4ec(g))] += 1
     print(f"\nwrote {len(ordered)} graphs to {OUT}")
     print("n  essentially4ec  count")

@@ -3,10 +3,12 @@
 Desk-scale individualization-refinement: refine the vertex partition by
 neighbor-cell counts, branch on the first non-singleton cell, and take the
 minimum adjacency encoding over all discrete leaves.  A leaf's encoding is
-one integer holding the upper-triangle adjacency bits in graph6 order, built
-with one shift per edge.  Children of the root that lie in the orbit of an
-explored child under automorphisms found so far are skipped.  Adequate for
-the n <= 20 graphs this package handles.
+one integer holding the upper-triangle adjacency bits in graph6 order, and
+a key is the graph6 rendering of the least one; ``graphs`` owns that bit
+order (``graph6_bits`` and ``render_graph6``), so this module holds no
+graph6 code.  Children of the root that lie in the orbit of an explored
+child under automorphisms found so far are skipped.  Adequate for the
+n <= 20 graphs this package handles.
 
 Two entry points share one search.  :func:`canonical_form` walks the whole
 tree.  :func:`canonical_lookup` is given the encodings of keys already
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Container
 from functools import lru_cache
 
-from .graphs import Graph, parse_graph6, to_graph6
+from .graphs import Graph, graph6_bits, render_graph6
 
 
 def _refine(cells: tuple[tuple[int, ...], ...], nbrs) -> tuple[tuple[int, ...], ...]:
@@ -69,21 +71,10 @@ def _first_split(cells) -> int | None:
     return None
 
 
-def _encoding(edges, at, top: int) -> int:
-    """Edge {u, v} at positions p < q sets bit ``top - (q(q-1)/2 + p)``."""
-    enc = 0
-    for u, v in edges:
-        p, q = at[u], at[v]
-        if p > q:
-            p, q = q, p
-        enc |= 1 << (top - (q * (q - 1) // 2 + p))
-    return enc
-
-
 def encoding(g: Graph) -> int:
     """The leaf encoding of g under its own labeling.  For the graph of a
     canonical key this is the least leaf encoding of the key's class."""
-    return _encoding(g.edges, range(g.n), g.n * (g.n - 1) // 2 - 1)
+    return graph6_bits(g.n, g.edges, range(g.n))
 
 
 def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int, int]:
@@ -102,7 +93,6 @@ def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int,
         raise ValueError("canonical_form requires n >= 1")
     nbrs = [g.neighbors(v) for v in range(n)]
     edges = g.edges
-    top = n * (n - 1) // 2 - 1
     best_enc = -1
     best_order: tuple[int, ...] = ()
     leaves = 0
@@ -122,7 +112,7 @@ def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int,
         at = [0] * n
         for position, old in enumerate(order):
             at[old] = position
-        enc = _encoding(edges, at, top)
+        enc = graph6_bits(n, edges, at)
         if best_enc < 0 or enc < best_enc:
             best_enc, best_order = enc, order
         elif enc == best_enc:
@@ -167,13 +157,12 @@ def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int,
     return best_order, best_enc, leaves
 
 
-def _labeling(g: Graph, order: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    """``(key, perm)`` of the leaf ``order``."""
-    perm = [0] * g.n
+def _labeling(n: int, order: tuple[int, ...], enc: int) -> tuple[str, tuple[int, ...]]:
+    """``(key, perm)`` of the leaf ``order`` with encoding ``enc``."""
+    perm = [0] * n
     for position, old in enumerate(order):
         perm[old] = position
-    canon = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
-    return to_graph6(canon), tuple(perm)
+    return render_graph6(n, enc), tuple(perm)
 
 
 @lru_cache(maxsize=4096)
@@ -184,14 +173,15 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
     produce identical keys, and applying ``perm`` to ``g`` reproduces
     ``parse_graph6(key)`` exactly.
 
-    The key is the least leaf encoding of the individualization-refinement
-    tree.  Edge {u, v} at leaf positions p < q sets bit
-    ``n(n-1)/2 - 1 - (q(q-1)/2 + p)`` of the encoding, the graph6 bit order,
-    so comparing the integers compares the graph6 adjacency strings.
-    ``perm`` is the first least leaf in search order (ties never replace the
-    best), which root-orbit pruning preserves.
+    The key is the graph6 rendering of the least leaf encoding of the
+    individualization-refinement tree.  A leaf's encoding is
+    ``graphs.graph6_bits`` of g at the leaf's positions, whose order on
+    integers is the order of the graph6 adjacency strings.  ``perm`` is the
+    first least leaf in search order (ties never replace the best), which
+    root-orbit pruning preserves.
     """
-    return _labeling(g, _search(g)[0])
+    order, enc, _ = _search(g)
+    return _labeling(g.n, order, enc)
 
 
 def canonical_lookup(g: Graph, known: Container[int]) -> tuple[str, tuple[int, ...]]:
@@ -203,9 +193,5 @@ def canonical_lookup(g: Graph, known: Container[int]) -> tuple[str, tuple[int, .
     :func:`canonical_form` returns; with no known class it is the whole
     search.  Uncached, so that each caller keeps its own index.
     """
-    return _labeling(g, _search(g, known)[0])
-
-
-def canonical_graph(key: str) -> Graph:
-    """Decode a canonical key back into its graph."""
-    return parse_graph6(key)
+    order, enc, _ = _search(g, known)
+    return _labeling(g.n, order, enc)

@@ -53,9 +53,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connectivity
-from .canon import canonical_form, canonical_graph, canonical_lookup, encoding
+from .canon import canonical_form, canonical_lookup, encoding
 from .errors import InvariantViolation
-from .graphs import Graph, Reduction, contract_shore, remove_edges_and_smooth
+from .graphs import Graph, Reduction, contract_shore, parse_graph6, remove_edges_and_smooth
 
 log = logging.getLogger(__name__)
 
@@ -234,26 +234,28 @@ def combination(host: Graph, raw_entries, check: bool = True):
     on each finished node.
     """
     if type(raw_entries) is _MaskedCombination:
-        acc: dict[int, int] = {}
-        for num, x in raw_entries.entries:
-            acc[x] = acc.get(x, 0) + num
-        den = raw_entries.den
-        total = sum(acc.values())
-        if total != den:
-            raise ValueError(
-                f"weights must sum to 1 exactly (got {Fraction(total, den)})"
-            )
-        out = _ordered(host, den, acc)
+        den, entries = raw_entries.den, raw_entries.entries
     else:
-        out = _public_combination(host, raw_entries)
+        den, entries = _validated(host.m, raw_entries)
+    acc: dict[int, int] = {}
+    for num, x in entries:
+        acc[x] = acc.get(x, 0) + num
+    total = sum(acc.values())
+    if total != den:
+        raise ValueError(
+            f"weights must sum to 1 exactly (got {Fraction(total, den)})"
+        )
+    out = _ordered(host, den, acc)
     if check:
         _check_members(out, "entry ", ValueError)
-    return out
+    return _like(raw_entries, out)
 
 
-def _public_combination(host: Graph, raw_entries) -> ConvexCombination:
+def _validated(m: int, raw_entries) -> tuple[int, list[tuple[int, int]]]:
+    """``(den, [(num, mask), ...])`` of public (weight, edge ids) entries on
+    an m-edge host; zero weights are dropped."""
     weights: list[Fraction] = []
-    keys: list[tuple[int, ...]] = []
+    masks: list[int] = []
     for weight, edge_ids in raw_entries:
         w = weight if type(weight) is Fraction else Fraction(weight)
         if w < 0:
@@ -266,34 +268,21 @@ def _public_combination(host: Graph, raw_entries) -> ConvexCombination:
             if type(e) is not int:
                 raise ValueError(f"edge id {e!r} in entry {ids} is not an int")
         key = tuple(sorted(set(ids)))
-        if key and not (0 <= key[0] and key[-1] < host.m):
+        if key and not (0 <= key[0] and key[-1] < m):
             raise ValueError(f"edge id out of range in entry {key}")
         weights.append(w)
-        keys.append(key)
-    if not keys:
+        masks.append(_bits(key, m))
+    if not masks:
         raise ValueError("a convex combination needs at least one entry")
     nums, den = _numerators(weights)
-    acc: dict[tuple[int, ...], int] = {}
-    for key, num in zip(keys, nums):
-        acc[key] = acc.get(key, 0) + num
-    total = sum(acc.values())
-    if total != den:
-        raise ValueError(
-            f"weights must sum to 1 exactly (got {Fraction(total, den)})"
-        )
-    return ConvexCombination(
-        host, tuple((Fraction(num, den), k) for k, num in sorted(acc.items()))
-    )
+    return den, list(zip(nums, masks))
 
 
-def _check_members(c, what: str, error=InvariantViolation):
+def _check_members(c: _MaskedCombination, what: str, error=InvariantViolation):
     """Raise ``error``, prefixed by ``what``, at the first member in entry
     order that is not spanning 2EC; one ``first_non_2ec`` pass checks all."""
     g = c.host
-    if type(c) is _MaskedCombination:
-        masks = [x for _, x in c.entries]
-    else:
-        masks = [_bits(es, g.m) for _, es in c.entries]
+    masks = [x for _, x in c.entries]
     k = connectivity.first_non_2ec(g, masks)
     if k is not None:
         es = _edges(masks[k], g.m)
@@ -470,7 +459,7 @@ def base_case_combination(g: Graph) -> ConvexCombination:
             "essentially 4-edge-connected, n <= 6)"
         )
     try:
-        comb = combination(canonical_graph(key), _BASE_CASES[key])
+        comb = combination(parse_graph6(key), _BASE_CASES[key])
     except ValueError as exc:
         raise InvariantViolation(f"base-case table entry {key}: {exc}") from None
     _check_uniform(comb, TARGET)
@@ -915,7 +904,7 @@ class Certifier:
         self._validate_input(g)
         key, perm = self._canonical_form(g)
         if key not in self._cache:
-            K = canonical_graph(key)
+            K = parse_graph6(key)
             if connectivity.edge_connectivity(K) < 3:
                 raise ValueError("input graph must be 3-edge-connected")
             self._insert(K, key)
@@ -965,7 +954,7 @@ class Certifier:
     def _combination_with_key(self, g: Graph) -> tuple[_MaskedCombination, str]:
         key, perm = self._canonical_form(g)
         if key not in self._cache:
-            self._insert(canonical_graph(key), key)
+            self._insert(parse_graph6(key), key)
         return _map_combination(self._cache[key][0], g, perm), key
 
     def _build(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:

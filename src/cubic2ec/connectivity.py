@@ -227,13 +227,16 @@ def is_2ec(g: Graph, sub) -> bool:
 
     ``sub`` may be an iterable of edge ids or an edge bitmask (edge e at
     bit e); an id that is not an int in [0, m), a bool or a float among
-    them, raises ValueError, and a repeated id counts once.  The member is
-    connected iff its breadth-first tree from vertex 0 spans, and a tree
-    edge is a bridge iff no non-tree edge closes a cycle through it; a
-    non-tree edge never is one.
+    them, raises ValueError, as does a bool in place of the mask, and a
+    repeated id counts once.  The member is connected iff its
+    breadth-first tree from vertex 0 spans, and a tree edge is a bridge
+    iff no non-tree edge closes a cycle through it; a non-tree edge never
+    is one.
     """
     n = g.n
     if isinstance(sub, int):
+        if type(sub) is bool:  # True would stand for the mask of edge 0
+            raise ValueError(f"edge mask {sub!r} is a bool, not an int")
         if sub < 0 or sub >> g.m:
             raise ValueError(f"edge mask {sub:#x} has bits outside [0, {g.m})")
         # one byte per edge, from the binary digits read lowest bit first

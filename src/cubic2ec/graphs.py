@@ -7,7 +7,9 @@ its edge list.  Transforms never relabel edges silently; they return a
 Supported text formats:
 
 * graph6 — standard 6-bit encoding, upper triangle in column-major order,
-  one graph per line, zero padding.  Edge ids follow the bit order.
+  one graph per line, zero padding.  Edge ids follow the bit order, which
+  only :func:`graph6_bits` encodes; ``canon`` builds its leaf encodings
+  with it and its keys with :func:`render_graph6`.
 * edge list — first line ``"n m"``, then ``m`` lines ``"u v"`` (0-based).
 """
 
@@ -155,25 +157,42 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(str(exc), offset=0)
 
 
+def graph6_bits(n: int, edges, at) -> int:
+    """The graph6 adjacency bits of an n-vertex graph as one integer, with
+    vertex v at position ``at[v]``.
+
+    Edge {u, v} at positions p < q sets bit ``n(n-1)/2 - 1 - (q(q-1)/2 + p)``,
+    one shift per edge: the first bit of the graph6 string is the most
+    significant, so comparing these integers compares the adjacency strings.
+    """
+    top = n * (n - 1) // 2 - 1
+    bits = 0
+    for u, v in edges:
+        p, q = at[u], at[v]
+        if p > q:
+            p, q = q, p
+        bits |= 1 << (top - (q * (q - 1) // 2 + p))
+    return bits
+
+
+def render_graph6(n: int, bits: int) -> str:
+    """The graph6 line of :func:`graph6_bits` ``bits`` on n vertices, zero
+    padded to whole 6-bit groups."""
+    if n < 1:
+        raise ValueError("graph6 requires n >= 1")
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 encoding limited to n <= {GRAPH6_MAX_N}")
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits <<= 6 * groups - nbits
+    return chr(n + 63) + "".join(
+        [chr(((bits >> (6 * k)) & 63) + 63) for k in range(groups - 1, -1, -1)]
+    )
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a Graph as a graph6 line with canonical zero padding."""
-    if g.n < 1:
-        raise ValueError("graph6 requires n >= 1")
-    if g.n > GRAPH6_MAX_N:
-        raise ValueError(f"graph6 encoding limited to n <= {GRAPH6_MAX_N}")
-    bits = []
-    for col in range(1, g.n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    return render_graph6(g.n, graph6_bits(g.n, g.edges, range(g.n)))
 
 
 # ---------------------------------------------------------------------------

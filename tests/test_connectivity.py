@@ -62,6 +62,7 @@ def test_is_2ec_accepts_bitmask_form(k4):
         (Graph(1, ()), [0], r"edge id 0 must lie in \[0, 0\)"),
         (builtin("k4"), [True, 1, 2, 3, 4, 5], r"edge id True must lie in \[0, 6\)"),
         (builtin("k4"), [0, 1.0, 2, 3, 4, 5], r"edge id 1\.0 must lie in \[0, 6\)"),
+        (builtin("k4"), True, r"edge mask True is a bool, not an int"),
     ],
     ids=[
         "k4-id-minus-1",
@@ -71,6 +72,7 @@ def test_is_2ec_accepts_bitmask_form(k4):
         "one-vertex",
         "k4-id-bool",
         "k4-id-float",
+        "k4-mask-bool",
     ],
 )
 def test_is_2ec_rejects_edge_ids_out_of_range(g, sub, message):

@@ -20,6 +20,7 @@ same children; and the canonical search that stops at a leaf of a known
 class against the whole search and the full tree."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,7 @@ from support import (
     reference_tarjan_is_2ec,
     reference_two_ec_spanning_subgraphs,
 )
+from test_scripts import load
 
 from cubic2ec import (
     Certifier,
@@ -69,12 +71,13 @@ from cubic2ec import (
     find_essential_3cut,
     is_essentially_4ec,
     lp_bound,
+    parse_graph6,
     remove_edges_and_smooth,
     to_graph6,
     verify_lemma3,
 )
 from cubic2ec import canon, combine, connectivity, oracle
-from cubic2ec.canon import canonical_graph, canonical_lookup, encoding
+from cubic2ec.canon import canonical_lookup, encoding
 from cubic2ec.connectivity import _cut_summary, _iter_bits, _walk_cuts, is_essential_cut
 from cubic2ec.exact_lp import solve_cut_lp
 from cubic2ec.graphs import BUILTIN_NAMES
@@ -423,10 +426,10 @@ def heawood():
     return Graph(14, tuple((i, j % 14) for i, j in pairs))
 
 
-def generalized_petersen(n, k):
-    pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
-    pairs += [(n + i, n + (i + k) % n) for i in range(n)]
-    return Graph(2 * n, tuple(pairs))
+# the corpus script's construction, loaded without keeping its sys.path edits
+_path = list(sys.path)
+generalized_petersen = load("make_corpus").generalized_petersen
+sys.path[:] = _path
 
 
 # Large automorphism groups and deep branching: most leaves tie with the
@@ -478,7 +481,7 @@ def assert_lookup_matches_canonical_form(g, others, data):
     own = data.draw(st.booleans())
     if own:
         keys.append(canonical_form(g)[0])
-    known = {encoding(canonical_graph(key)) for key in keys}
+    known = {encoding(parse_graph6(key)) for key in keys}
     assert canonical_lookup(h, known) == canonical_form(h)
     assert (canon._search(h, known)[1] in known) == own
 
@@ -523,7 +526,7 @@ def test_base_case_table_matches_feasibility_search():
             if maxflow_edge_connectivity(g) < 3 or not reference_is_essentially_4ec(g):
                 continue
             key = reference_canonical_form(g)[0]
-            K = canonical_graph(key)
+            K = parse_graph6(key)
             table[key] = reference_base_case(K)
             assert base_case_combination(K).entries == table[key]
     assert table == combine._BASE_CASES
@@ -610,7 +613,7 @@ def test_case1_nodes_match_per_pivot_construction(corpus, certified):
         comb, record = certified._cache[key]
         assert record["kind"] == "case1"
         assert combine._public(comb) == reference_case1_combination(
-            canonical_graph(key), certified
+            parse_graph6(key), certified
         )
 
 
@@ -636,7 +639,7 @@ def reference_node(certifier, key):
     """Node ``key`` of certifier's cache rebuilt from its cached children by
     the reference plumbing: the base table, glue of the two shores, or the
     average of the 2m lifted children."""
-    K = canonical_graph(key)
+    K = parse_graph6(key)
     record = certifier._cache[key][1]
 
     def child(g):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from support import reference_graph6
 
 from cubic2ec import (
     Graph,
@@ -10,16 +11,18 @@ from cubic2ec import (
     parse_graph6,
     to_graph6,
 )
+from cubic2ec.graphs import GRAPH6_MAX_N
 
 F = Fraction
 
 
 @st.composite
 def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=GRAPH6_MAX_N))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if pairs:
-        edges = draw(st.sets(st.sampled_from(pairs)))
+        # any density up to n = 12, sparse above
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=None if n <= 12 else 2 * n))
     else:
         edges = set()
     return Graph(n, tuple(sorted(edges)))
@@ -28,6 +31,7 @@ def small_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_graphs())
 def test_graph6_roundtrip(g):
+    assert to_graph6(g) == reference_graph6(g)
     back = parse_graph6(to_graph6(g))
     assert back.n == g.n
     assert set(back.edges) == set(g.edges)
