@@ -411,7 +411,9 @@ def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
 
 
 def _check_uniform(c, target: Fraction, what: str = "occurrence"):
-    bad = [e for e, v in enumerate(edge_occurrences(c)) if v != target]
+    c = _masked(c)
+    want, den = target.numerator * c.den, target.denominator
+    bad = [e for e, x in enumerate(_occurrence_nums(c)) if x * den != want]
     if bad:
         raise InvariantViolation(f"edges {bad[:3]} have {what} other than {target}")
 

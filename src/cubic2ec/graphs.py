@@ -292,7 +292,6 @@ class Reduction:
     forced_include: frozenset[int]
     forced_exclude: frozenset[int]
     vertex_map: tuple[int | None, ...]
-    pseudo_vertex: int | None = None
     cut_correspondence: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
@@ -464,6 +463,5 @@ def contract_shore(g: Graph, cut: "Cut", side: str) -> Reduction:
         forced_include=frozenset(),
         forced_exclude=vanished,
         vertex_map=tuple(vmap.get(v) for v in range(g.n)),
-        pseudo_vertex=pseudo,
         cut_correspondence=tuple(correspondence),
     )

@@ -1,16 +1,25 @@
-"""The tooling under ``scripts/``: the cubic-graph enumeration the corpus
-relies on, that the corpus script imports without regenerating, the
-bounds report over the committed corpus, the member-check timing
-harness, and the LP engine timing harness."""
+"""The tooling under ``scripts/``: the corpus script, which imports
+without running and regenerates the committed corpus byte for byte, its
+edge-insertion generator, the bounds report over the committed
+corpus, and the member-check, canonical-form and LP engine timing
+harnesses."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+from support import reference_small_cubic_graphs
 from test_oracle import TWO_K4_MINUS_EDGE
 
-from cubic2ec import Certifier, builtin, connectivity, edge_connectivity, to_graph6
+from cubic2ec import (
+    Certifier,
+    builtin,
+    canonical_form,
+    connectivity,
+    edge_connectivity,
+    to_graph6,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -22,27 +31,42 @@ def load(name):
     return module
 
 
-def test_enumeration_counts_connected_cubic_graphs(monkeypatch):
+def test_edge_insertion_levels_match_independent_methods(monkeypatch, corpus):
     monkeypatch.setattr(sys, "path", list(sys.path))
-    enumeration = load("enumeration")
-    # OEIS A002851: connected cubic graphs on 4, 6 and 8 vertices
-    graphs = {n: enumeration.connected_cubic_graphs(n) for n in (4, 6, 8)}
-    assert {n: len(gs) for n, gs in graphs.items()} == {4: 1, 6: 2, 8: 5}
-    # the corpus keeps the 3-edge-connected ones: 1, 2 and 4
-    assert [
-        sum(edge_connectivity(g) >= 3 for g in gs) for gs in graphs.values()
-    ] == [1, 2, 4]
-    assert enumeration.connected_cubic_graphs(5) == []
+    make_corpus = load("make_corpus")
+    levels = dict(make_corpus.edge_insertion_levels(12))
+    assert list(levels) == [4, 6, 8, 10, 12]
+    for keys in levels.values():
+        assert keys == sorted(set(keys))
+    # the committed n <= 10 lines came from a backtracking enumeration of
+    # every connected cubic graph, filtered to λ >= 3
+    assert [key for n in (4, 6, 8, 10) for key in levels[n]] == [
+        to_graph6(g) for g in corpus if g.n <= 10
+    ]
+    for n in (4, 6):
+        assert levels[n] == sorted(
+            canonical_form(g)[0]
+            for g in reference_small_cubic_graphs(n)
+            if edge_connectivity(g) >= 3
+        )
+    # nothing offline confirms the n = 12 count (57 when measured), so
+    # only the named corpus graphs are checked
+    named = [to_graph6(g) for g in corpus if g.n == 12]
+    assert len(named) == 5 and set(named) <= set(levels[12])
 
-    # make_corpus puts scripts/ on sys.path and imports the same file
-    monkeypatch.delitem(sys.modules, "enumeration", raising=False)
-    out = SCRIPTS.parent / "data" / "cubic_3ec_n4_14.g6"
-    before = out.read_bytes()
-    corpus = load("make_corpus")
-    assert corpus.connected_cubic_graphs.__module__ == "enumeration"
-    assert sys.modules["enumeration"].__file__ == str(SCRIPTS / "enumeration.py")
-    assert callable(corpus.main)
-    assert out.read_bytes() == before  # main did not run
+
+def test_make_corpus_regenerates_the_committed_corpus(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    make_corpus = load("make_corpus")
+    assert capsys.readouterr().out == ""  # importing did not run main
+    committed = make_corpus.OUT.read_bytes()
+    out = tmp_path / "corpus.g6"
+    monkeypatch.setattr(make_corpus, "OUT", out)
+    make_corpus.main()
+    assert out.read_bytes() == committed
+    printed = capsys.readouterr().out
+    assert "n=10: 14 three-edge-connected" in printed
+    assert f"wrote 31 graphs to {out}" in printed
 
 
 def test_reproduce_bounds_reports_every_corpus_graph(monkeypatch, capsys, corpus_lines):
