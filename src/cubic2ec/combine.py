@@ -15,11 +15,14 @@ graph size:
   back, and average the 2m lifted children, each at weight 1/(2m).
 
 ``lift`` and ``glue`` only map edges, through one helper that carries
-members along an edge map as they are, so each node is normalized once
-(by ``average`` or by ``glue``'s merge); each member of a finished node is
-checked spanning 2EC once, however many lifts or glues produced it, and
-all of a node's members in one lane-parallel pass
-(``connectivity.first_non_2ec``).
+members along an edge map.  The certifier pulls each child's cached
+canonical combination straight onto the parent in one such pass, the
+relabeling and the lift or shore mapping composed into one edge map.  A
+lift is not sorted or reduced: the case-1 average normalizes the node
+once.  A case-2 shore is normalized, and so is the glued node.  Each
+member of a finished node is checked spanning 2EC once, however many
+lifts or glues produced it, and all of a node's members in one
+lane-parallel pass (``connectivity.first_non_2ec``).
 
 All arithmetic is exact; no floats anywhere in the certification path.
 Inside the certifier a combination is one integer denominator and
@@ -139,7 +142,9 @@ class _MaskedCombination:
     the host iff bit m - 1 - e of mask is set.  Every function here returns
     one normalized: distinct masks, positive numerators summing to den with
     no factor in common with it, in ascending edge-tuple order
-    (``_tuple_order``), so equal combinations compare equal.
+    (``_tuple_order``), so equal combinations compare equal.  The one
+    exception is a case-1 lift (``_map_members`` without ``normalize``),
+    which only ``average`` reads.
     """
 
     host: Graph
@@ -474,13 +479,16 @@ def base_case_combination(g: Graph) -> ConvexCombination:
 
 
 def _map_members(
-    comb: _MaskedCombination, host: Graph, edge_map, always=()
+    comb: _MaskedCombination, host: Graph, edge_map, always=(), normalize=True
 ) -> _MaskedCombination:
     """comb's members carried to ``host``: each becomes the union of
-    ``always`` and the host edges ``edge_map`` sends its edges to, and
-    members that land on one edge set add their numerators.  A member's
-    image is the OR of one table lookup per four bits of its mask, each
-    table holding the images of every subset of those four edges."""
+    ``always`` and the host edges ``edge_map`` sends its edges to.  With
+    ``normalize`` members that land on one edge set add their numerators
+    and the result is normalized; without, the images keep comb's entry
+    order and denominator, members may repeat, and only ``average`` may
+    read the result.  A member's image is the OR of one table lookup per
+    four bits of its mask, each table holding the images of every subset
+    of those four edges."""
     m = host.m
     images = [_bits(edge_map[ce], m) for ce in reversed(range(comb.host.m))]
     tables = []
@@ -490,12 +498,17 @@ def _map_members(
             table += [y | image for y in table]
         tables.append(table)
     base = _bits(always, m)
-    acc: dict[int, int] = {}
+    out = []
     for num, x in comb.entries:
         y = base
         for table in tables:
             y |= table[x & 15]
             x >>= 4
+        out.append((num, y))
+    if not normalize:
+        return _MaskedCombination(host, comb.den, tuple(out))
+    acc: dict[int, int] = {}
+    for num, y in out:
         acc[y] = acc.get(y, 0) + num
     return _ordered(host, comb.den, acc)
 
@@ -600,11 +613,12 @@ def _pattern_classes(lifted: _MaskedCombination, cut: list[int]):
 def glue(c1, c2, red1: Reduction, red2: Reduction):
     """Recombine the two contracted shores of one essential 3-cut.
 
-    Each shore is mapped to parent edges once; within each pattern class
-    (the cut edge omitted) the two entry lists are paired by common
-    refinement of their numerators on one denominator, and each glued
-    member is the union of two mapped members; the members are checked
-    once, in the finished node.  The result has c1's form.
+    Each shore is mapped to parent edges once, and ``_glue`` pairs them:
+    within each pattern class (the cut edge omitted) the two entry lists
+    are paired by common refinement of their numerators on one
+    denominator, and each glued member is the union of two mapped members;
+    the members are checked once, in the finished node.  The result has
+    c1's form.
     """
     for red in (red1, red2):
         if red.kind != "case2_contraction":
@@ -622,18 +636,27 @@ def glue(c1, c2, red1: Reduction, red2: Reduction):
     if kept1 & kept2 or kept1 | kept2 != set(range(red1.parent.n)):
         raise ValueError("the reductions must contract complementary shores")
 
-    parent = red1.parent
     shore1, shore2 = (
-        _map_members(_masked(c), parent, red.edge_provenance)
+        _map_members(_masked(c), red.parent, red.edge_provenance)
         for c, red in ((c1, red1), (c2, red2))
     )
-    classes1 = _pattern_classes(shore1, cut1)
-    classes2 = _pattern_classes(shore2, cut1)
+    return _like(c1, _glue(shore1, shore2, cut1))
+
+
+def _glue(
+    shore1: _MaskedCombination, shore2: _MaskedCombination, cut: list[int]
+) -> _MaskedCombination:
+    """The body of ``glue``: the two shores already carried to their common
+    parent, normalized (the common refinement pairs each pattern class's
+    entries in order), and the cut's parent edge ids, ascending."""
+    parent = shore1.host
+    classes1 = _pattern_classes(shore1, cut)
+    classes2 = _pattern_classes(shore2, cut)
     den = math.lcm(shore1.den, shore2.den)
     f1, f2 = den // shore1.den, den // shore2.den
-    cut_mask = _bits(cut1, parent.m)
+    cut_mask = _bits(cut, parent.m)
     raw = []
-    for key in cut1 + [None]:
+    for key in cut + [None]:
         lst1 = [[num * f1, x] for num, x in classes1[key]]
         lst2 = [[num * f2, x] for num, x in classes2[key]]
         pattern = cut_mask if key is None else cut_mask & ~_bits((key,), parent.m)
@@ -660,7 +683,7 @@ def glue(c1, c2, red1: Reduction, red2: Reduction):
         parent, _MaskedCombination(parent, den, tuple(raw)), check=False
     )
     _check_uniform(out, TARGET)
-    return _like(c1, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -953,11 +976,13 @@ class Certifier:
         self._cache[key] = self._build(K, key)
         self._known.setdefault(K.n, set()).add(encoding(K))
 
-    def _combination_with_key(self, g: Graph) -> tuple[_MaskedCombination, str]:
-        key, perm = self._canonical_form(g)
+    def _pull(self, red: Reduction) -> tuple[_MaskedCombination, str]:
+        """``_pull_members`` of red.child's node, built on a miss, and the
+        child's key."""
+        key, perm = self._canonical_form(red.child)
         if key not in self._cache:
             self._insert(parse_graph6(key), key)
-        return _map_combination(self._cache[key][0], g, perm), key
+        return _pull_members(self._cache[key][0], red, perm), key
 
     def _build(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:
         if not K.is_cubic or connectivity.edge_connectivity(K) < 3:
@@ -986,15 +1011,15 @@ class Certifier:
         """The two lifted children of pivot uv, checked: ½ of their summed
         occurrences is the piecewise profile, and 2t + r = 8.  The sum is
         compared on the integers, over the product of the two
-        denominators."""
+        denominators.  The lifts are not normalized, so every caller
+        averages them at once."""
         decision = connectivity.find_safe_pair(g, uv)
         child_keys = []
         lifted = []
         for pair in (decision.pair_a, decision.pair_b):
-            red = remove_edges_and_smooth(g, *pair)
-            child_comb, child_key = self._combination_with_key(red.child)
+            child_comb, child_key = self._pull(remove_edges_and_smooth(g, *pair))
             child_keys.append(child_key)
-            lifted.append(lift(child_comb, red))
+            lifted.append(child_comb)
         profile, expected = _case1_expectation(g, uv)
         a, b = lifted
         den = 2 * a.den * b.den
@@ -1054,9 +1079,9 @@ class Certifier:
     def _case2(self, K: Graph, key: str, cut) -> tuple[_MaskedCombination, dict]:
         red_in = contract_shore(K, cut, "inside")
         red_out = contract_shore(K, cut, "outside")
-        c_in, key_in = self._combination_with_key(red_in.child)
-        c_out, key_out = self._combination_with_key(red_out.child)
-        comb = glue(c_in, c_out, red_in, red_out)
+        shore_in, key_in = self._pull(red_in)
+        shore_out, key_out = self._pull(red_out)
+        comb = _glue(shore_in, shore_out, sorted(cut.crossing))
         _check_members(comb, f"node {key}: member ")
         record = {
             "kind": "case2",
@@ -1085,17 +1110,48 @@ class Certifier:
         return tuple([root] + rest)
 
 
+def _relabeling(K: Graph, g: Graph, perm: tuple[int, ...]) -> list[int]:
+    """back[ke]: the edge of g that edge ke of K stands for, where perm
+    maps g's vertices onto K's."""
+    back = [0] * g.m
+    for e, (u, v) in enumerate(g.edges):
+        back[K.edge_id(perm[u], perm[v])] = e
+    return back
+
+
 def _map_combination(
     comb_k: _MaskedCombination, g: Graph, perm: tuple[int, ...]
 ) -> _MaskedCombination:
     """Pull a combination on the canonical graph back to g's labeling,
     through ``_map_members`` with each canonical edge sent to one edge of g;
     a relabeling keeps members distinct, so nothing merges."""
-    K = comb_k.host
-    back = [0] * g.m
-    for e, (u, v) in enumerate(g.edges):
-        back[K.edge_id(perm[u], perm[v])] = e
+    back = _relabeling(comb_k.host, g, perm)
     return _map_members(comb_k, g, [(e,) for e in back])
+
+
+def _pull_members(
+    comb_k: _MaskedCombination, red: Reduction, perm: tuple[int, ...]
+) -> _MaskedCombination:
+    """red.child's combination, held as comb_k on its canonical graph
+    (perm maps red.child's vertices onto comb_k.host's), carried straight
+    onto red.parent in one ``_map_members`` pass.  The two edge maps
+    compose: canonical edge ke stands for child edge back[ke], which stands
+    for the parent edges red.edge_provenance[back[ke]].
+
+    The members are those of ``_map_combination`` followed by ``lift``
+    (case 1) or by glue's mapping of a shore (case 2).  A contracted shore
+    comes back normalized, since ``_glue`` pairs pattern classes in order;
+    a lift does not, since ``_case1`` averages it at once.
+    """
+    prov = red.edge_provenance
+    edge_map = [prov[ce] for ce in _relabeling(comb_k.host, red.child, perm)]
+    return _map_members(
+        comb_k,
+        red.parent,
+        edge_map,
+        red.forced_include,
+        normalize=red.kind != "case1_removal",
+    )
 
 
 def certify(g: Graph, certifier: Certifier | None = None) -> Certificate:

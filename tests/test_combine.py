@@ -46,6 +46,7 @@ from cubic2ec import (
 )
 from cubic2ec import (
     InvariantViolation,
+    Reduction,
     canon,
     canonical_form,
     combine,
@@ -199,10 +200,23 @@ def test_base_case_table_is_checked_on_use(name, message, k4, monkeypatch, capsy
     assert "internal invariant violation" in capsys.readouterr().err
 
 
+def identity_reduction(g):
+    """A removal reduction whose child is g itself, edge for edge."""
+    return Reduction(
+        kind="case1_removal",
+        parent=g,
+        child=g,
+        edge_provenance=tuple((e,) for e in range(g.m)),
+        forced_include=frozenset(),
+        forced_exclude=frozenset(),
+        vertex_map=tuple(range(g.n)),
+    )
+
+
 def test_build_rejects_a_child_with_a_two_edge_cut():
     assert TWO_K4_MINUS_EDGE.is_cubic
     with pytest.raises(InvariantViolation, match="not cubic 3-edge-connected"):
-        Certifier()._combination_with_key(TWO_K4_MINUS_EDGE)
+        Certifier()._pull(identity_reduction(TWO_K4_MINUS_EDGE))
 
 
 def reversed_labels(g):

@@ -6,13 +6,14 @@ simplex, the full search tree, the feasibility search they replaced, and
 the same compaction in Fractions; the one-average case-1 node and the
 re-sorting relabeling against the per-pivot merge and padding, and the
 rebuild through ``combination()``, they replaced; the once-per-node
-member check against every member the lifts and glues return; lift
-and glue, mapped through one edge map, against the per-member sets and
-child-space pattern classes they replaced; the smoothing that walks
-each path once from each surviving end against the two-way walk from
-inside the path it replaced; the 2EC check by a breadth-first tree
-and its fundamental cycles against Tarjan's low-link search it replaced
-and a per-edge removal scan; the lane-parallel check of a node's members
+member check against every member the lifts and glues return; each
+child pulled onto its parent in one edge-map pass against the relabeling
+followed by lift or glue's shore mapping, the two passes it replaced, and
+against the per-member sets and child-space pattern classes those
+replaced; the smoothing that walks each path once from each surviving
+end against the two-way walk from inside the path it replaced; the 2EC
+check by a breadth-first tree and its fundamental cycles against
+Tarjan's low-link search it replaced and a per-edge removal scan; the lane-parallel check of a node's members
 against that check and both references, member by member; and every
 certified node and root, held as edge masks over integer numerators,
 against the (Fraction, edge tuple) plumbing it replaced, rebuilt from the
@@ -70,6 +71,7 @@ from cubic2ec import (
     essential_4cut_with_pair,
     find_essential_3cut,
     is_essentially_4ec,
+    lift,
     lp_bound,
     parse_graph6,
     remove_edges_and_smooth,
@@ -709,29 +711,39 @@ def test_nodes_match_references_on_relabelings(corpus, data):
 # lift and glue ----------------------------------------------------------------
 
 
-def public(x):
-    """x as a ConvexCombination if it is a masked one, else x."""
-    return combine._public(x) if isinstance(x, combine._MaskedCombination) else x
-
-
 def certify_recording(monkeypatch, graphs):
-    """(reference, args, result) of every lift and glue call while a fresh
-    Certifier certifies graphs, combinations as ConvexCombinations."""
+    """(reference, args, result) of every case-1 child pull and every glue
+    of two pulled shores while a fresh Certifier certifies graphs.  A pull
+    is checked as ``reference_lift`` of its child and a glue as
+    ``reference_glue`` of its two children, each child the reference
+    relabeling of its cached canonical combination; results are
+    normalized and converted to ConvexCombinations."""
     calls = []
+    shores = {}  # parent graph -> [(child, reduction)] of its pulled shores
+    pull_members, glue_shores = combine._pull_members, combine._glue
 
-    def recording(fn, reference):
-        def recorded(*args):
-            out = fn(*args)
-            calls.append((reference, tuple(map(public, args)), public(out)))
-            return out
+    def pulled(comb_k, red, perm):
+        out = pull_members(comb_k, red, perm)
+        child = reference_map_combination(combine._public(comb_k), red.child, perm)
+        if red.kind == "case1_removal":
+            lifted = combination(red.parent, out, check=False)
+            calls.append((reference_lift, (child, red), combine._public(lifted)))
+        else:
+            shores.setdefault(red.parent, []).append((child, red))
+        return out
 
-        return recorded
+    def glued(shore1, shore2, cut):
+        out = glue_shores(shore1, shore2, cut)
+        (c1, red1), (c2, red2) = shores.pop(shore1.host)
+        calls.append((reference_glue, (c1, c2, red1, red2), combine._public(out)))
+        return out
 
-    monkeypatch.setattr(combine, "lift", recording(combine.lift, reference_lift))
-    monkeypatch.setattr(combine, "glue", recording(combine.glue, reference_glue))
+    monkeypatch.setattr(combine, "_pull_members", pulled)
+    monkeypatch.setattr(combine, "_glue", glued)
     certifier = Certifier(max_n=16)
     for g in graphs:
         certifier.certify(g)
+    assert not shores
     return calls
 
 
@@ -753,6 +765,33 @@ def test_lift_and_glue_match_reference_on_relabelings(corpus, data):
     assert calls or g.n <= 6
     for reference, args, out in calls:
         assert out == reference(*args)
+
+
+def test_pulls_match_the_two_step_path(corpus, cold_e4_n16, monkeypatch):
+    """Every child a fresh Certifier pulls, carried onto its parent in one
+    pass, equals the relabeling by ``_map_combination`` followed by the
+    public ``lift`` (once normalized) or by glue's shore mapping; each pull
+    is compared as it is made, before the node's own checks run."""
+    kinds = []
+    pull_members = combine._pull_members
+
+    def compared(comb_k, red, perm):
+        out = pull_members(comb_k, red, perm)
+        child = combine._map_combination(comb_k, red.child, perm)
+        assert out.host == red.parent
+        if red.kind == "case1_removal":
+            assert (out.den, len(out.entries)) == (comb_k.den, len(comb_k.entries))
+            assert combination(red.parent, out, check=False) == lift(child, red)
+        else:
+            assert out == combine._map_members(child, red.parent, red.edge_provenance)
+        kinds.append(red.kind)
+        return out
+
+    monkeypatch.setattr(combine, "_pull_members", compared)
+    certifier = Certifier(max_n=16)
+    for g in corpus + [generalized_petersen(8, 3), cold_e4_n16]:
+        certifier.certify(g)
+    assert set(kinds) == {"case1_removal", "case2_contraction"}
 
 
 # member checks ----------------------------------------------------------------

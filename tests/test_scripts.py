@@ -1,8 +1,8 @@
 """The tooling under ``scripts/``: the corpus script, which imports
 without running and regenerates the committed corpus byte for byte, its
 edge-insertion generator, the bounds report over the committed
-corpus, and the member-check, canonical-form and LP engine timing
-harnesses."""
+corpus, and the member-check, canonical-form, child-pull and LP engine
+timing harnesses."""
 
 import importlib.util
 import json
@@ -16,6 +16,7 @@ from cubic2ec import (
     Certifier,
     builtin,
     canonical_form,
+    combine,
     connectivity,
     edge_connectivity,
     to_graph6,
@@ -139,6 +140,28 @@ def test_bench_canon_writes_a_report(monkeypatch, capsys, tmp_path):
     assert 0 < row["hits"] == row["lookups"] - row["classes"]
     assert row["full_leaves"] > row["lookup_leaves"] >= row["lookups"]
     assert row["full_s"] >= 0 and row["lookup_s"] >= 0
+
+
+def test_bench_lift_writes_a_report(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_lift")
+    honest = combine._pull_members, combine._map_members
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(builtin('k4'))}\n{to_graph6(builtin('petersen'))}\n")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(out)]) == 0
+    assert (combine._pull_members, combine._map_members) == honest
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    [row] = report["inputs"]
+    assert row["input"] == "graphs.g6"
+    assert row["graphs"] == 2
+    assert row["children"] == row["case1_children"] + row["case2_children"]
+    assert row["case1_children"] > 0 and row["case2_children"] > 0
+    assert row["entries_mapped"] >= row["children"]
+    assert row["one_pass_map_members_calls"] == row["children"]
+    assert row["two_step_map_members_calls"] == 2 * row["children"]
+    assert row["two_step_s"] >= 0 and row["one_pass_s"] >= 0
 
 
 def test_bench_lp_engine_writes_a_report(monkeypatch, capsys, tmp_path):
