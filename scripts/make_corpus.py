@@ -35,7 +35,16 @@ def edge_insertion_levels(max_n: int):
     3-connected cubic graph, the basis of cubic-graph generators
     (Brinkmann, Goedgebeur and McKay, *Generation of cubic graphs*, DMTCS
     13(2), 2011), and on cubic graphs 3-connectivity and 3-edge-
-    connectivity coincide.  The λ >= 3 filter is only a safety check.
+    connectivity coincide.
+
+    An insertion keeps λ >= 3, so no insertion is filtered.  Let G' be G
+    with its subdivision vertices x and y joined.  A cut of G' with x and
+    y on one side is δ({x, y}) (4 edges) or crosses every edge of a cut of
+    G, on the edge itself or on one half of it (>= 3 edges).  A cut
+    between x and y is δ({x}) or δ({y}) (3 edges), or holds xy and one
+    edge for each crossing edge of a cut of G (>= 4 edges).  Each kept
+    graph is still checked once, at the end of its level; a failure raises
+    ValueError.
     """
     level = [canonical_form(builtin("k4"))[0]]
     yield 4, level
@@ -47,10 +56,11 @@ def edge_insertion_levels(max_n: int):
                 (a, b), (c, d) = es[i], es[j]
                 rest = es[:i] + es[i + 1:j] + es[j + 1:]
                 new = ((a, n), (n, b), (c, n + 1), (n + 1, d), (n, n + 1))
-                g = Graph(n + 2, rest + new)
-                if edge_connectivity(g) >= 3:
-                    found.add(canonical_form(g)[0])
+                found.add(canonical_form(Graph(n + 2, rest + new))[0])
         level = sorted(found)
+        for key in level:
+            if edge_connectivity(parse_graph6(key)) < 3:
+                raise ValueError(f"edge insertion made {key}, which has λ < 3")
         yield n + 2, level
 
 

@@ -2,7 +2,6 @@
 
 from .canon import canonical_form
 from .combine import (
-    Case1Profile,
     Certificate,
     Certifier,
     ConvexCombination,
@@ -20,7 +19,6 @@ from .combine import (
     lift,
     min_support_subgraph,
     pad_to_uniform,
-    reduce_case1,
     support_bound,
     verify_certificate,
 )

@@ -93,16 +93,6 @@ class ConvexCombination:
 
 
 @dataclass(frozen=True)
-class Case1Profile:
-    """Pivot-edge placement counts: t pivots share a 4-cycle with the edge,
-    r are one edge away without one; cubic structure forces 2t + r = 8."""
-
-    pivot: int
-    t: int
-    r: int
-
-
-@dataclass(frozen=True)
 class Certificate:
     """A graph with a uniform-7/9 combination and a replayable trace."""
 
@@ -534,40 +524,42 @@ def lift(child_combination, red: Reduction):
     return _like(child_combination, out)
 
 
-def _case1_expectation(
-    g: Graph, uv: int
-) -> tuple[Case1Profile, list[Fraction]]:
-    """The pivot's profile and the piecewise occurrence vector that one
-    pivot reduction must produce.
+def _case1_expectation(g: Graph, uv: int) -> tuple[int, int, list[int]]:
+    """``(t, r, want)`` for pivot uv: its placement counts, and the
+    piecewise occurrence vector one pivot reduction must produce, as
+    numerators over 18.
 
     Each other edge is classed by k, the number of the four edges at the
     pivot's ends (the half edges) that it touches: k = 2 counts into t,
-    k = 1 into r.
+    k = 1 into r.  k is the sum of the half-edge counts at the edge's two
+    ends; no half edge joins both of them, since that edge would be the
+    edge itself.
     """
     u, v = g.endpoints(uv)
     half = [e for e in g.incident(u) + g.incident(v) if e != uv]
-    halfset = set(half)
-    half_ends = [set(g.endpoints(h)) for h in half]
+    touching = [0] * g.n
+    for h in half:
+        for w in g.endpoints(h):
+            touching[w] += 1
     t = r = 0
-    out = []
-    for e in range(g.m):
+    want = []
+    for e, (x, y) in enumerate(g.edges):
         if e == uv:
-            out.append(Fraction(1))
-        elif e in halfset:
-            out.append(Fraction(1, 2))
+            want.append(18)
+        elif e in half:
+            want.append(9)
         else:
-            ends = set(g.endpoints(e))
-            k = sum(1 for he in half_ends if he & ends)
+            k = touching[x] + touching[y]
             if k >= 2:
-                out.append(Fraction(1))
+                want.append(18)
                 if k == 2:
                     t += 1
             elif k == 1:
-                out.append(Fraction(8, 9))
+                want.append(16)
                 r += 1
             else:
-                out.append(TARGET)
-    return Case1Profile(pivot=uv, t=t, r=r), out
+                want.append(14)
+    return t, r, want
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +778,8 @@ def _caratheodory(comb: _MaskedCombination) -> list[tuple[Fraction, int]]:
     order.remove(first)
     order.insert(0, first)
     full = (1 << m) - 1
-    omitted = [_edges(full ^ x, m) for x in members]
-    hadamard_sq = math.prod(sorted(len(ms) + 1 for ms in omitted)[-size:])
+    omitted = [full ^ x for x in members]
+    hadamard_sq = math.prod(sorted(x.bit_count() + 1 for x in omitted)[-size:])
     bound = 2 * den * (math.isqrt(hadamard_sq) + 1)
     bits = _lane_bits(bound)
     if bound.bit_length() >= bits:
@@ -816,10 +808,12 @@ def _caratheodory(comb: _MaskedCombination) -> list[tuple[Fraction, int]]:
     p = 0  # position of the smallest member
     for j in order:
         w = nums[j]
-        packed = cols[m]
-        for e in omitted[j]:
-            packed += cols[e]
-        packed -= biases[len(omitted[j]) + 1]
+        packed = cols[m] - biases[omitted[j].bit_count() + 1]
+        x = omitted[j]
+        while x:  # edge e of M sits at bit m - 1 - e
+            top = x.bit_length()
+            packed += cols[m - top]
+            x ^= 1 << (top - 1)
         nonzero = ((packed + bias) & unit_mask) ^ unit_half if units else 0
         if nonzero:
             # the first unit position with y_k != 0: the lowest set bit;
@@ -944,18 +938,6 @@ class Certifier:
             trace=self._trace_closure(key),
         )
 
-    def reduce_case1(
-        self, g: Graph, uv: int
-    ) -> tuple[ConvexCombination, Case1Profile]:
-        """One pivot reduction: ½·lift(C1) + ½·lift(C2), members checked,
-        with its profile."""
-        # find_safe_pair rejects λ < 3, 3-cuts, n <= 6 and uv outside [0, m)
-        self._validate_input(g)
-        lifted, profile, _ = self._pivot_lifts(g, uv)
-        out = average([(Fraction(1, 2), c) for c in lifted])
-        _check_members(out, f"pivot {uv}: member ")
-        return _public(out), profile
-
     # -- internals ----------------------------------------------------------
 
     def _validate_input(self, g: Graph):
@@ -1007,49 +989,37 @@ class Certifier:
         log.debug("case 1 at n=%d (%s)", K.n, key)
         return self._case1(K, key)
 
-    def _pivot_lifts(self, g: Graph, uv: int):
-        """The two lifted children of pivot uv, checked: ½ of their summed
-        occurrences is the piecewise profile, and 2t + r = 8.  The sum is
-        compared on the integers, over the product of the two
-        denominators.  The lifts are not normalized, so every caller
-        averages them at once."""
-        decision = connectivity.find_safe_pair(g, uv)
-        child_keys = []
-        lifted = []
-        for pair in (decision.pair_a, decision.pair_b):
-            child_comb, child_key = self._pull(remove_edges_and_smooth(g, *pair))
-            child_keys.append(child_key)
-            lifted.append(child_comb)
-        profile, expected = _case1_expectation(g, uv)
-        a, b = lifted
-        den = 2 * a.den * b.den
-        both = [
-            x * b.den + y * a.den
-            for x, y in zip(_occurrence_nums(a), _occurrence_nums(b))
-        ]
-        if any(
-            x * f.denominator != f.numerator * den for x, f in zip(both, expected)
-        ):
-            raise InvariantViolation(
-                f"pivot {uv}: occurrences deviate from the piecewise profile"
-            )
-        if 2 * profile.t + profile.r != 8:
-            raise InvariantViolation(
-                f"pivot {uv}: 2t + r = {2 * profile.t + profile.r}, not 8"
-            )
-        return lifted, profile, (decision, child_keys)
-
     def _case1(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:
         """One average of all 2m lifted children at 1/(2m) each: 7/9 +
-        (2t + r - 8)/(9m) on each edge, so 7/9, as every pivot has 2t + r = 8."""
+        (2t + r - 8)/(9m) on each edge, so 7/9, as every pivot has 2t + r = 8.
+
+        Each pivot's two lifts a and b are checked first: ½ of their summed
+        occurrences is the piecewise profile, compared on the integers over
+        the product of the two denominators, and 2t + r = 8.  The lifts are
+        not normalized; the one average does that."""
         weight = Fraction(1, 2 * K.m)
         parts = []
         pivot_records = []
         children: set[str] = set()
         for uv in range(K.m):
-            lifted, _, (decision, child_keys) = self._pivot_lifts(K, uv)
-            parts.extend((weight, c) for c in lifted)
-            children.update(child_keys)
+            decision = connectivity.find_safe_pair(K, uv)
+            (a, key_a), (b, key_b) = [
+                self._pull(remove_edges_and_smooth(K, *pair))
+                for pair in (decision.pair_a, decision.pair_b)
+            ]
+            t, r, want = _case1_expectation(K, uv)
+            scale = 2 * a.den * b.den
+            if any(
+                18 * (x * b.den + y * a.den) != w * scale
+                for x, y, w in zip(_occurrence_nums(a), _occurrence_nums(b), want)
+            ):
+                raise InvariantViolation(
+                    f"pivot {uv}: occurrences deviate from the piecewise profile"
+                )
+            if 2 * t + r != 8:
+                raise InvariantViolation(f"pivot {uv}: 2t + r = {2 * t + r}, not 8")
+            parts += [(weight, a), (weight, b)]
+            children.update((key_a, key_b))
             pivot_records.append(
                 {
                     "pivot": uv,
@@ -1060,7 +1030,7 @@ class Certifier:
                         if decision.witness_cut
                         else None
                     ),
-                    "children": child_keys,
+                    "children": [key_a, key_b],
                 }
             )
         final = average(parts)
@@ -1157,14 +1127,6 @@ def _pull_members(
 def certify(g: Graph, certifier: Certifier | None = None) -> Certificate:
     """``certifier.certify(g)``, with a fresh Certifier when none is given."""
     return (certifier or Certifier()).certify(g)
-
-
-def reduce_case1(
-    g: Graph, uv: int, certifier: Certifier | None = None
-) -> tuple[ConvexCombination, Case1Profile]:
-    """``certifier.reduce_case1(g, uv)``, with a fresh Certifier when none
-    is given."""
-    return (certifier or Certifier()).reduce_case1(g, uv)
 
 
 # ---------------------------------------------------------------------------

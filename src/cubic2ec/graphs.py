@@ -96,13 +96,6 @@ class Graph:
     def is_cubic(self) -> bool:
         return self.n >= 4 and all(len(a) == 3 for a in self._adj)
 
-    def edges_adjacent_to(self, e: int) -> tuple[int, ...]:
-        """Edge ids sharing an endpoint with edge e (excluding e itself)."""
-        u, v = self.edges[e]
-        out = [f for f in self._adj[u] if f != e]
-        out += [f for f in self._adj[v] if f != e]
-        return tuple(sorted(set(out)))
-
 
 # ---------------------------------------------------------------------------
 # graph6

@@ -59,7 +59,7 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
     minimal subgraph seeds the size bound only.
     """
     _guard(g)
-    if connectivity.edge_connectivity(g) < 2:
+    if not connectivity.is_2ec(g, (1 << g.m) - 1):  # connected, bridgeless
         raise ValueError("exact_opt requires a 2-edge-connected graph")
     n, m = g.n, g.m
     inc = [0] * n

@@ -11,7 +11,9 @@ exact feasibility search over every 2EC spanning subgraph, and the
 Carathéodory compaction with a Fraction inverse of its basis.
 
 Five oracles keep a construction the package replaced: the case-1 node
-as a merge per pivot, averaged over the pivots and padded; the
+as a merge per pivot (``reference_pivot``, built from the certifier's
+cached children, the package's safe pairs and smoothing, and the
+reference lift and average), averaged over the pivots and padded; the
 relabeling of a combination rebuilt through ``reference_combination``;
 lift and glue with a set per mapped member, lift rebuilt through
 ``reference_combination`` and glue classing members by their
@@ -42,10 +44,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubic2ec.combine import TARGET, ConvexCombination, pad_to_uniform, reduce_case1
-from cubic2ec.connectivity import Cut
+from cubic2ec.canon import canonical_form
+from cubic2ec.combine import TARGET, ConvexCombination, _public, pad_to_uniform
+from cubic2ec.connectivity import Cut, find_safe_pair
 from cubic2ec.errors import InvariantViolation, StructuralViolation
-from cubic2ec.graphs import Graph, Reduction
+from cubic2ec.graphs import Graph, Reduction, remove_edges_and_smooth
 
 
 @contextmanager
@@ -908,11 +911,42 @@ def reference_caratheodory(comb) -> list[tuple[Fraction, tuple[int, ...]]]:
     ]
 
 
+def reference_pivot(g, uv, certifier):
+    """``(comb, t, r)`` for pivot uv of g: ½·lift(C1) + ½·lift(C2) by the
+    reference plumbing, each member checked spanning 2EC, and the pivot's
+    placement counts.
+
+    The two children come from ``find_safe_pair`` and
+    ``remove_edges_and_smooth``.  Each child's combination is the one
+    certifier caches for its canonical key (certified first if it holds
+    none), carried to the child by ``reference_map_combination`` and
+    lifted by ``reference_lift``; nothing else of the certifier is read.
+    t and r are read off ``piecewise_pivot_occurrences``: an essentially
+    4-edge-connected graph with n > 6, which ``find_safe_pair`` requires,
+    has no triangle, so every other edge at 1 shares a 4-cycle with the
+    pivot and every edge at 8/9 is one edge away without one.
+    """
+    decision = find_safe_pair(g, uv)
+    parts = []
+    for pair in (decision.pair_a, decision.pair_b):
+        red = remove_edges_and_smooth(g, *pair)
+        key, perm = canonical_form(red.child)
+        if key not in certifier._cache:
+            certifier.certify(red.child)
+        cached = _public(certifier._cache[key][0])
+        child = reference_map_combination(cached, red.child, perm)
+        parts.append((Fraction(1, 2), reference_lift(child, red)))
+    comb = reference_average(parts)
+    reference_combination(g, comb.entries)  # raises at a member not 2EC
+    occ = piecewise_pivot_occurrences(g, uv)
+    return comb, occ.count(Fraction(1)) - 1, occ.count(Fraction(8, 9))
+
+
 def reference_case1_combination(K, certifier):
     """A case-1 node built per pivot: the average over the m pivots of
-    each pivot's ½·lift(C1) + ½·lift(C2), padded up to 7/9."""
+    each pivot's ``reference_pivot`` combination, padded up to 7/9."""
     m = K.m
-    parts = [(Fraction(1, m), reduce_case1(K, uv, certifier)[0]) for uv in range(m)]
+    parts = [(Fraction(1, m), reference_pivot(K, uv, certifier)[0]) for uv in range(m)]
     return pad_to_uniform(reference_average(parts), TARGET)
 
 

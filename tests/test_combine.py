@@ -12,6 +12,7 @@ from support import (
     piecewise_pivot_occurrences,
     reference_is_2ec,
     reference_is_essentially_4ec,
+    reference_pivot,
     reference_small_cubic_graphs,
     reference_two_ec_spanning_subgraphs,
 )
@@ -38,7 +39,6 @@ from cubic2ec import (
     lift,
     min_support_subgraph,
     pad_to_uniform,
-    reduce_case1,
     remove_edges_and_smooth,
     support_bound,
     to_graph6,
@@ -467,28 +467,17 @@ def test_pad_single_deficient_edge(k4):
     assert len(out.entries) <= before + 1
 
 
-# reduce_case1 ---------------------------------------------------------------
+# one pivot -------------------------------------------------------------------
 
 
-def test_reduce_case1_matches_piecewise_profile(petersen, certifier):
+def test_pivot_matches_piecewise_profile(petersen, certifier):
     for uv in (0, 7, 14):
-        comb, profile = certifier.reduce_case1(petersen, uv)
+        comb, t, r = reference_pivot(petersen, uv, certifier)
         assert list(edge_occurrences(comb)) == piecewise_pivot_occurrences(
             petersen, uv
         )
-        assert (profile.t, profile.r) == (0, 8)  # girth 5: no 4-cycles
-
-
-def test_reduce_case1_preconditions(prism, k33, petersen, certifier):
-    with pytest.raises(ValueError):
-        certifier.reduce_case1(prism, 0)
-    with pytest.raises(ValueError):
-        certifier.reduce_case1(k33, 0)
-    with pytest.raises(ValueError):
-        certifier.reduce_case1(TWO_K4_MINUS_EDGE, 0)  # λ = 2
-    for uv in (-1, petersen.m):
-        with pytest.raises(ValueError):
-            certifier.reduce_case1(petersen, uv)
+        assert (t, r) == (0, 8)  # girth 5: no 4-cycles
+        assert combine._case1_expectation(petersen, uv)[:2] == (t, r)
 
 
 # certify --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 from support import maxflow_edge_connectivity
+from test_oracle import TWO_K4_MINUS_EDGE
 
 from cubic2ec import (
     Graph,
@@ -248,6 +249,8 @@ def test_find_safe_pair_rejects_small_or_cut_graphs(k33, prism):
         find_safe_pair(k33, 0)  # n = 6
     with pytest.raises(ValueError):
         find_safe_pair(prism, 0)  # essential 3-cut
+    with pytest.raises(ValueError):
+        find_safe_pair(TWO_K4_MINUS_EDGE, 0)  # λ = 2
 
 
 # safe-pair verification ------------------------------------------------------

@@ -139,7 +139,8 @@ def test_smooth_petersen_drops_four_vertices_six_edges(petersen):
     # forced edges are exactly those adjacent to the removed pair
     expected = set()
     for f in (e1, e2):
-        expected.update(petersen.edges_adjacent_to(f))
+        for w in petersen.endpoints(f):
+            expected.update(petersen.incident(w))
     assert red.forced_include == expected - {e1, e2}
 
 

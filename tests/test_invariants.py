@@ -58,34 +58,49 @@ def test_closed_form_lp_petersen_under_optimize():
     assert proc.stdout.strip() == "10"
 
 
+# A pivot expectation skewed one way at a time: 1/9 more on edge 0 (the
+# occurrence check), or one more 4-cycle pivot (the 2t + r = 8 check).
 FORCED_MISMATCH = """
 import sys
-from fractions import Fraction
 from cubic2ec import Certifier, builtin, combine
 from cubic2ec.errors import InvariantViolation
 
 assert False, "assert statements must be stripped"
 honest = combine._case1_expectation
 
-def skewed(g, uv):
-    profile, occ = honest(g, uv)
-    occ[0] += Fraction(1, 9)
-    return profile, occ
+def occurrence(g, uv):
+    t, r, want = honest(g, uv)
+    want[0] += 2  # numerators over 18
+    return t, r, want
 
-combine._case1_expectation = skewed
+def placement(g, uv):
+    t, r, want = honest(g, uv)
+    return t + 1, r, want
+
+combine._case1_expectation = {"occurrence": occurrence, "placement": placement}[
+    sys.argv[1]
+]
 try:
     Certifier().certify(builtin("petersen"))
 except InvariantViolation as exc:
     print(f"optimize={sys.flags.optimize} {exc}")
     sys.exit(0)
-sys.exit("a forced occurrence mismatch went unnoticed")
+sys.exit("a forced pivot mismatch went unnoticed")
 """
 
 
 def test_forced_occurrence_mismatch_raises_under_optimize():
-    proc = run_optimized("-c", FORCED_MISMATCH)
+    proc = run_optimized("-c", FORCED_MISMATCH, "occurrence")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("optimize=1 pivot 0: occurrences deviate")
+    assert proc.stdout.startswith(
+        "optimize=1 pivot 0: occurrences deviate from the piecewise profile"
+    )
+
+
+def test_forced_placement_mismatch_raises_under_optimize():
+    proc = run_optimized("-c", FORCED_MISMATCH, "placement")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize=1 pivot 0: 2t + r = 10, not 8")
 
 
 def test_forced_mismatch_maps_to_exit_3_under_optimize():
@@ -93,9 +108,10 @@ def test_forced_mismatch_maps_to_exit_3_under_optimize():
         "from cubic2ec.cli import main\n"
         "sys.exit(main(['certify', '--graph', 'petersen']))\n"
     )
-    proc = run_optimized("-c", script)
+    proc = run_optimized("-c", script, "occurrence")
     assert proc.returncode == 3
     assert "internal invariant violation" in proc.stderr
+    assert "pivot 0: occurrences deviate from the piecewise profile" in proc.stderr
 
 
 REPRODUCE = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_bounds.py"

@@ -53,6 +53,12 @@ def test_exact_opt_rejects_bridged_input():
         exact_opt(path)
 
 
+def test_exact_opt_rejects_disconnected_input():
+    triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    with pytest.raises(ValueError, match="requires a 2-edge-connected graph"):
+        exact_opt(triangles)
+
+
 def test_exact_opt_witness_is_deterministic(petersen):
     a = exact_opt(petersen)
     b = exact_opt(petersen)

@@ -9,7 +9,8 @@ import json
 import sys
 from pathlib import Path
 
-from support import reference_small_cubic_graphs
+import pytest
+from support import maxflow_edge_connectivity, reference_small_cubic_graphs
 from test_oracle import TWO_K4_MINUS_EDGE
 
 from cubic2ec import (
@@ -19,6 +20,7 @@ from cubic2ec import (
     combine,
     connectivity,
     edge_connectivity,
+    parse_graph6,
     to_graph6,
 )
 
@@ -54,6 +56,17 @@ def test_edge_insertion_levels_match_independent_methods(monkeypatch, corpus):
     # only the named corpus graphs are checked
     named = [to_graph6(g) for g in corpus if g.n == 12]
     assert len(named) == 5 and set(named) <= set(levels[12])
+    # the generator checks λ >= 3 once per kept graph; max-flow agrees
+    for keys in levels.values():
+        assert all(maxflow_edge_connectivity(parse_graph6(k)) >= 3 for k in keys)
+
+
+def test_edge_insertion_levels_raise_on_a_kept_graph_below_lambda_3(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    make_corpus = load("make_corpus")
+    monkeypatch.setattr(make_corpus, "edge_connectivity", lambda g: 2)
+    with pytest.raises(ValueError, match="which has λ < 3"):
+        dict(make_corpus.edge_insertion_levels(6))
 
 
 def test_make_corpus_regenerates_the_committed_corpus(monkeypatch, capsys, tmp_path):
