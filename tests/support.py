@@ -509,7 +509,7 @@ def reference_occurrences(m: int, entries) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in occ)
 
 
-def _reference_refine(cells, nbrs):
+def reference_refine(cells, nbrs):
     cells = list(cells)
     while True:
         pos = {}
@@ -560,7 +560,7 @@ def reference_canonical_form(g) -> tuple[str, tuple[int, ...]]:
     best = [None, None]
 
     def search(cells):
-        cells = _reference_refine(cells, nbrs)
+        cells = reference_refine(cells, nbrs)
         target = next((ci for ci, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = tuple(cell[0] for cell in cells)

@@ -17,8 +17,10 @@ Tarjan's low-link search it replaced and a per-edge removal scan; the lane-paral
 against that check and both references, member by member; and every
 certified node and root, held as edge masks over integer numerators,
 against the (Fraction, edge tuple) plumbing it replaced, rebuilt from the
-same children; and the canonical search that stops at a leaf of a known
-class against the whole search and the full tree."""
+same children; the canonical search that stops at a leaf of a known
+class, and the orbit pruning at every node, against the whole search and
+the full tree; and the refinement by one-integer signatures against the
+rounds of neighbor-count vectors it replaced."""
 
 import itertools
 import sys
@@ -45,6 +47,7 @@ from support import (
     reference_lift,
     reference_map_combination,
     reference_occurrences,
+    reference_refine,
     reference_remove_edges_and_smooth,
     reference_shore_scan,
     reference_small_cubic_graphs,
@@ -516,6 +519,131 @@ def test_canonical_lookup_matches_canonical_form_on_symmetric_graphs(name, data)
         {canonical_form(h)[0] for h in itertools.islice(two_switches(g), 8)} - {own}
     )
     assert_lookup_matches_canonical_form(g, others, data)
+
+
+@st.composite
+def any_graphs(draw, max_n=12):
+    """Simple graphs with 1 to max_n vertices, cubic or not, edgeless ones
+    included."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, tuple(edges))
+
+
+@st.composite
+def ordered_partitions(draw, n):
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    return tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+
+
+REFINED = {
+    "single": Graph(1, ()),
+    "empty5": Graph(5, ()),
+    "K2": Graph(2, ((0, 1),)),
+    "star": Graph(5, tuple((0, i) for i in range(1, 5))),
+    "path": Graph(6, tuple((i, i + 1) for i in range(5))),
+    "K6": complete(6),
+    "petersen": builtin("petersen"),
+    "GP(8,3)": generalized_petersen(8, 3),
+}
+
+
+def assert_refine_matches_reference(g, cells):
+    """From ``cells`` and from every individualization of the equitable
+    partition refinement reaches, ``_refine`` gives the reference's cells,
+    with and without the individualized vertex as hint."""
+    nbrs, weight = canon._tables(g)
+    equitable = reference_refine(cells, nbrs)
+    assert canon._refine(cells, nbrs, weight) == equitable
+    for target, cell in enumerate(equitable):
+        for v in cell if len(cell) > 1 else ():
+            child = canon._individualize(equitable, target, v)
+            expected = reference_refine(child, nbrs)
+            assert canon._refine(child, nbrs, weight, v) == expected
+            assert canon._refine(child, nbrs, weight) == expected
+
+
+@pytest.mark.parametrize("name", sorted(REFINED))
+def test_refine_matches_reference_from_the_unit_partition(name):
+    g = REFINED[name]
+    assert_refine_matches_reference(g, (tuple(range(g.n)),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_refine_matches_reference_on_random_partitions(data):
+    g = data.draw(any_graphs())
+    assert_refine_matches_reference(g, data.draw(ordered_partitions(g.n)))
+
+
+# Orbit pruning skips children, and leaves subtrees, under automorphisms
+# that fix the path.  Large groups make most leaves tie with the least one.
+# The last graph (three vertices joined to four that are matched in pairs,
+# plus two isolated vertices) is one where a search that returned one level
+# above the deepest node two tied leaves share would lose the first least
+# leaf, as labeled here.
+PRUNED = {
+    "k4": builtin("k4"),
+    "k33": builtin("k33"),
+    "prism": builtin("prism"),
+    "cube": SYMMETRIC["cube"],
+    "petersen": builtin("petersen"),
+    "GP(8,3)": SYMMETRIC["GP(8,3)"],
+    "K3,4+matching+2K1": Graph(
+        9, tuple((a, b) for a in (4, 6, 8) for b in (0, 1, 3, 7)) + ((0, 1), (3, 7))
+    ),
+}
+
+
+def assert_pruned_search_matches_full_tree(g, decoys):
+    expected = reference_canonical_form(g)
+    others = {encoding(parse_graph6(key)) for key in decoys - {expected[0]}}
+    assert canon._search(g)[:2] == canon._search(g, others)[:2]
+    assert canonical_lookup(g, others) == expected
+    assert canonical_lookup(g, others | {encoding(parse_graph6(expected[0]))}) == expected
+    assert canonical_form(g) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_orbit_pruning_keeps_the_first_least_leaf(name, data):
+    """Full search, and lookups given decoy classes with and without g's
+    own, on g as labeled and on a drawn relabeling, against the full
+    tree."""
+    g = PRUNED[name]
+    decoys = {reference_canonical_form(x)[0] for x in itertools.islice(two_switches(g), 6)}
+    h = relabel(
+        g, data.draw(st.permutations(range(g.n))), data.draw(st.permutations(range(g.m)))
+    )
+    for x in (g, h):
+        assert_pruned_search_matches_full_tree(x, decoys)
+
+
+# Leaves visited over every lookup a fresh Certifier makes, as (full search,
+# search stopped at a known class).  The counts are deterministic, so a
+# change that prunes less, or more, fails here even when every key and
+# perm stays right.
+PINNED_LEAVES = {"cold_e4_n16": (1770, 965), "GP(8,3)": (849, 407)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LEAVES))
+def test_search_visits_the_pinned_number_of_leaves(name, cold_e4_n16, monkeypatch):
+    g = cold_e4_n16 if name == "cold_e4_n16" else generalized_petersen(8, 3)
+    lookups = []
+    honest = Certifier._canonical_form
+
+    def record(self, h):
+        lookups.append((h, set(self._known.get(h.n, ()))))
+        return honest(self, h)
+
+    monkeypatch.setattr(Certifier, "_canonical_form", record)
+    Certifier(max_n=16).certify(g)
+    full = sum(canon._search(h)[2] for h, _ in lookups)
+    stopped = sum(canon._search(h, known)[2] for h, known in lookups)
+    assert (full, stopped) == PINNED_LEAVES[name]
 
 
 # base-case table --------------------------------------------------------------

@@ -67,7 +67,9 @@ def test_phase1_matches_reference_on_an_infeasible_target():
     assert assert_phase1_matches(rows, rhs) is None
 
 
-@pytest.mark.parametrize("line", SMALL_LINES + N12_LINES)
+@pytest.mark.parametrize(
+    "line", SMALL_LINES + [pytest.param(ln, marks=pytest.mark.slow) for ln in N12_LINES]
+)
 def test_phase1_matches_reference_on_least_support_systems(line):
     rows, rhs = valid_matching_system(parse_graph6(line))
     x = assert_phase1_matches(rows, rhs)
