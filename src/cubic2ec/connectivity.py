@@ -1,18 +1,22 @@
 """Edge-connectivity queries, essential-cut detection, and safe pairs.
 
-Cut existence queries visit every shore (n <= 20), which answers "does
-ANY cut with these properties exist" exactly — a min-cut algorithm only
-exhibits one minimizer.  Shores are canonical: always the side not
-containing vertex 0.  One Gray-code walk visits them all: consecutive
-shores differ in one vertex, so each step updates the crossing edge mask
-with one XOR of that vertex's incidence mask instead of a scan over all
-edges.  The cuts a query keeps are sorted by shore, so every output is
-in ascending shore order.
+Cut queries answer "does ANY cut with these properties exist" exactly,
+from a list of every small cut (a min-cut algorithm only exhibits one
+minimizer).  Shores are canonical: always the side not containing vertex
+0, and every output is in ascending shore order.
 
 The cuts are indexed once per graph: one cached :class:`CutIndex`, read
 only in this module, holds the min cut size, the cuts of size <= 4 and
-the essential 3- and 4-cuts, so every cut query up to size 4 reads it
-instead of walking the shores again.
+the essential 3- and 4-cuts, so every cut query up to size 4 reads it.
+The index comes from the cycle space (Pritchard & Thurimella, *Fast
+computation of small cuts via cycle space sampling*, 2011, with one bit
+per non-tree edge instead of random labels): an edge set is a cut iff
+the XOR of its edges' labels is 0, so the cuts of at most four edges are
+found from pairs of labels at any n.  A disconnected graph, or one with
+no cut of at most four edges, and every query for larger cuts, takes the
+Gray-code walk over all 2^(n-1) shores instead (n <= 20): consecutive
+shores differ in one vertex, so each step updates the crossing edge mask
+with one XOR of that vertex's incidence mask.
 
 Spanning 2-edge-connectivity is checked two ways.  ``is_2ec`` decides one
 member, given as edge ids or as a mask with edge e at bit e, from a
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import Lemma3Violation
@@ -186,6 +191,79 @@ def _walk_cuts(g: Graph, max_size: int) -> tuple[int, list[tuple[int, int]]]:
     return best, [(code << 1, cross) for code, cross in found]
 
 
+def _index_cuts(g: Graph) -> list[tuple[int, int]] | None:
+    """Every cut of a connected graph with |crossing| <= 4, as (shore,
+    crossing) in ascending shore order; None if g is disconnected.
+
+    A breadth-first tree from vertex 0 labels non-tree edge j with bit j,
+    and a tree edge with the XOR of the labels of the non-tree edges with
+    exactly one end below it.  An edge set F is a cut iff its labels XOR
+    to 0, and its shore is then the XOR of the vertex sets below F's tree
+    edges.  Pairs come in lexicographic order, and each joins the earlier
+    pairs of equal XOR, so a quadruple a < b < c < d is found once, as
+    (a, b) and then (c, d); a triple looks up the label equal to a pair's
+    XOR.  The work is O(m^2) plus the number of cuts.
+    """
+    n, m, edges = g.n, g.m, g.edges
+    parent_edge = [-1] * n
+    order = [0]
+    for v in order:  # the list grows while it is read: a FIFO queue
+        for e in g.incident(v):
+            a, b = edges[e]
+            w = b if a == v else a
+            if w and parent_edge[w] < 0:
+                parent_edge[w] = e
+                order.append(w)
+    if len(order) < n:
+        return None
+    label = [0] * m
+    up = [0] * n  # up[v]: XOR of the labels at v, then of those leaving v's subtree
+    bit = 1
+    for e, (u, v) in enumerate(edges):
+        if parent_edge[u] != e and parent_edge[v] != e:
+            label[e] = bit
+            up[u] ^= bit
+            up[v] ^= bit
+            bit <<= 1
+    below = [1 << v for v in range(n)]
+    side = [0] * m  # side[e]: the vertices below tree edge e
+    for v in reversed(order[1:]):  # children before parents
+        e = parent_edge[v]
+        label[e], side[e] = up[v], below[v]
+        a, b = edges[e]
+        p = a if b == v else b
+        up[p] ^= up[v]
+        below[p] |= below[v]
+
+    by_label: dict[int, list[int]] = {}
+    for e, x in enumerate(label):
+        by_label.setdefault(x, []).append(e)
+    found = [(e,) for e in by_label.get(0, ())]
+    by_xor: dict[int, list[tuple[int, int]]] = {}
+    for c, d in combinations(range(m), 2):  # in lexicographic order
+        x = label[c] ^ label[d]
+        pairs = by_xor.get(x)
+        if pairs is None:
+            by_xor[x] = [(c, d)]
+            continue
+        for a, b in pairs:
+            if b < c:
+                found.append((a, b, c, d))
+        pairs.append((c, d))
+    found += by_xor.get(0, ())
+    for x in by_xor.keys() & by_label.keys():
+        found += [(a, b, c) for a, b in by_xor[x] for c in by_label[x] if b < c]
+    cuts = []
+    for f in found:
+        shore = cross = 0
+        for e in f:
+            shore ^= side[e]
+            cross |= 1 << e
+        cuts.append((shore, cross))
+    cuts.sort()
+    return cuts
+
+
 class CutIndex(NamedTuple):
     """The cut facts of one graph, as (shore, crossing) bitmask pairs.
 
@@ -202,9 +280,14 @@ class CutIndex(NamedTuple):
 
 @lru_cache(maxsize=512)
 def _cut_summary(g: Graph) -> CutIndex:
-    """Index the cuts of g with one shore walk, deciding each cut's
-    essentiality once."""
-    best, small = _walk_cuts(g, 4)
+    """Index the cuts of g once, from the cycle space, deciding each
+    cut's essentiality once; a disconnected graph, or one with no cut of
+    at most four edges, walks every shore instead."""
+    small = _index_cuts(g)
+    if small:
+        best = min(cross.bit_count() for _, cross in small)
+    else:
+        best, small = _walk_cuts(g, 4)
 
     def essential(size: int) -> tuple[tuple[int, int], ...]:
         found = sorted(

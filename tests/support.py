@@ -3,7 +3,9 @@
 These deliberately avoid the package's own code paths: max-flow for edge
 connectivity, BFS for girth, exhaustive subset scans for minimum 2EC, a
 row-by-row graph6 encoder, an edge scan per shore for cut crossing sets,
-essential-cut queries that rescan every small cut on each call,
+the small cuts as the edge subsets of at most four edges that a parity
+search splits the vertices along, essential-cut queries that rescan
+every small cut on each call,
 Fraction-by-Fraction weight sums for edge occurrences, a canonical
 form that visits every leaf of its search tree, a census of small cubic
 graphs over the edge subsets of K_n, the base-case combinations by
@@ -354,14 +356,44 @@ def reference_shore_scan(g) -> list[tuple[int, int]]:
     ]
 
 
+def _reference_parity_sides(nbrs, cross: int) -> list[int] | None:
+    """Side 0 or 1 of each vertex, vertex 0 on side 0, such that exactly
+    the edges in ``cross`` join unlike sides, by a search that fixes each
+    vertex from the first edge that reaches it; None if an edge disagrees,
+    and -1 for a vertex the search never reaches."""
+    side = [0] + [-1] * (len(nbrs) - 1)
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, e in nbrs[u]:
+            s = side[u] ^ ((cross >> e) & 1)
+            if side[v] < 0:
+                side[v] = s
+                stack.append(v)
+            elif side[v] != s:
+                return None
+    return side
+
+
 def reference_small_cuts(g) -> list[tuple[int, int, int]]:
     """(shore, crossing mask, size) of every canonical cut with at most 4
-    crossing edges, in ascending shore order, from the per-shore scan."""
-    return [
-        (shore, cross, cross.bit_count())
-        for shore, cross in reference_shore_scan(g)
-        if cross.bit_count() <= 4
-    ]
+    crossing edges of a connected graph, in ascending shore order: every
+    edge subset of at most four edges, kept when a parity search splits
+    the vertices along it.  Needs no walk over the shores, so any n."""
+    nbrs = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        nbrs[u].append((v, e))
+        nbrs[v].append((u, e))
+    if -1 in _reference_parity_sides(nbrs, 0):
+        raise ValueError("reference_small_cuts needs a connected graph")
+    found = []
+    for k in range(1, 5):
+        for es in combinations(range(g.m), k):
+            cross = sum(1 << e for e in es)
+            side = _reference_parity_sides(nbrs, cross)
+            if side is not None:
+                found.append((sum(s << v for v, s in enumerate(side)), cross, k))
+    return sorted(found)
 
 
 def _reference_has_internal_edge(g, vmask: int) -> bool:

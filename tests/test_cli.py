@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -174,6 +176,26 @@ def test_lemma3_subcommand(capsys):
     assert code == 2
 
 
+def test_cut_queries_run_above_the_shore_walk_cap(tmp_path, capsys):
+    path = tmp_path / "gp112.g6"  # n = 22
+    path.write_text(to_graph6(generalized_petersen(11, 2)) + "\n")
+    code, stdout, _ = run(capsys, "lemma3", "--g6", str(path))
+    assert code == 0
+    assert json.loads(stdout) == {
+        "configurations": 132,
+        "pivots": 33,
+        "violations": 0,
+        "orientation_flips": 0,
+        "divergences": 0,
+    }
+    # a sweep row gets past the cut queries and stops at the oracle's cap
+    code, stdout, _ = run(capsys, "sweep", "--g6", str(path))
+    assert code == 0
+    [row] = list(csv.DictReader(io.StringIO(stdout)))
+    assert (row["essentially4ec"], row["lemma3_violations"]) == ("true", "0")
+    assert row["error"] == "oracle limited to n <= 16 (got n=22)"
+
+
 def test_sweep_small_corpus(tmp_path, capsys):
     corpus = tmp_path / "small.g6"
     corpus.write_text(
@@ -185,8 +207,6 @@ def test_sweep_small_corpus(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, _, _ = run(capsys, "sweep", "--g6", str(corpus), "-o", str(out))
     assert code == 0  # parse errors are flagged, not fatal
-    import csv
-
     with out.open() as fh:
         rows = list(csv.DictReader(fh))
     assert out.read_text().splitlines()[0] == ",".join(SWEEP_COLUMNS)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from support import maxflow_edge_connectivity
 from test_oracle import TWO_K4_MINUS_EDGE
@@ -118,8 +120,19 @@ def test_enumerate_cuts_petersen_3cuts_are_vertex_cuts(petersen):
 
 
 def test_enumerate_cuts_guards_size():
-    with pytest.raises(ValueError):
-        enumerate_cuts(Graph(21, tuple((i, i + 1) for i in range(20))), 3)
+    """The n <= 20 guard holds only where every shore is walked."""
+    path = Graph(21, tuple((i, i + 1) for i in range(20)))
+    with pytest.raises(ValueError, match="limited to n <= 20"):
+        enumerate_cuts(path, 5)  # above the indexed sizes
+    with pytest.raises(ValueError, match="limited to n <= 20"):
+        edge_connectivity(Graph(21, path.edges[1:]))  # disconnected
+    # every edge of the path is a bridge, and every set of bridges a cut
+    cuts = enumerate_cuts(path, 3)
+    assert len(cuts) == 20 + 190 + 1140
+    assert sorted(c.crossing for c in cuts) == sorted(
+        es for k in (1, 2, 3) for es in itertools.combinations(range(20), k)
+    )
+    assert all(make_cut(path, c.shore) == c for c in cuts)
 
 
 # essential cuts -------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The Gray-code shore walk, the essential-cut index, the integer-numerator
+"""The Gray-code shore walk, the cycle-space cut index against every edge
+subset of at most four edges, the essential-cut index, the integer-numerator
 weight sums, the closed-form cut LP, the pruned canonical form, the
 base-case table and the integer compaction against the per-shore edge
 scan, the per-query cut rescans, the Fraction loop, the full-enumeration
@@ -23,6 +24,7 @@ the full tree; and the refinement by one-integer signatures against the
 rounds of neighbor-count vectors it replaced."""
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -185,6 +187,54 @@ def test_small_cuts_come_from_the_index_on_relabelings(corpus, data):
     order = data.draw(st.permutations(range(g.m)))
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_small_cuts_match_scan(relabel(g, perm, order), monkeypatch)
+
+
+def test_only_graphs_without_small_cuts_or_connection_walk_the_shores(
+    corpus, monkeypatch
+):
+    walked = []
+
+    def counted(g, max_size):
+        walked.append(g)
+        return _walk_cuts(g, max_size)
+
+    monkeypatch.setattr(connectivity, "_walk_cuts", counted)
+    _cut_summary.cache_clear()  # index every graph afresh
+    for g in corpus:
+        _cut_summary(g)
+    assert walked == []
+    others = [
+        Graph(5, ((0, 1), (2, 3), (3, 4), (2, 4))),  # disconnected
+        complete(6),  # λ = 5
+        complete(8),  # λ = 7
+    ]
+    for g in others:
+        _cut_summary(g)
+        _cut_summary(g)  # read from the cache
+    assert walked == others
+
+
+@pytest.mark.parametrize("k, step", [(11, 2), (12, 5)])
+def test_cut_index_matches_edge_subsets_above_the_walk_cap(k, step):
+    """Every cut of at most four edges at n = 22 and 24, where the shores
+    are never walked, on the graph and on one relabeling of it."""
+    g = generalized_petersen(k, step)
+    rng = random.Random(k)
+    relabeled = relabel(g, rng.sample(range(g.n), g.n), rng.sample(range(g.m), g.m))
+    for h in (g, relabeled):
+        small = reference_small_cuts(h)
+        index = _cut_summary(h)
+        assert index.min_size == min(size for _, _, size in small) == 3
+        assert index.small == tuple((shore, cross) for shore, cross, _ in small)
+        for size, found in ((3, index.essential3), (4, index.essential4)):
+            assert found == tuple(
+                (shore, cross)
+                for _, shore, cross in sorted(
+                    (shore.bit_count(), shore, cross)
+                    for shore, cross, count in small
+                    if count == size and reference_is_essential(h, shore)
+                )
+            )
 
 
 # essential-cut index ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """The tooling under ``scripts/``: the corpus script, which imports
 without running and regenerates the committed corpus byte for byte, its
 edge-insertion generator, the bounds report over the committed
-corpus, and the member-check, canonical-form, child-pull and LP engine
-timing harnesses."""
+corpus, and the member-check, canonical-form, child-pull, LP engine and
+cut index timing harnesses."""
 
 import importlib.util
 import json
@@ -196,3 +196,28 @@ def test_bench_lp_engine_writes_a_report(monkeypatch, capsys, tmp_path):
     assert report["cut_lp_totals"]["systems_both_ran"] == 4
     for row in report["phase1"] + report["cut_lp"]:
         assert row["engine_s"] >= 0 and row["reference_s"] >= 0
+
+
+def test_bench_cuts_writes_a_report(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_cuts")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--graphs", "1", "--repeat", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    rows = report["sizes"]
+    assert [r["n"] for r in rows] == [8, 10, 12, 14, 16, 18, 20, 24, 30, 60]
+    for row in rows:
+        assert row["graphs"] == 1
+        assert row["cuts"] >= row["n"]  # each vertex's own 3-cut
+        assert row["index_s"] >= 0
+        assert (row["walk_s"] is None) == (row["n"] > 20)
+
+
+def test_bench_cuts_raises_when_the_index_and_the_walk_disagree(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_cuts")
+    honest = connectivity._index_cuts
+    monkeypatch.setattr(connectivity, "_index_cuts", lambda g: honest(g)[1:])
+    with pytest.raises(RuntimeError, match="n=8: the index and the shore walk"):
+        bench.main(["--graphs", "1", "--repeat", "1", "--out", str(tmp_path / "b.json")])
