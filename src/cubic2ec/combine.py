@@ -18,11 +18,16 @@ graph size:
 members along an edge map.  The certifier pulls each child's cached
 canonical combination straight onto the parent in one such pass, the
 relabeling and the lift or shore mapping composed into one edge map.  A
-lift is not sorted or reduced: the case-1 average normalizes the node
-once.  A case-2 shore is normalized, and so is the glued node.  Each
-member of a finished node is checked spanning 2EC once, however many
-lifts or glues produced it, and all of a node's members in one
-lane-parallel pass (``connectivity.first_non_2ec``).
+case-1 node does each piece of work once: its safe pairs are decided
+after one check of the graph (``connectivity.safe_pairs``), each child
+comes from the smoothing kernel that ``remove_edges_and_smooth`` wraps
+(``graphs._smooth``, with every check but no Reduction), and a lift is
+not sorted or reduced: the one average adds every lift's scaled
+numerators into one map and normalizes the node once.  A case-2 shore
+is normalized, and so is the glued node.  Each member of a finished
+node is checked spanning 2EC once, however many lifts or glues produced
+it, and all of a node's members in one lane-parallel pass
+(``connectivity.first_non_2ec``).
 
 All arithmetic is exact; no floats anywhere in the certification path.
 Inside the certifier a combination is one integer denominator and
@@ -58,7 +63,7 @@ from fractions import Fraction
 from . import connectivity
 from .canon import canonical_form, canonical_lookup, encoding
 from .errors import InvariantViolation
-from .graphs import Graph, Reduction, contract_shore, parse_graph6, remove_edges_and_smooth
+from .graphs import Graph, Reduction, _smooth, contract_shore, parse_graph6
 
 log = logging.getLogger(__name__)
 
@@ -337,8 +342,10 @@ def average(parts):
     """Weighted merge of combinations over one host (weights sum to 1).
 
     Part weights are ints or Fractions.  Each part's numerators are scaled
-    by one integer onto a common denominator; the result has the form of
-    the first part's combination.
+    by one integer onto a common denominator and added straight into one
+    map of member to numerator, whose total must be that denominator; the
+    map is normalized once.  A part may repeat members, as a case-1 lift
+    does.  The result has the form of the first part's combination.
     """
     parts = list(parts)
     if not parts:
@@ -357,12 +364,15 @@ def average(parts):
             raise ValueError("all combinations must share one host graph")
     scaled = [(Fraction(w), _masked(comb)) for w, comb in parts if w]
     den = math.lcm(*(w.denominator * c.den for w, c in scaled))
-    raw = []
+    acc: dict[int, int] = {}
     for w, c in scaled:
         f = den // (w.denominator * c.den) * w.numerator
-        raw += [(f * num, x) for num, x in c.entries]
-    out = combination(host, _MaskedCombination(host, den, tuple(raw)), check=False)
-    return _like(parts[0][1], out)
+        for num, x in c.entries:
+            acc[x] = acc.get(x, 0) + f * num
+    total = sum(acc.values())
+    if total != den:
+        raise ValueError(f"weights must sum to 1 exactly (got {Fraction(total, den)})")
+    return _like(parts[0][1], _ordered(host, den, acc))
 
 
 def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
@@ -958,13 +968,16 @@ class Certifier:
         self._cache[key] = self._build(K, key)
         self._known.setdefault(K.n, set()).add(encoding(K))
 
-    def _pull(self, red: Reduction) -> tuple[_MaskedCombination, str]:
-        """``_pull_members`` of red.child's node, built on a miss, and the
+    def _pull(
+        self, parent: Graph, child: Graph, provenance, always=(), normalize=True
+    ) -> tuple[_MaskedCombination, str]:
+        """``_pull_members`` of the child's node, built on a miss, and the
         child's key."""
-        key, perm = self._canonical_form(red.child)
+        key, perm = self._canonical_form(child)
         if key not in self._cache:
             self._insert(parse_graph6(key), key)
-        return _pull_members(self._cache[key][0], red, perm), key
+        comb_k = self._cache[key][0]
+        return _pull_members(comb_k, perm, parent, child, provenance, always, normalize), key
 
     def _build(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:
         if not K.is_cubic or connectivity.edge_connectivity(K) < 3:
@@ -993,18 +1006,21 @@ class Certifier:
         """One average of all 2m lifted children at 1/(2m) each: 7/9 +
         (2t + r - 8)/(9m) on each edge, so 7/9, as every pivot has 2t + r = 8.
 
-        Each pivot's two lifts a and b are checked first: ½ of their summed
-        occurrences is the piecewise profile, compared on the integers over
-        the product of the two denominators, and 2t + r = 8.  The lifts are
-        not normalized; the one average does that."""
+        K is checked once for all its pivots (``connectivity.safe_pairs``),
+        and each child comes from the smoothing kernel ``graphs._smooth``
+        without a Reduction.  Each pivot's two lifts a and b are checked
+        first: ½ of their summed occurrences is the piecewise profile,
+        compared on the integers over the product of the two denominators,
+        and 2t + r = 8.  The lifts are not normalized; the one average does
+        that."""
         weight = Fraction(1, 2 * K.m)
         parts = []
         pivot_records = []
         children: set[str] = set()
-        for uv in range(K.m):
-            decision = connectivity.find_safe_pair(K, uv)
+        for decision in connectivity.safe_pairs(K):
+            uv = decision.pivot_edge
             (a, key_a), (b, key_b) = [
-                self._pull(remove_edges_and_smooth(K, *pair))
+                self._pull(K, *_smooth(K, *pair), normalize=False)
                 for pair in (decision.pair_a, decision.pair_b)
             ]
             t, r, want = _case1_expectation(K, uv)
@@ -1049,8 +1065,8 @@ class Certifier:
     def _case2(self, K: Graph, key: str, cut) -> tuple[_MaskedCombination, dict]:
         red_in = contract_shore(K, cut, "inside")
         red_out = contract_shore(K, cut, "outside")
-        shore_in, key_in = self._pull(red_in)
-        shore_out, key_out = self._pull(red_out)
+        shore_in, key_in = self._pull(K, red_in.child, red_in.edge_provenance)
+        shore_out, key_out = self._pull(K, red_out.child, red_out.edge_provenance)
         comb = _glue(shore_in, shore_out, sorted(cut.crossing))
         _check_members(comb, f"node {key}: member ")
         record = {
@@ -1100,28 +1116,30 @@ def _map_combination(
 
 
 def _pull_members(
-    comb_k: _MaskedCombination, red: Reduction, perm: tuple[int, ...]
+    comb_k: _MaskedCombination,
+    perm: tuple[int, ...],
+    parent: Graph,
+    child: Graph,
+    provenance,
+    always=(),
+    normalize=True,
 ) -> _MaskedCombination:
-    """red.child's combination, held as comb_k on its canonical graph
-    (perm maps red.child's vertices onto comb_k.host's), carried straight
-    onto red.parent in one ``_map_members`` pass.  The two edge maps
-    compose: canonical edge ke stands for child edge back[ke], which stands
-    for the parent edges red.edge_provenance[back[ke]].
+    """child's combination, held as comb_k on its canonical graph (perm
+    maps child's vertices onto comb_k.host's), carried straight onto parent
+    in one ``_map_members`` pass.  Child edge ce stands for the parent
+    edges provenance[ce], and every member also gets ``always``.  The two
+    edge maps compose: canonical edge ke stands for child edge back[ke],
+    which stands for the parent edges provenance[back[ke]].
 
     The members are those of ``_map_combination`` followed by ``lift``
-    (case 1) or by glue's mapping of a shore (case 2).  A contracted shore
-    comes back normalized, since ``_glue`` pairs pattern classes in order;
-    a lift does not, since ``_case1`` averages it at once.
+    (case 1: a removal's provenance and forced_include) or by glue's
+    mapping of a shore (case 2: a contraction's provenance).  A contracted
+    shore comes back normalized, since ``_glue`` pairs pattern classes in
+    order; a lift is passed with ``normalize=False``, since ``_case1``
+    averages it at once.
     """
-    prov = red.edge_provenance
-    edge_map = [prov[ce] for ce in _relabeling(comb_k.host, red.child, perm)]
-    return _map_members(
-        comb_k,
-        red.parent,
-        edge_map,
-        red.forced_include,
-        normalize=red.kind != "case1_removal",
-    )
+    edge_map = [provenance[ce] for ce in _relabeling(comb_k.host, child, perm)]
+    return _map_members(comb_k, parent, edge_map, always, normalize)
 
 
 def certify(g: Graph, certifier: Certifier | None = None) -> Certificate:

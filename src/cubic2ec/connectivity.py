@@ -18,6 +18,11 @@ Gray-code walk over all 2^(n-1) shores instead (n <= 20): consecutive
 shores differ in one vertex, so each step updates the crossing edge mask
 with one XOR of that vertex's incidence mask.
 
+Safe pairs (Lemma 3) are read off the essential 4-cuts of the index:
+``find_safe_pair`` checks its graph and decides one pivot, ``safe_pairs``
+checks its graph once and decides every pivot, through one shared
+decision body.
+
 Spanning 2-edge-connectivity is checked two ways.  ``is_2ec`` decides one
 member, given as edge ids or as a mask with edge e at bit e, from a
 breadth-first tree.  ``first_non_2ec`` decides a whole list of members
@@ -115,18 +120,29 @@ def _crossing_mask(g: Graph, shore_mask: int) -> int:
     return out
 
 
-def _is_essential_mask(g: Graph, shore_mask: int, cross_mask: int) -> bool:
+def _degree_classes(g: Graph) -> tuple[tuple[int, int], ...]:
+    """(degree, mask of the vertices of that degree) for each degree in g:
+    one class, (3, every vertex), on a cubic graph."""
+    classes: dict[int, int] = {}
+    for v in range(g.n):
+        d = g.degree(v)
+        classes[d] = classes.get(d, 0) | 1 << v
+    return tuple(classes.items())
+
+
+def _is_essential_mask(g: Graph, classes, shore_mask: int, cross_mask: int) -> bool:
     """Both sides of the cut have at least two vertices and an edge inside.
 
     A side's degree sum counts each edge inside it twice and each crossing
     edge once, so the side has an edge inside iff the sum exceeds the cut
-    size.
+    size.  The shore's degree sum is one popcount per degree class
+    (``_degree_classes``): 3·|S| on a cubic graph.
     """
-    comp = ((1 << g.n) - 1) ^ shore_mask
-    if shore_mask.bit_count() < 2 or comp.bit_count() < 2:
+    count = shore_mask.bit_count()
+    if count < 2 or g.n - count < 2:
         return False
     size = cross_mask.bit_count()
-    degrees = sum(g.degree(v) for v in _iter_bits(shore_mask))
+    degrees = sum(d * (shore_mask & vs).bit_count() for d, vs in classes)
     return degrees > size and 2 * g.m - degrees > size
 
 
@@ -157,7 +173,7 @@ def make_cut(g: Graph, shore: Iterable[int]) -> Cut:
 
 def is_essential_cut(g: Graph, cut: Cut) -> bool:
     mask = _shore_mask(g, cut.shore)
-    return _is_essential_mask(g, mask, _crossing_mask(g, mask))
+    return _is_essential_mask(g, _degree_classes(g), mask, _crossing_mask(g, mask))
 
 
 def _walk_cuts(g: Graph, max_size: int) -> tuple[int, list[tuple[int, int]]]:
@@ -281,23 +297,24 @@ class CutIndex(NamedTuple):
 @lru_cache(maxsize=512)
 def _cut_summary(g: Graph) -> CutIndex:
     """Index the cuts of g once, from the cycle space, deciding each
-    cut's essentiality once; a disconnected graph, or one with no cut of
-    at most four edges, walks every shore instead."""
+    cut's essentiality once, in one pass over the small cuts; a
+    disconnected graph, or one with no cut of at most four edges, walks
+    every shore instead."""
     small = _index_cuts(g)
     if small:
         best = min(cross.bit_count() for _, cross in small)
     else:
         best, small = _walk_cuts(g, 4)
-
-    def essential(size: int) -> tuple[tuple[int, int], ...]:
-        found = sorted(
-            (shore.bit_count(), shore, cross)
-            for shore, cross in small
-            if cross.bit_count() == size and _is_essential_mask(g, shore, cross)
-        )
-        return tuple((shore, cross) for _, shore, cross in found)
-
-    return CutIndex(best, tuple(small), essential(3), essential(4))
+    classes = _degree_classes(g)
+    found: dict[int, list[tuple[int, int, int]]] = {3: [], 4: []}
+    for shore, cross in small:
+        size = cross.bit_count()
+        if size >= 3 and _is_essential_mask(g, classes, shore, cross):
+            found[size].append((shore.bit_count(), shore, cross))
+    essential3, essential4 = (
+        tuple((shore, cross) for _, shore, cross in sorted(found[size])) for size in (3, 4)
+    )
+    return CutIndex(best, tuple(small), essential3, essential4)
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +492,31 @@ def essential_4cut_with_pair(
     if not all(type(e) is int and 0 <= e < g.m for e in (e1, e2)):
         raise ValueError(f"edge ids {e1}, {e2} must lie in [0, {g.m})")
     excl = -1 if excluded_shore is None else _shore_mask(g, excluded_shore)
+    return _essential_4cut(_cut_summary(g).essential4, e1, e2, excl)
+
+
+def _essential_4cut(essential4, e1: int, e2: int, excl: int) -> Cut | None:
+    """The first cut of ``essential4`` whose crossing holds e1 and e2 and
+    whose shore mask is not excl."""
     want = (1 << e1) | (1 << e2)
-    for shore, cross in _cut_summary(g).essential4:
+    for shore, cross in essential4:
         if cross & want == want and shore != excl:
             return _mask_cut(shore, cross)
     return None
 
 
-def _pivot_context(g: Graph, uv: int):
-    u, v = g.endpoints(uv)
-    a, b = sorted(w for w in g.neighbors(u) if w != v)
-    c, d = sorted(w for w in g.neighbors(v) if w != u)
-    return u, v, a, b, c, d
+def _check_pivot_graph(g: Graph, caller: str, pivots=()):
+    """Raise ValueError, naming caller, unless g is a cubic essentially
+    4-edge-connected graph with n > 6 and every pivot an edge id of g."""
+    if not g.is_cubic:
+        raise ValueError(f"{caller} requires a cubic graph")
+    for uv in pivots:
+        if type(uv) is not int or not 0 <= uv < g.m:  # a bool is no edge id
+            raise ValueError(f"pivot edge {uv} must lie in [0, {g.m})")
+    if g.n <= 6:
+        raise ValueError(f"{caller} requires n > 6")
+    if not is_essentially_4ec(g):
+        raise ValueError(f"{caller} requires an essentially 4-edge-connected graph")
 
 
 def find_safe_pair(g: Graph, uv: int) -> SafePairDecision:
@@ -497,26 +527,35 @@ def find_safe_pair(g: Graph, uv: int) -> SafePairDecision:
     cut, falls back to {(au,vd), (bu,vc)} and reports the witness.  Raises
     Lemma3Violation if both orientations are blocked.
     """
-    if not g.is_cubic:
-        raise ValueError("find_safe_pair requires a cubic graph")
-    if type(uv) is not int or not 0 <= uv < g.m:  # a bool is no edge id
-        raise ValueError(f"pivot edge {uv} must lie in [0, {g.m})")
-    if g.n <= 6:
-        raise ValueError("find_safe_pair requires n > 6")
-    if not is_essentially_4ec(g):
-        raise ValueError("find_safe_pair requires an essentially 4-edge-connected graph")
-    u, v, a, b, c, d = _pivot_context(g, uv)
+    _check_pivot_graph(g, "find_safe_pair", (uv,))
+    return _safe_pair(g, uv, _cut_summary(g).essential4)
+
+
+def safe_pairs(g: Graph) -> list[SafePairDecision]:
+    """``find_safe_pair(g, uv)`` for every pivot uv in edge order, with g
+    checked and its cut index read once."""
+    _check_pivot_graph(g, "safe_pairs")
+    essential4 = _cut_summary(g).essential4
+    return [_safe_pair(g, uv, essential4) for uv in range(g.m)]
+
+
+def _safe_pair(g: Graph, uv: int, essential4) -> SafePairDecision:
+    """The decision body of ``find_safe_pair`` on a checked graph, reading
+    its essential 4-cuts from ``essential4``."""
+    u, v = g.endpoints(uv)
+    a, b = sorted(w for w in g.neighbors(u) if w != v)
+    c, d = sorted(w for w in g.neighbors(v) if w != u)
     au, bu = g.edge_id(a, u), g.edge_id(b, u)
     vc, vd = g.edge_id(v, c), g.edge_id(v, d)
-    excluded = (u, v)
+    excl = _shore_mask(g, (u, v))
 
-    w1 = essential_4cut_with_pair(g, au, vc, excluded) or essential_4cut_with_pair(
-        g, bu, vd, excluded
+    w1 = _essential_4cut(essential4, au, vc, excl) or _essential_4cut(
+        essential4, bu, vd, excl
     )
     if w1 is None:
         return SafePairDecision(uv, (au, vc), (bu, vd), 1, None)
-    w2 = essential_4cut_with_pair(g, au, vd, excluded) or essential_4cut_with_pair(
-        g, bu, vc, excluded
+    w2 = _essential_4cut(essential4, au, vd, excl) or _essential_4cut(
+        essential4, bu, vc, excl
     )
     if w2 is None:
         return SafePairDecision(uv, (au, vd), (bu, vc), 2, w1)
@@ -536,12 +575,7 @@ def verify_lemma3(g: Graph) -> Lemma3Report:
     phrasing).  Divergences between the two phrasings are reported
     separately rather than resolved.
     """
-    if not g.is_cubic:
-        raise ValueError("verify_lemma3 requires a cubic graph")
-    if g.n <= 6:
-        raise ValueError("verify_lemma3 requires n > 6")
-    if not is_essentially_4ec(g):
-        raise ValueError("verify_lemma3 requires an essentially 4-edge-connected graph")
+    _check_pivot_graph(g, "verify_lemma3")
 
     configurations = 0
     violations = []

@@ -317,48 +317,86 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
     forced_include; the removed pair is forced_exclude.  Raises
     StructuralViolation if a suppression would create a loop or parallel
     edge (the pair was unsafe).
+
+    The child, its provenance and forced_include come from the private
+    kernel ``_smooth``, which makes every check, the Reduction's own
+    included; the certifier calls the kernel and builds no Reduction.
+    """
+    child, provenance, forced = _smooth(g, e1, e2)
+    gone = {*g.edges[e1], *g.edges[e2]}
+    survivors = iter(range(child.n))
+    return Reduction(
+        kind="case1_removal",
+        parent=g,
+        child=child,
+        edge_provenance=provenance,
+        forced_include=forced,
+        forced_exclude=frozenset((e1, e2)),
+        vertex_map=tuple(None if v in gone else next(survivors) for v in range(g.n)),
+    )
+
+
+def _smooth(g: Graph, e1: int, e2: int):
+    """The body of :func:`remove_edges_and_smooth`: ``(child,
+    edge_provenance, forced_include)``.
+
+    Makes every check that function and :class:`Reduction` make, with the
+    same exceptions and messages; the provenance and the removed pair must
+    cover each parent edge exactly once, checked on one edge mask.
     """
     if not g.is_cubic:
         raise ValueError("remove_edges_and_smooth requires a cubic graph")
+    m = g.m
     for e in (e1, e2):
-        if type(e) is not int or not 0 <= e < g.m:  # a bool is no edge id
-            raise ValueError(f"edge id {e} must lie in [0, {g.m})")
+        if type(e) is not int or not 0 <= e < m:  # a bool is no edge id
+            raise ValueError(f"edge id {e} must lie in [0, {m})")
     if e1 == e2:
         raise ValueError("the two removed edges must be distinct")
-    p1 = set(g.endpoints(e1))
-    p2 = set(g.endpoints(e2))
-    if p1 & p2:
+    edges, adj = g.edges, g._adj
+    p1, p2 = edges[e1], edges[e2]
+    if p1[0] in p2 or p1[1] in p2:
         raise ValueError("the two removed edges must not share an endpoint")
-    removed = {e1, e2}
-    suppressed = p1 | p2
+    removed = (e1, e2)
+    suppressed = {*p1, *p2}
     survivors = [v for v in range(g.n) if v not in suppressed]
     vmap = {old: new for new, old in enumerate(survivors)}
 
-    # (parent ends, provenance) per child edge.  Each path through
-    # suppressed vertices is walked once from each of its surviving ends
-    # and kept from the smaller one.
-    kept: list[tuple[tuple[int, int], tuple[int, ...]]] = []
+    # The untouched parent edges, in parent order, then one child edge per
+    # smoothed path.  Each path is walked once from each of its surviving
+    # ends, taking its boundary edges in parent order, and kept from the
+    # smaller end.
+    touched = {f for v in suppressed for f in adj[v]}
+    kept = [pe for pe in range(m) if pe not in touched]
+    ends = [(vmap[edges[pe][0]], vmap[edges[pe][1]]) for pe in kept]
+    provenance = [(pe,) for pe in kept]
+    through = {}  # the two edges each suppressed vertex keeps
+    for y in suppressed:
+        through[y] = [f for f in adj[y] if f not in removed]
+        if len(through[y]) != 2:
+            raise InvariantViolation(f"suppressed vertex {y} has no single onward edge")
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     walked: set[int] = set()
-    for pe, (u, v) in enumerate(g.edges):
-        if pe in removed or (u in suppressed and v in suppressed):
-            continue
-        if u not in suppressed and v not in suppressed:
-            kept.append(((u, v), (pe,)))
-            continue
-        x, y = (v, u) if u in suppressed else (u, v)
+    for pe in sorted(touched):
+        u, v = edges[pe]
+        if u in suppressed:
+            if v in suppressed:
+                continue  # a removed edge, or one inside a smoothed path
+            x, y = v, u
+        else:
+            x, y = u, v
         path = [pe]
         while y in suppressed:
             walked.add(y)
-            onward = [f for f in g.incident(y) if f != path[-1] and f not in removed]
-            if len(onward) != 1:
-                raise InvariantViolation(f"suppressed vertex {y} has no single onward edge")
-            path.append(onward[0])
-            y = g.other_end(onward[0], y)
+            f, h = through[y]
+            if f == path[-1]:
+                f = h
+            path.append(f)
+            a, b = edges[f]
+            y = b if a == y else a
         if y == x:
             raise StructuralViolation(f"smoothing would create a loop at vertex {x}")
         if x < y:
-            if g.has_edge(x, y):
+            if (x, y) in g._ids:
                 raise StructuralViolation(
                     f"smoothing would create an edge parallel to existing ({x}, {y})"
                 )
@@ -367,26 +405,37 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
             paths[x, y] = tuple(path)
     if walked != suppressed:
         raise StructuralViolation("smoothing would contract a cycle of degree-2 vertices")
-    kept += sorted(paths.items())
+    for (x, y), path in sorted(paths.items()):
+        ends.append((vmap[x], vmap[y]))
+        provenance.append(path)
+    forced = frozenset([f for path in paths.values() for f in path])
 
-    child = Graph(len(survivors), tuple((vmap[x], vmap[y]) for (x, y), _ in kept))
+    child = Graph(len(survivors), tuple(ends))
     if not child.is_cubic:
         raise InvariantViolation("smoothing must yield a cubic child")
-    if child.n != g.n - 4 or child.m != g.m - 6:
+    if child.n != g.n - 4 or child.m != m - 6:
         raise InvariantViolation(
             f"smoothing must remove 4 vertices and 6 edges "
-            f"(got n={child.n}, m={child.m} from n={g.n}, m={g.m})"
+            f"(got n={child.n}, m={child.m} from n={g.n}, m={m})"
         )
 
-    return Reduction(
-        kind="case1_removal",
-        parent=g,
-        child=child,
-        edge_provenance=tuple(path for _, path in kept),
-        forced_include=frozenset(f for path in paths.values() for f in path),
-        forced_exclude=frozenset(removed),
-        vertex_map=tuple(vmap.get(v) for v in range(g.n)),
-    )
+    # The Reduction's checks.  forced_include lies inside the provenance,
+    # and a sum of the provenance bits equals their OR iff no parent edge
+    # is in two provenance lists.
+    if e1 in forced or e2 in forced:
+        raise ValueError("forced_include and forced_exclude overlap")
+    bits = [1 << pe for path in provenance for pe in path]
+    seen = sum(bits)
+    if seen.bit_count() != len(bits):
+        twice = next(b for i, b in enumerate(bits) if b in bits[:i]).bit_length() - 1
+        raise ValueError(f"parent edge {twice} in two provenance lists")
+    gone = (1 << e1) | (1 << e2)
+    if seen & gone:
+        both = [e for e in sorted(removed) if seen >> e & 1]
+        raise ValueError(f"provenance edges {both} are also forced_exclude")
+    if seen | gone != (1 << m) - 1:
+        raise ValueError("provenance does not cover the parent edge set")
+    return child, tuple(provenance), forced
 
 
 def contract_shore(g: Graph, cut: "Cut", side: str) -> Reduction:

@@ -46,7 +46,6 @@ from cubic2ec import (
 )
 from cubic2ec import (
     InvariantViolation,
-    Reduction,
     canon,
     canonical_form,
     combine,
@@ -200,23 +199,12 @@ def test_base_case_table_is_checked_on_use(name, message, k4, monkeypatch, capsy
     assert "internal invariant violation" in capsys.readouterr().err
 
 
-def identity_reduction(g):
-    """A removal reduction whose child is g itself, edge for edge."""
-    return Reduction(
-        kind="case1_removal",
-        parent=g,
-        child=g,
-        edge_provenance=tuple((e,) for e in range(g.m)),
-        forced_include=frozenset(),
-        forced_exclude=frozenset(),
-        vertex_map=tuple(range(g.n)),
-    )
-
-
 def test_build_rejects_a_child_with_a_two_edge_cut():
-    assert TWO_K4_MINUS_EDGE.is_cubic
+    g = TWO_K4_MINUS_EDGE
+    assert g.is_cubic
+    identity = tuple((e,) for e in range(g.m))  # the child is g, edge for edge
     with pytest.raises(InvariantViolation, match="not cubic 3-edge-connected"):
-        Certifier()._pull(identity_reduction(TWO_K4_MINUS_EDGE))
+        Certifier()._pull(g, g, identity)
 
 
 def reversed_labels(g):
@@ -366,6 +354,26 @@ def test_average_rejects_a_negative_part_weight_by_name(k4):
 def test_average_takes_int_part_weights(k4):
     w = k4_witness(k4)
     assert average([(1, w), (0, w)]) == w
+
+
+def test_average_error_messages(k4, k33):
+    w, w33 = k4_witness(k4), base_case_combination(k33)
+    cases = [
+        ([], "average needs at least one part"),
+        ([(F(1, 2), w), (0.5, w)], "part 1 has weight 0.5, not an int or a Fraction"),
+        ([(F(3, 2), w), (F(-1, 2), w)], "part 1 has negative weight -1/2"),
+        ([(F(1, 3), w), (F(1, 3), w)], "part weights must sum to 1 exactly (got 2/3)"),
+        ([(F(1, 2), w), (F(1, 2), w33)], "all combinations must share one host graph"),
+        # a masked part whose numerators do not sum to its denominator
+        (
+            [(1, combine._MaskedCombination(k4, 9, ((1, (1 << k4.m) - 1),)))],
+            "weights must sum to 1 exactly (got 1/9)",
+        ),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ValueError) as info:
+            average(parts)
+        assert str(info.value) == message
 
 
 # the certifier's edge masks ---------------------------------------------------

@@ -17,7 +17,7 @@ from cubic2ec import (
     make_cut,
     verify_lemma3,
 )
-from cubic2ec.connectivity import is_essential_cut
+from cubic2ec.connectivity import is_essential_cut, safe_pairs
 
 
 def cube() -> Graph:
@@ -264,6 +264,31 @@ def test_find_safe_pair_rejects_small_or_cut_graphs(k33, prism):
         find_safe_pair(prism, 0)  # essential 3-cut
     with pytest.raises(ValueError):
         find_safe_pair(TWO_K4_MINUS_EDGE, 0)  # λ = 2
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("k33", "safe_pairs requires n > 6"),
+        ("prism", "safe_pairs requires n > 6"),
+        ("two_k4_minus_edge", "safe_pairs requires an essentially 4-edge-connected graph"),
+        ("path", "safe_pairs requires a cubic graph"),
+    ],
+)
+def test_safe_pairs_rejects_what_find_safe_pair_rejects(name, message):
+    graphs = {
+        "k33": builtin("k33"),
+        "prism": builtin("prism"),
+        "two_k4_minus_edge": TWO_K4_MINUS_EDGE,
+        "path": Graph(3, ((0, 1), (1, 2))),
+    }
+    g = graphs[name]
+    with pytest.raises(ValueError) as info:
+        safe_pairs(g)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        find_safe_pair(g, 0)
+    assert str(info.value) == message.replace("safe_pairs", "find_safe_pair")
 
 
 # safe-pair verification ------------------------------------------------------

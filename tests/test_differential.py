@@ -20,8 +20,12 @@ certified node and root, held as edge masks over integer numerators,
 against the (Fraction, edge tuple) plumbing it replaced, rebuilt from the
 same children; the canonical search that stops at a leaf of a known
 class, and the orbit pruning at every node, against the whole search and
-the full tree; and the refinement by one-integer signatures against the
-rounds of neighbor-count vectors it replaced."""
+the full tree; the refinement by one-integer signatures against the
+rounds of neighbor-count vectors it replaced; and every pivot's safe pair
+decided after one check of the graph against ``find_safe_pair``, the
+smoothing kernel against ``remove_edges_and_smooth`` and the reference
+smoothing, the one-map average against ``reference_average``, and the
+one-pass essential-cut filter against ``is_essential_cut``."""
 
 import itertools
 import random
@@ -65,6 +69,7 @@ from cubic2ec import (
     Graph,
     InvariantViolation,
     StructuralViolation,
+    average,
     base_case_combination,
     builtin,
     canonical_form,
@@ -75,6 +80,7 @@ from cubic2ec import (
     enumerate_cuts,
     essential_4cut_with_pair,
     find_essential_3cut,
+    find_safe_pair,
     is_essentially_4ec,
     lift,
     lp_bound,
@@ -87,7 +93,7 @@ from cubic2ec import canon, combine, connectivity, oracle
 from cubic2ec.canon import canonical_lookup, encoding
 from cubic2ec.connectivity import _cut_summary, _iter_bits, _walk_cuts, is_essential_cut
 from cubic2ec.exact_lp import solve_cut_lp
-from cubic2ec.graphs import BUILTIN_NAMES
+from cubic2ec.graphs import BUILTIN_NAMES, _smooth
 
 F = Fraction
 
@@ -278,14 +284,14 @@ def test_cut_index_matches_rescan_on_corpus(corpus):
 
 
 def test_cut_index_matches_rescan_on_safe_pair_graphs(corpus, monkeypatch):
-    seen = []  # every graph find_safe_pair receives while certifying the corpus
+    seen = []  # every graph safe_pairs receives while certifying the corpus
 
-    def record(g, uv):
+    def record(g):
         seen.append(g)
-        return find_safe_pair(g, uv)
+        return safe_pairs(g)
 
-    find_safe_pair = connectivity.find_safe_pair
-    monkeypatch.setattr(connectivity, "find_safe_pair", record)
+    safe_pairs = connectivity.safe_pairs
+    monkeypatch.setattr(connectivity, "safe_pairs", record)
     certifier = Certifier()
     for g in corpus:
         certifier.certify(g)
@@ -307,6 +313,39 @@ def test_cut_index_matches_rescan_on_relabelings(corpus, data):
 
 def test_cut_index_matches_rescan_on_cube():
     assert_index_matches_rescan(SYMMETRIC["cube"])
+
+
+def assert_essential_index_matches_filter(g):
+    """The index's essential 3- and 4-cuts, found in one pass with degree
+    sums from popcounts, are the small cuts of that size that
+    ``is_essential_cut`` keeps, sorted by (|shore|, shore)."""
+    index = _cut_summary(g)
+    for size, found in ((3, index.essential3), (4, index.essential4)):
+        kept = [
+            (shore.bit_count(), shore, cross)
+            for shore, cross in index.small
+            if cross.bit_count() == size
+            and is_essential_cut(g, Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cross))))
+        ]
+        assert found == tuple((shore, cross) for _, shore, cross in sorted(kept))
+
+
+def test_essential_index_matches_filter_on_corpus(corpus):
+    for g in corpus:
+        assert_essential_index_matches_filter(g)
+        # one edge fewer: vertices of degree 2 and 3, two degree classes
+        assert_essential_index_matches_filter(Graph(g.n, g.edges[1:]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_essential_index_matches_filter_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    h = relabel(g, perm, order)
+    assert_essential_index_matches_filter(h)
+    assert_essential_index_matches_filter(Graph(h.n, h.edges[1:]))
 
 
 def test_verify_lemma3_matches_rescan_on_corpus(corpus, monkeypatch):
@@ -780,6 +819,48 @@ def test_compaction_keeps_min_size_on_relabelings(corpus, certifier, data):
     assert_compacted(combine._public(full), cert.combination)
 
 
+# the one-map average -----------------------------------------------------------
+
+
+def assert_average_matches_reference(parts):
+    """average of parts, given as ConvexCombinations and as the certifier's
+    masked form, equals reference_average."""
+    want = reference_average(parts)
+    assert average(parts) == want
+    masked = average([(w, combine._masked(c)) for w, c in parts])
+    assert combine._public(masked) == want
+
+
+def test_average_matches_reference_on_fixed_parts(corpus, certifier):
+    g = next(g for g in corpus if g.n == 10)
+    comb = certifier.certify(g).combination
+    first, second = (combination(g, [(1, es)]) for _, es in comb.entries[:2])
+    assert_average_matches_reference(
+        [(F(1, 3), comb), (F(1, 6), first), (0, second), (F(1, 2), comb)]
+    )
+    assert_average_matches_reference([(0, first), (1, comb), (F(0), second)])
+    assert_average_matches_reference([(F(1, 2), first), (F(1, 2), first)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_average_matches_reference_on_drawn_parts(corpus, certifier, data):
+    """Parts drawn from a certificate and its members one at a time, so
+    members repeat across parts, at Fraction weights, with an int zero
+    weight part and int weights where a weight is whole."""
+    g = data.draw(st.sampled_from(corpus))
+    comb = certifier.certify(g).combination
+    pool = [comb] + [combination(g, [(1, es)]) for _, es in comb.entries]
+    picks = [comb, pool[1]] + data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    nums = data.draw(
+        st.lists(st.integers(0, 5), min_size=len(picks), max_size=len(picks)).filter(any)
+    )
+    total = sum(nums)
+    weights = [F(num, total) for num in nums]
+    parts = [(int(w) if w.denominator == 1 else w, c) for w, c in zip(weights, picks)]
+    assert_average_matches_reference(parts + [(0, pool[-1])])
+
+
 # case 1 and relabeling --------------------------------------------------------
 
 
@@ -889,6 +970,25 @@ def test_nodes_match_references_on_relabelings(corpus, data):
 # lift and glue ----------------------------------------------------------------
 
 
+def pulled_reduction(parent, child, provenance, always=(), normalize=True):
+    """The Reduction behind one ``_pull_members`` call: for a lift (not
+    normalized), ``remove_edges_and_smooth`` of the two parent edges its
+    provenance leaves out; for a shore, the ``contract_shore`` of parent's
+    essential 3-cut with its provenance.  Either must have the pull's
+    child, provenance and forced edges."""
+    if normalize:
+        cut = find_essential_3cut(parent)
+        sides = [contract_shore(parent, cut, side) for side in ("inside", "outside")]
+        (red,) = [red for red in sides if red.edge_provenance == tuple(provenance)]
+    else:
+        covered = {pe for path in provenance for pe in path}
+        red = remove_edges_and_smooth(parent, *sorted(set(range(parent.m)) - covered))
+    assert red.child == child
+    assert red.edge_provenance == tuple(provenance)
+    assert red.forced_include == frozenset(always)
+    return red
+
+
 def certify_recording(monkeypatch, graphs):
     """(reference, args, result) of every case-1 child pull and every glue
     of two pulled shores while a fresh Certifier certifies graphs.  A pull
@@ -900,8 +1000,9 @@ def certify_recording(monkeypatch, graphs):
     shores = {}  # parent graph -> [(child, reduction)] of its pulled shores
     pull_members, glue_shores = combine._pull_members, combine._glue
 
-    def pulled(comb_k, red, perm):
-        out = pull_members(comb_k, red, perm)
+    def pulled(comb_k, perm, *reduced):
+        out = pull_members(comb_k, perm, *reduced)
+        red = pulled_reduction(*reduced)
         child = reference_map_combination(combine._public(comb_k), red.child, perm)
         if red.kind == "case1_removal":
             lifted = combination(red.parent, out, check=False)
@@ -953,8 +1054,9 @@ def test_pulls_match_the_two_step_path(corpus, cold_e4_n16, monkeypatch):
     kinds = []
     pull_members = combine._pull_members
 
-    def compared(comb_k, red, perm):
-        out = pull_members(comb_k, red, perm)
+    def compared(comb_k, perm, *reduced):
+        out = pull_members(comb_k, perm, *reduced)
+        red = pulled_reduction(*reduced)
         child = combine._map_combination(comb_k, red.child, perm)
         assert out.host == red.parent
         if red.kind == "case1_removal":
@@ -1029,6 +1131,43 @@ def test_smoothing_matches_reference_on_relabelings(corpus, data):
     perm = data.draw(st.permutations(range(g.n)))
     order = data.draw(st.permutations(range(g.m)))
     assert_smoothing_matches_reference(relabel(g, perm, order))
+
+
+# safe pairs and the smoothing kernel ------------------------------------------
+
+
+def pivot_graphs(corpus, cold_e4_n16):
+    """The essentially 4-edge-connected corpus graphs with n > 6, GP(8,3),
+    GP(9,2) and the seed-0 cold input: the graphs that have safe pairs."""
+    graphs = [g for g in corpus if g.n > 6 and is_essentially_4ec(g)]
+    return graphs + [generalized_petersen(8, 3), generalized_petersen(9, 2), cold_e4_n16]
+
+
+def test_safe_pairs_match_find_safe_pair(corpus, cold_e4_n16):
+    graphs = pivot_graphs(corpus, cold_e4_n16)
+    assert len(graphs) > 3
+    for g in graphs:
+        assert connectivity.safe_pairs(g) == [find_safe_pair(g, uv) for uv in range(g.m)]
+
+
+def test_smoothing_kernel_matches_the_reduction_on_safe_pairs(corpus):
+    """On every safe pair of the corpus, the kernel's (child, provenance,
+    forced_include) are those of ``remove_edges_and_smooth`` and of the
+    reference smoothing."""
+    pairs = 0
+    for g in corpus:
+        if g.n <= 6 or not is_essentially_4ec(g):
+            continue
+        for decision in connectivity.safe_pairs(g):
+            for pair in (decision.pair_a, decision.pair_b):
+                got = _smooth(g, *pair)
+                for red in (
+                    remove_edges_and_smooth(g, *pair),
+                    reference_remove_edges_and_smooth(g, *pair),
+                ):
+                    assert got == (red.child, red.edge_provenance, red.forced_include)
+                pairs += 1
+    assert pairs > 0
 
 
 # 2EC check --------------------------------------------------------------------

@@ -175,6 +175,26 @@ def test_bench_lift_writes_a_report(monkeypatch, capsys, tmp_path):
     assert row["one_pass_map_members_calls"] == row["children"]
     assert row["two_step_map_members_calls"] == 2 * row["children"]
     assert row["two_step_s"] >= 0 and row["one_pass_s"] >= 0
+    assert row["case1_nodes"] == 1  # the Petersen graph; K4 is a base case
+    assert row["pivots"] == 15
+    assert row["replaced_pivot_loop_s"] >= 0 and row["pivot_loop_s"] >= 0
+
+
+def test_bench_lift_raises_when_a_pivot_loop_differs(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_lift")
+    honest = combine.Certifier._case1
+
+    def reordered(self, K, key):
+        final, record = honest(self, K, key)
+        record["pivots"] = record["pivots"][::-1]
+        return final, record
+
+    monkeypatch.setattr(combine.Certifier, "_case1", reordered)
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(builtin('petersen'))}\n")
+    with pytest.raises(RuntimeError, match="a case-1 pivot loop differs"):
+        bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(tmp_path / "b.json")])
 
 
 def test_bench_lp_engine_writes_a_report(monkeypatch, capsys, tmp_path):
