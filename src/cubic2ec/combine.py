@@ -718,8 +718,9 @@ def _compact(comb: _MaskedCombination) -> _MaskedCombination:
     size = comb.host.m + 1
     if len(comb.entries) <= size:
         return comb
+    smallest = _smallest_mask(comb)
     try:
-        reduced = _caratheodory(comb)
+        reduced = _caratheodory(comb, smallest)
         nums, den = _numerators([w for w, _ in reduced])
         raw = tuple(zip(nums, (x for _, x in reduced)))
         out = combination(
@@ -733,7 +734,7 @@ def _compact(comb: _MaskedCombination) -> _MaskedCombination:
             f"compaction kept {len(kept)} members, not at most {size} of the "
             "combination's own"
         )
-    if _smallest_mask(comb) not in kept:
+    if smallest not in kept:
         raise InvariantViolation("compaction dropped the smallest member")
     _check_uniform(out, TARGET)
     log.info(
@@ -748,8 +749,9 @@ def _lane_bits(bound: int) -> int:
     return 64 * (bound.bit_length() // 64 + 1)
 
 
-def _caratheodory(comb: _MaskedCombination) -> list[tuple[Fraction, int]]:
-    """At most m + 1 of comb's members (masks), reweighted to the same point.
+def _caratheodory(comb: _MaskedCombination, smallest: int) -> list[tuple[Fraction, int]]:
+    """At most m + 1 of comb's members (masks), reweighted to the same point,
+    keeping ``smallest``, the mask ``_smallest_mask(comb)``.
 
     Each member S is the column a = (x_M, 1) of its omitted edges
     M = E - S; (x_S, 1) = T·a for one invertible T, so both columns have
@@ -783,7 +785,7 @@ def _caratheodory(comb: _MaskedCombination) -> list[tuple[Fraction, int]]:
     size = m + 1
     members = [x for _, x in comb.entries]
     nums, den = [num for num, _ in comb.entries], comb.den
-    first = members.index(_smallest_mask(comb))
+    first = members.index(smallest)
     order = sorted(range(len(members)), key=nums.__getitem__, reverse=True)
     order.remove(first)
     order.insert(0, first)

@@ -19,9 +19,9 @@ shores differ in one vertex, so each step updates the crossing edge mask
 with one XOR of that vertex's incidence mask.
 
 Safe pairs (Lemma 3) are read off the essential 4-cuts of the index:
-``find_safe_pair`` checks its graph and decides one pivot, ``safe_pairs``
-checks its graph once and decides every pivot, through one shared
-decision body.
+``find_safe_pair`` checks its graph and decides one pivot; ``safe_pairs``
+and ``verify_lemma3`` check their graph once and decide every pivot,
+through one shared decision body.
 
 Spanning 2-edge-connectivity is checked two ways.  ``is_2ec`` decides one
 member, given as edge ids or as a mask with edge e at bit e, from a
@@ -573,9 +573,12 @@ def verify_lemma3(g: Graph) -> Lemma3Report:
     4-cuts other than the endpoint cut of uv (the literal phrasing), and
     that every pivot admits a safe orientation (the constructive
     phrasing).  Divergences between the two phrasings are reported
-    separately rather than resolved.
+    separately rather than resolved.  The graph is checked, and its
+    essential 4-cuts read, once; each pivot is decided by the body
+    ``find_safe_pair`` runs.
     """
     _check_pivot_graph(g, "verify_lemma3")
+    essential4 = _cut_summary(g).essential4
 
     configurations = 0
     violations = []
@@ -585,15 +588,16 @@ def verify_lemma3(g: Graph) -> Lemma3Report:
 
     for uv, (x, y) in enumerate(g.edges):
         for u, v in ((x, y), (y, x)):
+            excl = _shore_mask(g, (u, v))
             others_u = [w for w in g.neighbors(u) if w != v]
             c, d = sorted(w for w in g.neighbors(v) if w != u)
             vc, vd = g.edge_id(v, c), g.edge_id(v, d)
             for a in sorted(others_u):
                 au = g.edge_id(a, u)
                 configurations += 1
-                s1 = essential_4cut_with_pair(g, au, vd, (u, v))
-                s2 = essential_4cut_with_pair(g, au, vc, (u, v))
-                if s1 is not None and s2 is not None:
+                s1 = _essential_4cut(essential4, au, vd, excl)
+                s2 = None if s1 is None else _essential_4cut(essential4, au, vc, excl)
+                if s2 is not None:
                     literal_ok_everywhere = False
                     violations.append(
                         {
@@ -606,7 +610,7 @@ def verify_lemma3(g: Graph) -> Lemma3Report:
                     )
         # constructive phrasing: a safe orientation must exist
         try:
-            decision = find_safe_pair(g, uv)
+            decision = _safe_pair(g, uv, essential4)
             if decision.orientation == 2:
                 flips += 1
         except Lemma3Violation as exc:

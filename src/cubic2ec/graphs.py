@@ -32,7 +32,8 @@ class Graph:
 
     ``edges[e]`` is the pair ``(u, v)`` with ``u < v``; the position ``e``
     is the edge's id.  Construction rejects loops, parallel edges and
-    out-of-range endpoints.
+    out-of-range endpoints.  ``is_cubic`` (n >= 4 and every degree 3) is
+    decided once, at construction.
     """
 
     n: int
@@ -41,6 +42,7 @@ class Graph:
         init=False, repr=False, compare=False, default=()
     )
     _ids: dict = field(init=False, repr=False, compare=False, default=None)
+    is_cubic: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -64,6 +66,9 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_ids", ids)
+        object.__setattr__(
+            self, "is_cubic", self.n >= 4 and all(len(a) == 3 for a in adj)
+        )
 
     @property
     def m(self) -> int:
@@ -91,10 +96,6 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int:
         return self._ids[(min(u, v), max(u, v))]
-
-    @property
-    def is_cubic(self) -> bool:
-        return self.n >= 4 and all(len(a) == 3 for a in self._adj)
 
 
 # ---------------------------------------------------------------------------

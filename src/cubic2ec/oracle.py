@@ -57,60 +57,84 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
     is returned.  Include-first search in ascending edge order guarantees
     equal-size solutions are reached in lexicographic order; a greedy
     minimal subgraph seeds the size bound only.
+
+    Each vertex's available degree (edges not excluded) and included
+    degree are running counters, undone on return.  A spanning 2EC
+    subgraph on n >= 3 vertices leaves every vertex at least two edges,
+    so an edge is excluded, or dropped from the greedy seed, only if both
+    ends keep two: the ``is_2ec`` calls this skips would all answer False.
+    A node's lower bound is its included count plus half its deficiency
+    (the edges each vertex still lacks to reach degree 2), at least n,
+    read off the counters.  An exclusion is not tried either when a best
+    found in the including subtree already prunes the excluding child,
+    whose bound is the node's.  Every skipped ``is_2ec`` call would have
+    answered False or led to a pruned node, so the search reaches the
+    same leaves in the same order and returns the same witness.
     """
     _guard(g)
     if not connectivity.is_2ec(g, (1 << g.m) - 1):  # connected, bridgeless
         raise ValueError("exact_opt requires a 2-edge-connected graph")
-    n, m = g.n, g.m
-    inc = [0] * n
-    for e, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << e
-        inc[v] |= 1 << e
-    full = (1 << m) - 1
+    n, m, edges = g.n, g.m, g.edges  # n >= 3: a 2EC simple graph has a cycle
 
     # greedy minimal 2EC subgraph: upper bound for pruning, not the witness
-    cur = full
+    deg = [g.degree(v) for v in range(n)]
+    cur = (1 << m) - 1
     for e in range(m - 1, -1, -1):
-        trial = cur & ~(1 << e)
-        if connectivity.is_2ec(g, trial):
-            cur = trial
-    best_size = cur.bit_count()
+        u, v = edges[e]
+        if deg[u] > 2 and deg[v] > 2 and connectivity.is_2ec(g, cur & ~(1 << e)):
+            cur &= ~(1 << e)
+            deg[u] -= 1
+            deg[v] -= 1
+    # a node is searched only if its lower bound is at most limit: the
+    # greedy size until a solution is found, then one less than the best
+    limit = cur.bit_count()
     best_set: int | None = None
 
+    avail = [g.degree(v) for v in range(n)]
+    have = [0] * n
+    in_count = 0
+    deficiency = 2 * n
+
     def rec(pos: int, in_mask: int, avail_mask: int):
-        nonlocal best_size, best_set
-        in_count = in_mask.bit_count()
-        deficiency = 0
-        for v in range(n):
-            d = (in_mask & inc[v]).bit_count()
-            if d < 2:
-                deficiency += 2 - d
+        nonlocal limit, best_set, in_count, deficiency
         lb = in_count + (deficiency + 1) // 2
         if lb < n:
             lb = n
-        if best_set is None:
-            if lb > best_size:
-                return
-        elif lb >= best_size:
+        if lb > limit:
             return
-        if pos == m:
+        if pos == m:  # in_count <= lb <= limit: a new best, if 2EC
             if connectivity.is_2ec(g, in_mask):
-                size = in_mask.bit_count()
-                if size < best_size or best_set is None:
-                    best_size = size
-                    best_set = in_mask
+                best_set = in_mask
+                limit = in_count - 1
             return
         bit = 1 << pos
+        u, v = edges[pos]
+        lacking = (have[u] < 2) + (have[v] < 2)
+        have[u] += 1
+        have[v] += 1
+        in_count += 1
+        deficiency -= lacking
         rec(pos + 1, in_mask | bit, avail_mask)
-        reduced = avail_mask & ~bit
-        if connectivity.is_2ec(g, reduced):
-            rec(pos + 1, in_mask, reduced)
+        have[u] -= 1
+        have[v] -= 1
+        in_count -= 1
+        deficiency += lacking
+        # the excluding child has this node's bound, and limit may have
+        # dropped since: test it before asking is_2ec
+        if lb <= limit and avail[u] > 2 and avail[v] > 2:
+            reduced = avail_mask & ~bit
+            if connectivity.is_2ec(g, reduced):
+                avail[u] -= 1
+                avail[v] -= 1
+                rec(pos + 1, in_mask, reduced)
+                avail[u] += 1
+                avail[v] += 1
 
-    rec(0, 0, full)
+    rec(0, 0, (1 << m) - 1)
     if best_set is None:
         raise InvariantViolation("2EC input must admit a solution")
     witness = tuple(_iter_bits(best_set))
-    return best_size, Subgraph(g, witness)
+    return len(witness), Subgraph(g, witness)
 
 
 def lp_bound(g: Graph) -> LpSolution:

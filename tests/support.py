@@ -22,7 +22,10 @@ lift and glue with a set per mapped member, lift rebuilt through
 pseudo-vertex edges in child space; and the case-1 smoothing that walks
 each path outwards from a suppressed vertex in both directions.  Some
 keep a replaced kernel whole: the 2EC check as Tarjan's low-link bridge
-search, the combination plumbing on (Fraction, edge tuple) entries
+search, the branch and bound that asked ``is_2ec`` before every exclusion
+(``reference_exact_opt``), the Lemma 3 check that answered every
+configuration and pivot by a rescan of its own
+(``reference_verify_lemma3``, with ``reference_safe_pair``), the combination plumbing on (Fraction, edge tuple) entries
 (``reference_combination``, ``reference_average`` and
 ``reference_occurrences``) that the certifier's edge masks and integer
 numerators replaced, and the two Fraction simplexes that the integer
@@ -46,10 +49,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from cubic2ec import connectivity
 from cubic2ec.canon import canonical_form
-from cubic2ec.combine import TARGET, ConvexCombination, _public, pad_to_uniform
-from cubic2ec.connectivity import Cut, find_safe_pair
-from cubic2ec.errors import InvariantViolation, StructuralViolation
+from cubic2ec.combine import TARGET, ConvexCombination, Subgraph, _public, pad_to_uniform
+from cubic2ec.connectivity import Cut, Lemma3Report, find_safe_pair
+from cubic2ec.errors import InvariantViolation, Lemma3Violation, StructuralViolation
+from cubic2ec.oracle import _guard
 from cubic2ec.graphs import Graph, Reduction, remove_edges_and_smooth
 
 
@@ -271,6 +276,62 @@ def brute_force_min_2ec_full(g) -> int:
     return g.m if reference_is_2ec(g, ids) else -1
 
 
+def reference_exact_opt(g) -> tuple[int, Subgraph]:
+    """The branch and bound ``oracle.exact_opt`` replaced: the same
+    include-first search in ascending edge order, seeded by the same greedy
+    bound, but every exclusion and every greedy drop asks ``is_2ec``, and
+    each node counts its included edges and deficiency over every vertex."""
+    _guard(g)
+    if not connectivity.is_2ec(g, (1 << g.m) - 1):
+        raise ValueError("exact_opt requires a 2-edge-connected graph")
+    n, m = g.n, g.m
+    inc = [0] * n
+    for e, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
+    full = (1 << m) - 1
+    cur = full
+    for e in range(m - 1, -1, -1):
+        trial = cur & ~(1 << e)
+        if connectivity.is_2ec(g, trial):
+            cur = trial
+    best_size = cur.bit_count()
+    best_set = None
+
+    def rec(pos, in_mask, avail_mask):
+        nonlocal best_size, best_set
+        in_count = in_mask.bit_count()
+        deficiency = 0
+        for v in range(n):
+            d = (in_mask & inc[v]).bit_count()
+            if d < 2:
+                deficiency += 2 - d
+        lb = max(n, in_count + (deficiency + 1) // 2)
+        if best_set is None:
+            if lb > best_size:
+                return
+        elif lb >= best_size:
+            return
+        if pos == m:
+            if connectivity.is_2ec(g, in_mask):
+                size = in_mask.bit_count()
+                if size < best_size or best_set is None:
+                    best_size = size
+                    best_set = in_mask
+            return
+        bit = 1 << pos
+        rec(pos + 1, in_mask | bit, avail_mask)
+        reduced = avail_mask & ~bit
+        if connectivity.is_2ec(g, reduced):
+            rec(pos + 1, in_mask, reduced)
+
+    rec(0, 0, full)
+    if best_set is None:
+        raise InvariantViolation("2EC input must admit a solution")
+    witness = tuple(e for e in range(m) if best_set >> e & 1)
+    return best_size, Subgraph(g, witness)
+
+
 def reference_graph6(g) -> str:
     """Row-scan encoder: builds the adjacency matrix first."""
     adj = [[0] * g.n for _ in range(g.n)]
@@ -462,6 +523,81 @@ def reference_essential_4cut_with_pair(
     if best is None:
         return None
     return _reference_cut(g, best[1], best[2])
+
+
+def reference_safe_pair(g, small, uv: int) -> tuple[tuple, tuple, int, Cut | None]:
+    """(pair_a, pair_b, orientation, witness_cut) around pivot uv as
+    ``find_safe_pair`` decides it, every essential 4-cut query answered by
+    a rescan of ``small``; Lemma3Violation if both orientations are
+    blocked."""
+    u, v = g.endpoints(uv)
+    a, b = sorted(w for w in g.neighbors(u) if w != v)
+    c, d = sorted(w for w in g.neighbors(v) if w != u)
+    au, bu = g.edge_id(a, u), g.edge_id(b, u)
+    vc, vd = g.edge_id(v, c), g.edge_id(v, d)
+
+    def blocked(e1, e2):
+        return reference_essential_4cut_with_pair(g, small, e1, e2, (u, v))
+
+    w1 = blocked(au, vc) or blocked(bu, vd)
+    if w1 is None:
+        return (au, vc), (bu, vd), 1, None
+    w2 = blocked(au, vd) or blocked(bu, vc)
+    if w2 is None:
+        return (au, vd), (bu, vc), 2, w1
+    raise Lemma3Violation(
+        f"both removal orientations around edge {uv} are blocked", witnesses=(w1, w2)
+    )
+
+
+def reference_verify_lemma3(g, small=None) -> Lemma3Report:
+    """The ``verify_lemma3`` body the package replaced, built on the rescan
+    queries: the graph checked from ``small`` (default
+    :func:`reference_small_cuts`), then every configuration answered by
+    :func:`reference_essential_4cut_with_pair` and every pivot decided by
+    :func:`reference_safe_pair`, each on its own."""
+    small = reference_small_cuts(g) if small is None else small
+    if not g.is_cubic:
+        raise ValueError("verify_lemma3 requires a cubic graph")
+    if g.n <= 6:
+        raise ValueError("verify_lemma3 requires n > 6")
+    if any(size < 3 for *_, size in small) or reference_essential_3cut(g, small):
+        raise ValueError("verify_lemma3 requires an essentially 4-edge-connected graph")
+    configurations = flips = 0
+    violations, divergences = [], []
+    literal_ok_everywhere = True
+    for uv, (x, y) in enumerate(g.edges):
+        for u, v in ((x, y), (y, x)):
+            c, d = sorted(w for w in g.neighbors(v) if w != u)
+            vc, vd = g.edge_id(v, c), g.edge_id(v, d)
+            for a in sorted(w for w in g.neighbors(u) if w != v):
+                au = g.edge_id(a, u)
+                configurations += 1
+                s1 = reference_essential_4cut_with_pair(g, small, au, vd, (u, v))
+                s2 = reference_essential_4cut_with_pair(g, small, au, vc, (u, v))
+                if s1 is not None and s2 is not None:
+                    literal_ok_everywhere = False
+                    violations.append(
+                        {
+                            "pivot": uv,
+                            "path": (a, u, v),
+                            "others": (c, d),
+                            "cut_with_vd": s1,
+                            "cut_with_vc": s2,
+                        }
+                    )
+        try:
+            flips += reference_safe_pair(g, small, uv)[2] == 2
+        except Lemma3Violation as exc:
+            found = divergences if literal_ok_everywhere else violations
+            found.append({"pivot": uv, "witnesses": exc.witnesses})
+    return Lemma3Report(
+        configurations=configurations,
+        pivots=g.m,
+        violations=tuple(violations),
+        orientation_flips=flips,
+        divergences=tuple(divergences),
+    )
 
 
 def reference_edge_occurrences(comb) -> tuple[Fraction, ...]:

@@ -24,8 +24,11 @@ the full tree; the refinement by one-integer signatures against the
 rounds of neighbor-count vectors it replaced; and every pivot's safe pair
 decided after one check of the graph against ``find_safe_pair``, the
 smoothing kernel against ``remove_edges_and_smooth`` and the reference
-smoothing, the one-map average against ``reference_average``, and the
-one-pass essential-cut filter against ``is_essential_cut``."""
+smoothing, the one-map average against ``reference_average``, the
+one-pass essential-cut filter against ``is_essential_cut``,
+``verify_lemma3`` against the per-query body it replaced, and the
+degree-pruned branch and bound against the search that asked ``is_2ec``
+before every exclusion."""
 
 import itertools
 import random
@@ -33,8 +36,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+import support
 from hypothesis import given, settings, strategies as st
 from support import (
+    brute_force_min_2ec,
     maxflow_edge_connectivity,
     reference_base_case,
     reference_canonical_form,
@@ -43,6 +48,7 @@ from support import (
     reference_edge_occurrences,
     reference_essential_3cut,
     reference_essential_4cut_with_pair,
+    reference_exact_opt,
     reference_is_essential,
     reference_is_essentially_4ec,
     reference_average,
@@ -60,7 +66,9 @@ from support import (
     reference_small_cuts,
     reference_tarjan_is_2ec,
     reference_two_ec_spanning_subgraphs,
+    reference_verify_lemma3,
 )
+from test_oracle import C5, TWO_K4_MINUS_EDGE
 from test_scripts import load
 
 from cubic2ec import (
@@ -79,6 +87,7 @@ from cubic2ec import (
     edge_occurrences,
     enumerate_cuts,
     essential_4cut_with_pair,
+    exact_opt,
     find_essential_3cut,
     find_safe_pair,
     is_essentially_4ec,
@@ -91,7 +100,14 @@ from cubic2ec import (
 )
 from cubic2ec import canon, combine, connectivity, oracle
 from cubic2ec.canon import canonical_lookup, encoding
-from cubic2ec.connectivity import _cut_summary, _iter_bits, _walk_cuts, is_essential_cut
+from cubic2ec.connectivity import (
+    _cut_summary,
+    _iter_bits,
+    _mask_cut,
+    _walk_cuts,
+    is_essential_cut,
+)
+from cubic2ec.errors import Lemma3Violation
 from cubic2ec.exact_lp import solve_cut_lp
 from cubic2ec.graphs import BUILTIN_NAMES, _smooth
 
@@ -348,24 +364,64 @@ def test_essential_index_matches_filter_on_relabelings(corpus, data):
     assert_essential_index_matches_filter(Graph(h.n, h.edges[1:]))
 
 
-def test_verify_lemma3_matches_rescan_on_corpus(corpus, monkeypatch):
+def test_verify_lemma3_matches_rescan_on_corpus(corpus):
+    """verify_lemma3, which checks its graph and reads its essential 4-cuts
+    once, reports exactly what the body it replaced reports when every
+    query rescans the small cuts on its own."""
     graphs = [g for g in corpus if g.n > 6 and is_essentially_4ec(g)]
-    assert graphs
+    graphs += [generalized_petersen(8, 3), generalized_petersen(9, 2)]
+    assert len(graphs) > 2
     reports = [verify_lemma3(g) for g in graphs]
-    small = {g: reference_small_cuts(g) for g in graphs}
-    monkeypatch.setattr(
-        connectivity,
-        "find_essential_3cut",
-        lambda g: reference_essential_3cut(g, small[g]),
+    assert reports == [reference_verify_lemma3(g) for g in graphs]
+    assert any(r.orientation_flips for r in reports)
+
+
+def test_verify_lemma3_matches_rescan_on_violations_and_divergences(
+    petersen, monkeypatch
+):
+    """An essential 4-cut planted in the index (and in the rescanned small
+    cuts) blocks both orientations around the last pivot, and a safe-pair
+    decision that raises at pivot 0 comes before any literal violation:
+    both versions report the same violations and the same divergence."""
+    g = petersen
+    small = reference_small_cuts(g)
+    u, v = g.endpoints(g.m - 1)
+    a = min(w for w in g.neighbors(u) if w != v)
+    c, d = sorted(w for w in g.neighbors(v) if w != u)
+    crossing = {g.edge_id(a, u), g.edge_id(v, c), g.edge_id(v, d)}
+    crossing.add(min(set(range(g.m)) - crossing))
+    # a shore with both sides essential; the crossing is planted
+    shore = next(
+        s for s in range(2, 1 << g.n, 2) if s.bit_count() == 5 and reference_is_essential(g, s)
     )
-    monkeypatch.setattr(
-        connectivity,
-        "essential_4cut_with_pair",
-        lambda g, e1, e2, excluded_shore=None: reference_essential_4cut_with_pair(
-            g, small[g], e1, e2, excluded_shore
-        ),
+    cross = sum(1 << e for e in crossing)
+    index = _cut_summary(g)
+    essential4 = index.essential4 + ((shore, cross),)
+    planted = index._replace(
+        essential4=tuple(sorted(essential4, key=lambda c: (c[0].bit_count(), c[0])))
     )
-    assert [verify_lemma3(g) for g in graphs] == reports
+    monkeypatch.setattr(connectivity, "_cut_summary", lambda h: planted)
+    honest, honest_reference = connectivity._safe_pair, support.reference_safe_pair
+    witnesses = (_mask_cut(shore, cross),) * 2
+
+    def raising(h, uv, essential4):
+        if uv == 0:
+            raise Lemma3Violation("planted", witnesses=witnesses)
+        return honest(h, uv, essential4)
+
+    def raising_reference(h, small, uv):
+        if uv == 0:
+            raise Lemma3Violation("planted", witnesses=witnesses)
+        return honest_reference(h, small, uv)
+
+    monkeypatch.setattr(connectivity, "_safe_pair", raising)
+    monkeypatch.setattr(support, "reference_safe_pair", raising_reference)
+    report = verify_lemma3(g)
+    assert report == reference_verify_lemma3(g, small + [(shore, cross, 4)])
+    assert [x["pivot"] for x in report.divergences] == [0]
+    assert any("path" in x for x in report.violations)  # the literal phrasing
+    assert report.violations[-1].keys() == {"pivot", "witnesses"}  # constructive
+    assert report.violations[-1]["pivot"] == g.m - 1
 
 
 # edge occurrences -------------------------------------------------------------
@@ -1290,6 +1346,35 @@ def test_is_2ec_matches_references_on_edge_cases(case, want, form):
     if case == "one-vertex":
         g = Graph(1, ())
     assert checked_is_2ec(g, member_forms(ids, ids + ids)[form]) is want
+
+
+# branch and bound -------------------------------------------------------------
+
+
+def assert_exact_opt_matches_reference(g):
+    """exact_opt, with degree-pruned exclusions and running counters, gives
+    the (value, witness) of the search it replaced, and the brute-force
+    minimum wherever every edge subset can be scanned."""
+    value, witness = exact_opt(g)
+    assert (value, witness) == reference_exact_opt(g)
+    assert value == len(witness.edges)
+    if g.m <= 14:
+        assert value == brute_force_min_2ec(g)
+
+
+def test_exact_opt_matches_reference_on_fixed_graphs(corpus, cold_e4_n16):
+    graphs = corpus + [generalized_petersen(8, 3), cold_e4_n16]
+    for g in graphs + [C5, complete(5), TWO_K4_MINUS_EDGE]:
+        assert_exact_opt_matches_reference(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_exact_opt_matches_reference_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from(corpus + [C5, complete(5), TWO_K4_MINUS_EDGE]))
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    assert_exact_opt_matches_reference(relabel(g, perm, order))
 
 
 # lane-parallel 2EC check ------------------------------------------------------

@@ -208,17 +208,16 @@ from cubic2ec.errors import InvariantViolation
 assert False, "assert statements must be stripped"
 honest = combine._caratheodory
 
-def foreign(comb):
-    (w, _), *rest = honest(comb)
+def foreign(comb, smallest):
+    (w, _), *rest = honest(comb, smallest)
     return [(w, (1 << comb.host.m) - 1)] + rest
 
-def perturbed(comb):
-    (w, es), *rest = honest(comb)
+def perturbed(comb, smallest):
+    (w, es), *rest = honest(comb, smallest)
     return [(w * Fraction(1000001, 1000000), es)] + rest
 
-def no_smallest(comb):
-    smallest = combine._smallest_mask(comb)
-    out = [(w, es) for w, es in honest(comb) if es != smallest]
+def no_smallest(comb, smallest):
+    out = [(w, es) for w, es in honest(comb, smallest) if es != smallest]
     lost = 1 - sum(w for w, _ in out)
     return [(out[0][0] + lost, out[0][1])] + out[1:]
 

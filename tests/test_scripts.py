@@ -1,9 +1,10 @@
 """The tooling under ``scripts/``: the corpus script, which imports
 without running and regenerates the committed corpus byte for byte, its
 edge-insertion generator, the bounds report over the committed
-corpus, and the member-check, canonical-form, child-pull, LP engine and
-cut index timing harnesses."""
+corpus, and the member-check, canonical-form, child-pull, LP engine, cut
+index and oracle timing harnesses."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -20,6 +21,7 @@ from cubic2ec import (
     combine,
     connectivity,
     edge_connectivity,
+    oracle,
     parse_graph6,
     to_graph6,
 )
@@ -241,3 +243,50 @@ def test_bench_cuts_raises_when_the_index_and_the_walk_disagree(monkeypatch, tmp
     monkeypatch.setattr(connectivity, "_index_cuts", lambda g: honest(g)[1:])
     with pytest.raises(RuntimeError, match="n=8: the index and the shore walk"):
         bench.main(["--graphs", "1", "--repeat", "1", "--out", str(tmp_path / "b.json")])
+
+
+def test_bench_oracles_writes_a_report(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_oracles")
+    honest = connectivity.is_2ec
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(builtin('k4'))}\n{to_graph6(builtin('petersen'))}\n")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(out)]) == 0
+    assert connectivity.is_2ec is honest
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    [row] = report["inputs"]
+    assert row["input"] == "graphs.g6"
+    assert row["graphs"] == 2
+    assert row["lemma3_graphs"] == 1  # the Petersen graph; K4 has n <= 6
+    assert 0 < row["exact_opt_is_2ec_calls"] < row["replaced_exact_opt_is_2ec_calls"]
+    for key in ("exact_opt_s", "verify_lemma3_s"):
+        assert row[key] >= 0 and row[f"replaced_{key}"] >= 0
+
+
+@pytest.mark.parametrize(
+    "module, name, message",
+    [
+        (oracle, "exact_opt", "exact_opt differs from the replaced search"),
+        (connectivity, "verify_lemma3", "verify_lemma3 differs from the replaced body"),
+    ],
+)
+def test_bench_oracles_raises_when_an_oracle_differs(
+    monkeypatch, tmp_path, module, name, message
+):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_oracles")
+    honest = getattr(module, name)
+
+    def shifted(g):
+        answer = honest(g)
+        if name == "exact_opt":
+            return answer[0] + 1, answer[1]
+        return dataclasses.replace(answer, orientation_flips=answer.orientation_flips + 1)
+
+    monkeypatch.setattr(module, name, shifted)
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(builtin('petersen'))}\n")
+    with pytest.raises(RuntimeError, match=message):
+        bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(tmp_path / "b.json")])
