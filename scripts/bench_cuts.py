@@ -4,12 +4,13 @@ index, and write the result as JSON.
 
 For each n in 8, 10, ..., 20 it draws ``--graphs`` random connected cubic
 graphs (the pairing model, seeded by n) and times the Gray-code walk over
-all 2^(n-1) shores (``_walk_cuts(g, 4)``) and the cycle-space index
-(``_index_cuts``) on them.  Both must list the same cuts of at most four
-edges on every graph, or the script raises RuntimeError.  Above the walk's
-n <= 20 cap it times the index alone, at n = 24, 30 and 60.  Times are
-process CPU seconds per graph, the best of ``--repeat`` passes over the
-graphs of one n.
+all 2^(n-1) shores that the index replaced (``walk_cuts``, held here) and
+the cycle-space index (``_index_cuts``) on them.  Both must list the same
+cuts of at most four edges on every graph, or the script raises
+RuntimeError.  Above n = 20, where the walk's time doubles with each
+vertex, it times the index alone, at n = 24, 30 and 60.  Times are process
+CPU seconds per graph, the best of ``--repeat`` passes over the graphs of
+one n.
 
     python3 scripts/bench_cuts.py [--graphs N] [--repeat N] [--out FILE]
 
@@ -60,8 +61,30 @@ def random_cubic(n: int, rng: random.Random) -> Graph:
             return g
 
 
+def walk_cuts(g: Graph, max_size: int) -> list[tuple[int, int]]:
+    """Every cut with |crossing| <= max_size as (shore, crossing), in
+    ascending shore order, by one walk over every canonical shore: the
+    shore >> 1 code runs through the Gray code i ^ (i >> 1), so step i
+    flips vertex (i & -i).bit_length(), never vertex 0, and the crossing
+    mask changes by that vertex's incidence mask."""
+    inc = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        inc[u] ^= 1 << e
+        inc[v] ^= 1 << e
+    found = []
+    code = cross = 0
+    for i in range(1, 1 << (g.n - 1)):
+        low = i & -i
+        code ^= low
+        cross ^= inc[low.bit_length()]
+        if cross.bit_count() <= max_size:
+            found.append((code, cross))
+    found.sort()
+    return [(code << 1, cross) for code, cross in found]
+
+
 def walk_all(graphs) -> list:
-    return [connectivity._walk_cuts(g, 4)[1] for g in graphs]
+    return [walk_cuts(g, 4) for g in graphs]
 
 
 def index_all(graphs) -> list:

@@ -9,8 +9,9 @@ Two kinds of system:
   per edge at rhs 2/9 and a row of ones at rhs 1, solved by
   ``feasible_basic_solution`` against the dense phase-1 tableau;
 * the cut LPs of the non-cubic graphs C5, K5, K6 and two K4 minus an edge
-  joined by a 2-edge cut, every cut a column, solved by ``solve_cut_lp``
-  against the revised simplex on a Fraction inverse.
+  joined by a 2-edge cut, every cut (listed by the walk over every shore,
+  ``reference_walk_cuts``) a column, solved by ``solve_cut_lp`` against
+  the revised simplex on a Fraction inverse.
 
 The references (``tests/support.py``) run only on graphs with n <= 10:
 the dense tableau took 25-76 s per n = 12 corpus system on a 2-cpu
@@ -40,13 +41,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts"), str(ROOT / "tests")]
 from support import (
     reference_feasible_basic_solution,
     reference_solve_cut_lp,
+    reference_walk_cuts,
     valid_matching_system,
 )
 from test_oracle import C5, TWO_K4_MINUS_EDGE, complete
 from timing import best_time
 
 from cubic2ec import parse_graph6
-from cubic2ec.connectivity import _walk_cuts
 from cubic2ec.exact_lp import feasible_basic_solution, solve_cut_lp
 
 INPUT = ROOT / "data" / "cubic_3ec_n4_14.g6"
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
         ))
     cut_lp = []
     for name, g in CUT_LP_GRAPHS.items():
-        masks = [cmask for _, cmask in _walk_cuts(g, g.m)[1]]
+        masks = [cmask for _, cmask in reference_walk_cuts(g, g.m)[1]]
         row = {"graph": name, "n": g.n, "m": g.m, "cuts": len(masks)}
         cut_lp.append(compare(
             row, g.n, solve_cut_lp, reference_solve_cut_lp, (g.m, masks), args.repeat

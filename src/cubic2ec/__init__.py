@@ -1,5 +1,6 @@
 """Exact uniform-7/9 certificates and 2EC oracles for cubic 3EC graphs."""
 
+from . import exact_lp  # perfbench's tracer needs it loaded; no module imports it
 from .canon import canonical_form
 from .combine import (
     Certificate,

@@ -12,11 +12,11 @@ The index comes from the cycle space (Pritchard & Thurimella, *Fast
 computation of small cuts via cycle space sampling*, 2011, with one bit
 per non-tree edge instead of random labels): an edge set is a cut iff
 the XOR of its edges' labels is 0, so the cuts of at most four edges are
-found from pairs of labels at any n.  A disconnected graph, or one with
-no cut of at most four edges, and every query for larger cuts, takes the
-Gray-code walk over all 2^(n-1) shores instead (n <= 20): consecutive
-shores differ in one vertex, so each step updates the crossing edge mask
-with one XOR of that vertex's incidence mask.
+found from pairs of labels at any n.  The index's breadth-first tree finds
+a disconnected graph (λ = 0), and a connected graph with no cut of at
+most four edges (λ >= 5, never cubic) gets its exact λ from unit-capacity
+augmenting paths.  No query lists cuts of more than four edges, so
+nothing here walks the 2^(n-1) shores.
 
 Safe pairs (Lemma 3) are read off the essential 4-cuts of the index:
 ``find_safe_pair`` checks its graph and decides one pivot; ``safe_pairs``
@@ -42,8 +42,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import Lemma3Violation
 from .graphs import Graph
-
-CUT_ENUM_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,6 @@ def _iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _guard_size(g: Graph):
-    if g.n > CUT_ENUM_MAX_N:
-        raise ValueError(
-            f"cut enumeration limited to n <= {CUT_ENUM_MAX_N} (got n={g.n})"
-        )
 
 
 def _crossing_mask(g: Graph, shore_mask: int) -> int:
@@ -174,37 +165,6 @@ def make_cut(g: Graph, shore: Iterable[int]) -> Cut:
 def is_essential_cut(g: Graph, cut: Cut) -> bool:
     mask = _shore_mask(g, cut.shore)
     return _is_essential_mask(g, _degree_classes(g), mask, _crossing_mask(g, mask))
-
-
-def _walk_cuts(g: Graph, max_size: int) -> tuple[int, list[tuple[int, int]]]:
-    """One walk over every canonical shore.
-
-    Returns the min cut size, and every cut with |crossing| <= max_size
-    as (shore, crossing) in ascending shore order.  The shore >> 1 code
-    runs through the Gray code i ^ (i >> 1): step i flips bit (i & -i) of
-    the code, i.e. vertex (i & -i).bit_length(), never vertex 0, and the
-    edges whose crossing status changes are exactly those at the flipped
-    vertex.
-    """
-    _guard_size(g)
-    inc = [0] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        inc[u] ^= 1 << e
-        inc[v] ^= 1 << e
-    best = g.m + 1
-    found = []
-    code = cross = 0
-    for i in range(1, 1 << (g.n - 1)):
-        low = i & -i
-        code ^= low
-        cross ^= inc[low.bit_length()]
-        size = cross.bit_count()
-        if size < best:
-            best = size
-        if size <= max_size:
-            found.append((code, cross))
-    found.sort()
-    return best, [(code << 1, cross) for code, cross in found]
 
 
 def _index_cuts(g: Graph) -> list[tuple[int, int]] | None:
@@ -280,12 +240,43 @@ def _index_cuts(g: Graph) -> list[tuple[int, int]] | None:
     return cuts
 
 
+def _flow_connectivity(g: Graph) -> int:
+    """λ of a connected graph, by Menger: the fewest edge-disjoint paths
+    from vertex 0 to another vertex.  Each sink takes unit-capacity
+    augmenting paths, found breadth-first, until there is none or there
+    are as many as the least count so far, at first the minimum degree;
+    O(n · m · min degree) work."""
+    edges = g.edges
+    best = min(g.degree(v) for v in range(g.n))
+    for t in range(1, g.n):
+        flow = [0] * g.m  # net units along edge (u, v), from u to v
+        for paths in range(best):
+            via = [None] * g.n  # (edge, step, previous vertex) that reached w
+            order = [0]
+            for v in order:  # the list grows while it is read: a FIFO queue
+                for e in g.incident(v):
+                    a, b = edges[e]
+                    w, step = (b, 1) if a == v else (a, -1)
+                    if w and via[w] is None and flow[e] != step:
+                        via[w] = (e, step, v)
+                        order.append(w)
+            if via[t] is None:
+                best = paths
+                break
+            w = t
+            while w:
+                e, step, w = via[w]
+                flow[e] += step
+    return best
+
+
 class CutIndex(NamedTuple):
     """The cut facts of one graph, as (shore, crossing) bitmask pairs.
 
-    ``small`` holds every canonical cut with |crossing| <= 4 in ascending
-    shore order; ``essential3`` and ``essential4`` hold the essential cuts
-    of size 3 and 4, each sorted by (|shore|, shore).
+    ``small`` holds every canonical cut with |crossing| <= 4 of a connected
+    graph in ascending shore order (none for a disconnected one, whose
+    ``min_size`` is 0); ``essential3`` and ``essential4`` hold the
+    essential cuts of size 3 and 4, each sorted by (|shore|, shore).
     """
 
     min_size: int
@@ -297,14 +288,16 @@ class CutIndex(NamedTuple):
 @lru_cache(maxsize=512)
 def _cut_summary(g: Graph) -> CutIndex:
     """Index the cuts of g once, from the cycle space, deciding each
-    cut's essentiality once, in one pass over the small cuts; a
-    disconnected graph, or one with no cut of at most four edges, walks
-    every shore instead."""
+    cut's essentiality once, in one pass over the small cuts.  A
+    disconnected graph has λ = 0, and a connected one with no cut of at
+    most four edges takes λ from ``_flow_connectivity``; neither has a
+    small cut."""
     small = _index_cuts(g)
-    if small:
-        best = min(cross.bit_count() for _, cross in small)
-    else:
-        best, small = _walk_cuts(g, 4)
+    if small is None:
+        return CutIndex(0, (), (), ())
+    if not small:
+        return CutIndex(_flow_connectivity(g), (), (), ())
+    best = min(cross.bit_count() for _, cross in small)
     classes = _degree_classes(g)
     found: dict[int, list[tuple[int, int, int]]] = {3: [], 4: []}
     for shore, cross in small:
@@ -447,15 +440,20 @@ def edge_connectivity(g: Graph) -> int:
 
 def enumerate_cuts(g: Graph, max_size: int) -> list[Cut]:
     """All cuts with |crossing| <= max_size, one canonical shore per
-    {S, complement} pair, in ascending shore-bitmask order.  Sizes up to 4
-    come from the cached index."""
+    {S, complement} pair, in ascending shore-bitmask order, read from the
+    cached index.  The index holds the cuts of at most four edges of a
+    connected graph, so max_size > 4 or a disconnected graph raises
+    ValueError."""
     if g.n < 2:
         raise ValueError("cut enumeration needs n >= 2")
-    if max_size <= 4:
-        cuts = [c for c in _cut_summary(g).small if c[1].bit_count() <= max_size]
-    else:
-        _, cuts = _walk_cuts(g, max_size)
-    return [_mask_cut(shore, cross) for shore, cross in cuts]
+    if max_size > 4:
+        raise ValueError(
+            f"cut enumeration lists cuts of at most 4 edges (got max_size={max_size})"
+        )
+    index = _cut_summary(g)
+    if index.min_size == 0:
+        raise ValueError("cut enumeration needs a connected graph")
+    return [_mask_cut(*c) for c in index.small if c[1].bit_count() <= max_size]
 
 
 def find_essential_3cut(g: Graph) -> Cut | None:

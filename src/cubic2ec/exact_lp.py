@@ -16,9 +16,11 @@ column that may enter prices out, and ``c_B·z_B`` equals the prices' bound
   its base cases from a constant table; this rebuilds it in the tests.
 * :func:`solve_cut_lp` — the dual of the cut LP
   ``min sum x  s.t.  x(delta(S)) >= 2 for all S, 0 <= x <= 1``, one row
-  per edge and every cut a column from the start.  It serves only inputs
-  outside the cubic 3-edge-connected class, where
-  :func:`cubic2ec.oracle.lp_bound` has no closed form.
+  per edge and every cut the caller lists a column from the start.
+  Nothing in the package calls it: :func:`cubic2ec.oracle.lp_bound`
+  answers only on cubic 3-edge-connected graphs, in closed form.  The
+  tests solve it over every cut of small graphs to check that closed
+  form, and the benchmark's tracer names it as a span.
 """
 
 from __future__ import annotations

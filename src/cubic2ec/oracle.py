@@ -1,8 +1,13 @@
-"""Independent ground truth: exact minimum 2EC, exact cut-LP, gap.
+"""Independent ground truth: exact minimum 2EC, exact cut LP, gap.
 
 The branch-and-bound and LP paths are separate from the certificate
 construction, so the two can cross-check each other: for every graph
 ``lp <= opt <= |min support member| <= floor(7n/6)``.
+
+``exact_opt`` searches a tree exponential in m, so it is capped at
+``ORACLE_MAX_N``.  ``lp_bound`` answers only on the paper's class, cubic
+3-edge-connected graphs, where the cut LP has the closed form n; it reads
+λ and the tight cuts from the cycle-space cut index, so it has no cap.
 """
 
 from __future__ import annotations
@@ -11,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connectivity
-from .combine import Subgraph, _numerators
-from .connectivity import Cut, _iter_bits, _mask_cut, _walk_cuts
+from .combine import Subgraph
+from .connectivity import Cut, _iter_bits
 from .errors import InvariantViolation
-from .exact_lp import solve_cut_lp
 from .graphs import Graph
 
 ORACLE_MAX_N = 16
@@ -24,11 +28,11 @@ ORACLE_MAX_N = 16
 class LpSolution:
     """Exact optimum of the cut LP with its solution vector.
 
-    ``x[e]`` is the exact value on edge e; ``tight_cuts`` lists every
-    enumerated cut whose constraint holds with equality, in ascending
-    shore order.  On a cubic 3-edge-connected graph ``x`` is the uniform
-    optimum 2/3 and ``tight_cuts`` are the cuts with exactly 3 edges;
-    on any other input ``x`` is the optimal vertex the simplex reaches.
+    ``x[e]`` is the exact value on edge e; ``tight_cuts`` lists every cut
+    whose constraint holds with equality, in ascending shore order.  On a
+    cubic 3-edge-connected graph, the only input ``lp_bound`` accepts,
+    ``x`` is the uniform optimum 2/3 and ``tight_cuts`` are the cuts with
+    exactly 3 edges.
     """
 
     value: Fraction
@@ -138,61 +142,27 @@ def exact_opt(g: Graph) -> tuple[int, Subgraph]:
 
 
 def lp_bound(g: Graph) -> LpSolution:
-    """Exact optimum of the cut LP ``min sum x : x(delta(S)) >= 2, 0 <= x <= 1``.
-
-    Two paths, chosen by the input alone:
-
-    * cubic and 3-edge-connected: the value is n, proved by a checked
-      primal-dual pair (:func:`_cubic_3ec_lp`) without solving anything;
-    * any other 2-edge-connected graph: every cut (one shore per
-      complement pair) is a constraint from the start, optimality is
-      certified by the exact optimal basis Bland's rule reaches, and the
-      returned point is re-checked against every cut.
-    """
-    _guard(g)
-    lam = connectivity.edge_connectivity(g)
-    if lam < 2:
-        raise ValueError("cut LP is infeasible: graph is not 2-edge-connected")
-    if g.is_cubic and lam >= 3:
-        return _cubic_3ec_lp(g)
-    _, cuts = _walk_cuts(g, g.m)
-    value, x = solve_cut_lp(g.m, [cmask for _, cmask in cuts])
-    # independent feasibility re-check of the returned point
-    if not all(0 <= xe <= 1 for xe in x):
-        raise InvariantViolation("returned LP point leaves the unit box")
-    nums, den = _numerators(x)
-    two_den = 2 * den
-    tight = []
-    for shore, cmask in cuts:
-        s = sum(nums[e] for e in _iter_bits(cmask))
-        if s < two_den:
-            raise InvariantViolation(
-                "returned LP point violates a cut constraint"
-            )
-        if s == two_den:
-            tight.append(_mask_cut(shore, cmask))
-    if sum(x, Fraction(0)) != value:
-        raise InvariantViolation("LP value differs from the sum of its point")
-    return LpSolution(value=value, x=tuple(x), tight_cuts=tuple(tight))
-
-
-def _cubic_3ec_lp(g: Graph) -> LpSolution:
-    """The cut LP of a cubic 3-edge-connected graph in closed form.
+    """Exact optimum of the cut LP ``min sum x : x(delta(S)) >= 2, 0 <= x <= 1``
+    of a cubic 3-edge-connected graph, in closed form.
 
     Primal: x = 2/3 on every edge meets every cut constraint, since every
     cut has at least 3 edges, and has value 2m/3 = n.  Dual: 1/2 on the
     constraint of every vertex star covers each edge exactly once, since
     each edge lies in the stars of its two endpoints, and has value
-    2 * n/2 = n.  Equal values prove both optimal.  Every step is checked
-    here, so the result does not rest on the caller's path choice.  λ and
-    the tight cuts (exactly 3 edges) come from ``edge_connectivity`` and
-    ``enumerate_cuts(g, 3)``.
+    2 * n/2 = n.  Equal values prove both optimal, and every step is
+    checked here.  λ and the tight cuts (exactly 3 edges) come from
+    ``edge_connectivity`` and ``enumerate_cuts(g, 3)``, so the work is
+    polynomial in n.  A graph with λ < 2, whose cut LP is infeasible, and
+    any other input outside the class raise ValueError.
     """
     n, m = g.n, g.m
-    if not g.is_cubic:
-        raise InvariantViolation("closed-form cut LP needs a cubic graph")
-    if connectivity.edge_connectivity(g) < 3:
-        raise InvariantViolation("closed-form cut LP needs every cut >= 3 edges")
+    if n < 2:
+        raise ValueError("oracle requires n >= 2")
+    lam = connectivity.edge_connectivity(g)
+    if lam < 2:
+        raise ValueError("cut LP is infeasible: graph is not 2-edge-connected")
+    if not g.is_cubic or lam < 3:
+        raise ValueError("lp_bound requires a cubic 3-edge-connected graph")
     if 2 * m != 3 * n:
         raise InvariantViolation("cubic graph with 2m != 3n")
     cover = [0] * m

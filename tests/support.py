@@ -21,8 +21,9 @@ lift and glue with a set per mapped member, lift rebuilt through
 ``reference_combination`` and glue classing members by their
 pseudo-vertex edges in child space; and the case-1 smoothing that walks
 each path outwards from a suppressed vertex in both directions.  Some
-keep a replaced kernel whole: the 2EC check as Tarjan's low-link bridge
-search, the branch and bound that asked ``is_2ec`` before every exclusion
+keep a replaced kernel whole: the Gray-code walk over every shore that
+listed every cut (``reference_walk_cuts``), the 2EC check as Tarjan's
+low-link bridge search, the branch and bound that asked ``is_2ec`` before every exclusion
 (``reference_exact_opt``), the Lemma 3 check that answered every
 configuration and pivot by a rescan of its own
 (``reference_verify_lemma3``, with ``reference_safe_pair``), the combination plumbing on (Fraction, edge tuple) entries
@@ -415,6 +416,38 @@ def reference_shore_scan(g) -> list[tuple[int, int]]:
         (mask << 1, reference_crossing_mask(g, mask << 1))
         for mask in range(1, 1 << (g.n - 1))
     ]
+
+
+def reference_walk_cuts(g, max_size: int) -> tuple[int, list[tuple[int, int]]]:
+    """One Gray-code walk over every canonical shore, the body the package
+    replaced by its cycle-space index and augmenting-path λ.
+
+    Returns the min cut size (0 on a disconnected graph), and every cut
+    with |crossing| <= max_size as (shore, crossing) in ascending shore
+    order.  The shore >> 1 code runs through the Gray code i ^ (i >> 1):
+    step i flips bit (i & -i) of the code, i.e. vertex
+    (i & -i).bit_length(), never vertex 0, and the edges whose crossing
+    status changes are exactly those at the flipped vertex.  2^(n-1)
+    steps, so keep n small.
+    """
+    inc = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        inc[u] ^= 1 << e
+        inc[v] ^= 1 << e
+    best = g.m + 1
+    found = []
+    code = cross = 0
+    for i in range(1, 1 << (g.n - 1)):
+        low = i & -i
+        code ^= low
+        cross ^= inc[low.bit_length()]
+        size = cross.bit_count()
+        if size < best:
+            best = size
+        if size <= max_size:
+            found.append((code, cross))
+    found.sort()
+    return best, [(code << 1, cross) for code, cross in found]
 
 
 def _reference_parity_sides(nbrs, cross: int) -> list[int] | None:

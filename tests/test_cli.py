@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from test_differential import generalized_petersen
-from test_oracle import TWO_K4_MINUS_EDGE
+from test_oracle import C5, TWO_K4_MINUS_EDGE, complete
 
 from cubic2ec import to_graph6, builtin
 from cubic2ec.cli import SWEEP_COLUMNS, main
@@ -151,13 +151,35 @@ def test_opt_lp_gap_values(capsys):
     assert run(capsys, "gap", "--graph", "petersen")[1].strip() == "11/10"
 
 
-def test_lp_reads_non_cubic_edge_list(tmp_path, capsys):
-    path = tmp_path / "k5.txt"
-    path.write_text(
-        "5 10\n" + "".join(f"{i} {j}\n" for i in range(5) for j in range(i + 1, 5))
-    )
-    code, stdout, _ = run(capsys, "lp", "--edges", str(path))
-    assert code == 0 and stdout == "5\n"
+@pytest.mark.parametrize(
+    "g", [C5, complete(5), TWO_K4_MINUS_EDGE], ids=["c5", "k5", "two_k4_minus_edge"]
+)
+def test_lp_rejects_inputs_outside_the_cubic_3ec_class(tmp_path, capsys, g):
+    edges = write_edges(tmp_path / "g.txt", g)
+    for name in ("lp", "gap"):
+        code, stdout, stderr = run(capsys, name, "--edges", edges)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: lp_bound requires a cubic 3-edge-connected graph\n"
+
+
+@pytest.mark.parametrize("k, step", [(12, 5), (15, 2), (30, 7)])
+def test_lp_and_lemma3_run_above_the_oracle_cap(tmp_path, capsys, k, step):
+    """lp and lemma3 answer at n = 24, 30 and 60; opt keeps its cap."""
+    path = tmp_path / "gp.g6"
+    path.write_text(to_graph6(generalized_petersen(k, step)) + "\n")
+    assert run(capsys, "lp", "--g6", str(path))[:2] == (0, f"{2 * k}\n")
+    code, stdout, _ = run(capsys, "lemma3", "--g6", str(path))
+    assert code == 0
+    assert json.loads(stdout) == {
+        "configurations": 12 * k,
+        "pivots": 3 * k,
+        "violations": 0,
+        "orientation_flips": 0,
+        "divergences": 0,
+    }
+    code, _, stderr = run(capsys, "opt", "--g6", str(path))
+    assert code == 2
+    assert stderr == f"error: oracle limited to n <= 16 (got n={2 * k})\n"
 
 
 def test_gap_reads_graph6_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
-from support import maxflow_edge_connectivity
-from test_oracle import TWO_K4_MINUS_EDGE
+from support import maxflow_edge_connectivity, reference_walk_cuts
+from test_differential import generalized_petersen
+from test_oracle import TWO_K4_MINUS_EDGE, complete
 
 from cubic2ec import (
     Graph,
@@ -102,6 +104,45 @@ def test_edge_connectivity_matches_maxflow_oracle(small_corpus):
         assert edge_connectivity(g) == maxflow_edge_connectivity(g)
 
 
+def drawn_graph(rng, n, density):
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, tuple(e for e in pairs if rng.random() < density))
+
+
+def test_edge_connectivity_matches_maxflow_oracle_on_drawn_graphs():
+    """Graphs with n <= 12 and edge densities up to 0.9: the dense ones
+    have no cut of at most four edges and take λ from augmenting paths."""
+    rng = random.Random(26)
+    lams = []
+    for n in range(2, 13):
+        for density in (0.3, 0.6, 0.8, 0.9) * 3:
+            g = drawn_graph(rng, n, density)
+            lams.append(edge_connectivity(g))
+            assert lams[-1] == maxflow_edge_connectivity(g)
+    assert sum(lam >= 5 for lam in lams) >= 20
+    assert 0 in lams
+
+
+@pytest.mark.parametrize(
+    "g, lam",
+    [
+        (complete(6), 5),
+        (complete(7), 6),
+        (complete(8), 7),
+        (Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))), 0),
+    ],
+    ids=["k6", "k7", "k8", "two-triangles"],
+)
+def test_edge_connectivity_off_the_cubic_class(g, lam):
+    assert edge_connectivity(g) == maxflow_edge_connectivity(g) == lam
+
+
+@pytest.mark.parametrize("k, step", [(15, 2), (30, 7)])
+def test_edge_connectivity_beyond_the_old_walk_cap(k, step):
+    g = generalized_petersen(k, step)  # n = 30 and 60
+    assert edge_connectivity(g) == maxflow_edge_connectivity(g) == 3
+
+
 # cut enumeration ------------------------------------------------------------
 
 
@@ -120,12 +161,18 @@ def test_enumerate_cuts_petersen_3cuts_are_vertex_cuts(petersen):
 
 
 def test_enumerate_cuts_guards_size():
-    """The n <= 20 guard holds only where every shore is walked."""
+    """Only the cuts of at most four edges of a connected graph are listed,
+    at any n."""
     path = Graph(21, tuple((i, i + 1) for i in range(20)))
-    with pytest.raises(ValueError, match="limited to n <= 20"):
+    with pytest.raises(
+        ValueError,
+        match=r"^cut enumeration lists cuts of at most 4 edges \(got max_size=5\)$",
+    ):
         enumerate_cuts(path, 5)  # above the indexed sizes
-    with pytest.raises(ValueError, match="limited to n <= 20"):
-        edge_connectivity(Graph(21, path.edges[1:]))  # disconnected
+    split = Graph(21, path.edges[1:])
+    with pytest.raises(ValueError, match=r"^cut enumeration needs a connected graph$"):
+        enumerate_cuts(split, 3)
+    assert edge_connectivity(split) == 0
     # every edge of the path is a bridge, and every set of bridges a cut
     cuts = enumerate_cuts(path, 3)
     assert len(cuts) == 20 + 190 + 1140
@@ -324,8 +371,8 @@ def test_make_cut_canonicalizes_away_vertex_zero(petersen):
 
 def test_edge_connectivity_equals_min_enumerated_cut(small_corpus):
     for g in small_corpus:
-        cuts = enumerate_cuts(g, g.m)
-        assert edge_connectivity(g) == min(len(c.crossing) for c in cuts)
+        best, cuts = reference_walk_cuts(g, g.m)
+        assert edge_connectivity(g) == best == min(c.bit_count() for _, c in cuts)
 
 
 def test_full_edge_set_2ec_iff_connectivity_at_least_two(small_corpus):

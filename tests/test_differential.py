@@ -1,4 +1,5 @@
-"""The Gray-code shore walk, the cycle-space cut index against every edge
+"""The Gray-code shore walk kept as an oracle, λ from the cut index or by
+augmenting paths, the cycle-space cut index against every edge
 subset of at most four edges, the essential-cut index, the integer-numerator
 weight sums, the closed-form cut LP, the pruned canonical form, the
 base-case table and the integer compaction against the per-shore edge
@@ -67,6 +68,8 @@ from support import (
     reference_tarjan_is_2ec,
     reference_two_ec_spanning_subgraphs,
     reference_verify_lemma3,
+    reference_walk_cuts,
+    time_limit,
 )
 from test_oracle import C5, TWO_K4_MINUS_EDGE
 from test_scripts import load
@@ -101,10 +104,10 @@ from cubic2ec import (
 from cubic2ec import canon, combine, connectivity, oracle
 from cubic2ec.canon import canonical_lookup, encoding
 from cubic2ec.connectivity import (
+    CutIndex,
     _cut_summary,
     _iter_bits,
     _mask_cut,
-    _walk_cuts,
     is_essential_cut,
 )
 from cubic2ec.errors import Lemma3Violation
@@ -115,16 +118,17 @@ F = Fraction
 
 
 def assert_cuts_match_scan(g):
+    """The reference walk lists the scan's cuts, and λ and the index agree
+    with them; a disconnected graph indexes no cut."""
     scan = reference_shore_scan(g)
     sizes = [cross.bit_count() for _, cross in scan]
+    assert reference_walk_cuts(g, g.m) == (min(sizes), scan)
     assert edge_connectivity(g) == min(sizes)
     assert _cut_summary(g).small == tuple(
-        (shore, cross) for (shore, cross), size in zip(scan, sizes) if size <= 4
+        (shore, cross)
+        for (shore, cross), size in zip(scan, sizes)
+        if size <= 4 and min(sizes)
     )
-    assert enumerate_cuts(g, g.m) == [
-        Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cross)))
-        for shore, cross in scan
-    ]
 
 
 def relabel(g, perm, order):
@@ -167,38 +171,31 @@ def test_shore_walk_matches_scan_on_relabelings(corpus, data):
 # small cuts read from the index ------------------------------------------------
 
 
-def assert_small_cuts_match_scan(g, monkeypatch):
-    """enumerate_cuts(g, k <= 4) equals the scan's cuts of at most k edges,
-    read from the index without a second walk; k = m walks once, unless
-    m <= 4 and the index already holds every cut."""
+def assert_small_cuts_match_scan(g):
+    """enumerate_cuts(g, k <= 4) equals the scan's cuts of at most k edges
+    on a connected graph, and k = 5 raises; a disconnected graph raises."""
     scan = reference_shore_scan(g)
-    edge_connectivity(g)
-    walks = []
-
-    def counted(*args):
-        walks.append(args)
-        return _walk_cuts(*args)
-
-    monkeypatch.setattr(connectivity, "_walk_cuts", counted)
+    if min(cross.bit_count() for _, cross in scan) == 0:
+        with pytest.raises(ValueError, match="^cut enumeration needs a connected graph$"):
+            enumerate_cuts(g, 4)
+        return
     for k in range(5):
         assert enumerate_cuts(g, k) == [
             Cut(tuple(_iter_bits(shore)), tuple(_iter_bits(cross)))
             for shore, cross in scan
             if cross.bit_count() <= k
         ]
-    assert walks == []
-    enumerate_cuts(g, g.m)
-    assert len(walks) == (g.m > 4)
-    monkeypatch.undo()
+    with pytest.raises(ValueError, match="at most 4 edges"):
+        enumerate_cuts(g, 5)
 
 
-def test_small_cuts_come_from_the_index(corpus, monkeypatch):
+def test_small_cuts_come_from_the_index(corpus):
     for g in corpus + [
         complete(6),
         complete(8),
         Graph(5, ((0, 1), (2, 3), (3, 4), (2, 4))),  # disconnected
     ]:
-        assert_small_cuts_match_scan(g, monkeypatch)
+        assert_small_cuts_match_scan(g)
 
 
 @settings(max_examples=15, deadline=None)
@@ -207,33 +204,20 @@ def test_small_cuts_come_from_the_index_on_relabelings(corpus, data):
     g = data.draw(st.sampled_from(corpus))
     perm = data.draw(st.permutations(range(g.n)))
     order = data.draw(st.permutations(range(g.m)))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_small_cuts_match_scan(relabel(g, perm, order), monkeypatch)
+    assert_small_cuts_match_scan(relabel(g, perm, order))
 
 
-def test_only_graphs_without_small_cuts_or_connection_walk_the_shores(
-    corpus, monkeypatch
-):
-    walked = []
-
-    def counted(g, max_size):
-        walked.append(g)
-        return _walk_cuts(g, max_size)
-
-    monkeypatch.setattr(connectivity, "_walk_cuts", counted)
-    _cut_summary.cache_clear()  # index every graph afresh
-    for g in corpus:
-        _cut_summary(g)
-    assert walked == []
-    others = [
-        Graph(5, ((0, 1), (2, 3), (3, 4), (2, 4))),  # disconnected
-        complete(6),  # λ = 5
-        complete(8),  # λ = 7
-    ]
-    for g in others:
-        _cut_summary(g)
-        _cut_summary(g)  # read from the cache
-    assert walked == others
+def test_cut_summary_never_walks_the_shores():
+    """A disconnected graph, and a connected one with no cut of at most
+    four edges, get λ and an empty index at n = 40, where a walk over the
+    2^39 shores would not end."""
+    apart = Graph(40, tuple((i, i + 20) for i in range(20)))  # a perfect matching
+    # the circulant C40(1, 2, 3): 6-regular and vertex-transitive
+    dense = Graph(40, tuple((i, (i + s) % 40) for i in range(40) for s in (1, 2, 3)))
+    with time_limit(10):
+        assert _cut_summary(apart) == CutIndex(0, (), (), ())
+        assert _cut_summary(dense) == CutIndex(6, (), (), ())
+    assert maxflow_edge_connectivity(dense) == 6
 
 
 @pytest.mark.parametrize("k, step", [(11, 2), (12, 5)])
@@ -490,16 +474,10 @@ def test_random_weights_match_fraction_loop(prism, data):
     assert edge_occurrences(comb) == reference_edge_occurrences(comb)
 
 
-def refuse(*_):
-    raise AssertionError("the closed form must not enumerate or solve")
-
-
-def test_closed_form_lp_matches_simplex(corpus, monkeypatch):
-    monkeypatch.setattr(oracle, "solve_cut_lp", refuse)
-    monkeypatch.setattr(oracle, "_walk_cuts", refuse)
+def test_closed_form_lp_matches_simplex(corpus):
     for g in corpus + [builtin("k4"), builtin("petersen")]:
         sol = lp_bound(g)
-        _, cuts = _walk_cuts(g, g.m)
+        _, cuts = reference_walk_cuts(g, g.m)
         value, _ = solve_cut_lp(g.m, [cmask for _, cmask in cuts])
         assert sol.value == value == g.n
         for _, cross in reference_shore_scan(g):

@@ -2,8 +2,11 @@
 ``solve_cut_lp`` against the two Fraction solvers it replaced (the dense
 phase-1 tableau and the revised dual simplex on a Fraction inverse): the
 base-case systems, the least-support systems of the small corpus graphs
-and of two n = 12 graphs, the cut LPs inside and outside the cubic class,
-and drawn systems; plus the shape checks both entry points make."""
+and of two n = 12 graphs, the cut LPs inside and outside the cubic class
+over every cut the reference walk lists, and drawn systems; plus the
+shape checks both entry points make.  Outside the cubic 3-edge-connected
+class, where ``lp_bound`` does not answer, each optimum is also checked
+against every cut with a Fraction sum per shore."""
 
 from fractions import Fraction
 
@@ -12,14 +15,16 @@ from conftest import CORPUS_PATH
 from hypothesis import given, settings, strategies as st
 from support import (
     reference_feasible_basic_solution,
+    reference_shore_scan,
     reference_solve_cut_lp,
+    reference_walk_cuts,
     two_ec_system,
     valid_matching_system,
 )
 from test_oracle import C5, TWO_K4_MINUS_EDGE, complete
 
-from cubic2ec import builtin, parse_graph6
-from cubic2ec.connectivity import _walk_cuts
+from cubic2ec import builtin, edge_connectivity, parse_graph6
+from cubic2ec.connectivity import _iter_bits
 from cubic2ec.exact_lp import feasible_basic_solution, solve_cut_lp
 
 F = Fraction
@@ -52,7 +57,20 @@ def assert_cut_lp_matches(m, masks):
 
 
 def cut_masks(g):
-    return [cmask for _, cmask in _walk_cuts(g, g.m)[1]]
+    return [cmask for _, cmask in reference_walk_cuts(g, g.m)[1]]
+
+
+def recheck_cut_lp_point(g, value, x):
+    """Check an LP answer on g against every cut: x in the unit box, every
+    cut covered at least twice (one Fraction sum per shore), and value the
+    sum of x."""
+    if not all(0 <= xe <= 1 for xe in x):
+        raise AssertionError("LP point leaves the unit box")
+    for _, cross in reference_shore_scan(g):
+        if sum((x[e] for e in _iter_bits(cross)), F(0)) < 2:
+            raise AssertionError("LP point violates a cut constraint")
+    if sum(x, F(0)) != value:
+        raise AssertionError("LP value differs from the sum of its point")
 
 
 @pytest.mark.parametrize("name", ["k4", "k33", "prism", "petersen"])
@@ -78,13 +96,24 @@ def test_phase1_matches_reference_on_least_support_systems(line):
 
 
 @pytest.mark.parametrize(
-    "g, value",
-    [(C5, 5), (complete(5), 5), (complete(6), 6), (TWO_K4_MINUS_EDGE, 8)],
+    "g, lam, value",
+    [(C5, 2, 5), (complete(5), 4, 5), (complete(6), 5, 6), (TWO_K4_MINUS_EDGE, 2, 8)],
     ids=["c5", "k5", "k6", "two_k4_minus_edge"],
 )
-def test_cut_lp_matches_reference_off_the_cubic_class(g, value):
+def test_cut_lp_matches_reference_off_the_cubic_class(g, lam, value):
+    assert edge_connectivity(g) == lam
     got, x = assert_cut_lp_matches(g.m, cut_masks(g))
-    assert got == value == sum(x)
+    assert got == value
+    recheck_cut_lp_point(g, got, x)
+
+
+def test_cut_lp_recheck_rejects_an_infeasible_point():
+    """The re-check above catches a point that leaves a cut of C5 short."""
+    recheck_cut_lp_point(C5, F(5), (F(1),) * 5)
+    with pytest.raises(AssertionError, match="violates a cut constraint"):
+        recheck_cut_lp_point(C5, F(9, 2), (F(1, 2),) + (F(1),) * 4)
+    with pytest.raises(AssertionError, match="differs from the sum"):
+        recheck_cut_lp_point(C5, F(4), (F(1),) * 5)
 
 
 def test_cut_lp_matches_reference_on_small_corpus():

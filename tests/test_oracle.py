@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from support import brute_force_min_2ec, reference_is_2ec, reference_shore_scan
+from support import brute_force_min_2ec, reference_is_2ec, reference_walk_cuts
 
 from cubic2ec import (
     Graph,
@@ -13,10 +13,6 @@ from cubic2ec import (
     min_support_subgraph,
     support_bound,
 )
-from cubic2ec import oracle
-from cubic2ec.connectivity import _iter_bits
-from cubic2ec.errors import InvariantViolation
-from cubic2ec.exact_lp import solve_cut_lp
 
 F = Fraction
 
@@ -90,7 +86,7 @@ def test_lp_value_at_least_n_on_cubic(small_corpus):
 
 def test_lp_rejects_non_2ec():
     path = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cut LP is infeasible"):
         lp_bound(path)
 
 
@@ -111,47 +107,15 @@ TWO_K4_MINUS_EDGE = Graph(
 )
 
 
-@pytest.mark.parametrize(
-    "g, lam, value",
-    [(C5, 2, 5), (complete(5), 4, 5), (TWO_K4_MINUS_EDGE, 2, 8)],
-    ids=["c5", "k5", "two_k4_minus_edge"],
-)
-def test_lp_fallback_outside_cubic_3ec(g, lam, value, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve_cut_lp(*args)
-
-    monkeypatch.setattr(oracle, "solve_cut_lp", counted)
-    assert edge_connectivity(g) == lam
-    sol = lp_bound(g)
-    assert sol.value == value
-    assert len(calls) == 1
-    # the integer re-check against a Fraction sum per shore
-    sums = [
-        (shore, sum(sol.x[e] for e in _iter_bits(cross)))
-        for shore, cross in reference_shore_scan(g)
-    ]
-    assert all(s >= 2 for _, s in sums)
-    assert [c.shore for c in sol.tight_cuts] == [
-        tuple(_iter_bits(shore)) for shore, s in sums if s == 2
-    ]
-
-
-def test_lp_fallback_rejects_an_infeasible_point(monkeypatch):
-    monkeypatch.setattr(
-        oracle, "solve_cut_lp", lambda m, masks: (F(5), (F(1, 2),) + (F(1),) * 4)
-    )
-    with pytest.raises(InvariantViolation, match="violates a cut constraint"):
-        lp_bound(C5)
-
-
 def test_closed_form_checks_its_own_preconditions():
-    with pytest.raises(InvariantViolation, match="every cut >= 3 edges"):
-        oracle._cubic_3ec_lp(TWO_K4_MINUS_EDGE)
-    with pytest.raises(InvariantViolation, match="cubic"):
-        oracle._cubic_3ec_lp(complete(5))
+    """lp_bound answers only on cubic 3-edge-connected graphs; the cut LPs
+    of C5, K5 and two K4 minus an edge are solved in tests/test_exact_lp.py."""
+    for g, lam in ((C5, 2), (complete(5), 4), (TWO_K4_MINUS_EDGE, 2)):
+        assert edge_connectivity(g) == lam
+        with pytest.raises(
+            ValueError, match="^lp_bound requires a cubic 3-edge-connected graph$"
+        ):
+            lp_bound(g)
 
 
 # gap --------------------------------------------------------------------------
@@ -179,8 +143,6 @@ def test_gap_envelope_and_sandwich(small_corpus, certifier):
 
 def test_uniform_7_9_is_lp_feasible(small_corpus):
     # min cut 3 on cubic 3EC graphs: 3 * 7/9 >= 2
-    from cubic2ec import enumerate_cuts
-
     for g in small_corpus:
-        for cut in enumerate_cuts(g, g.m):
-            assert len(cut.crossing) * F(7, 9) >= 2
+        for _, cross in reference_walk_cuts(g, g.m)[1]:
+            assert cross.bit_count() * F(7, 9) >= 2

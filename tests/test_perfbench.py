@@ -10,6 +10,8 @@ These tests read the benchmark's files and change none of them.
 
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,6 +56,26 @@ def test_tracer_wraps_every_target_and_restores_them():
     finally:
         tracer.uninstall()
         assert bound_functions() == before
+
+
+def test_tracer_installs_in_a_process_that_imports_only_the_package():
+    """The worker imports cubic2ec and nothing from the tests, so every
+    module the tracer names must load with the package."""
+    src = PERFBENCH.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import cubic2ec, tracing; t = tracing.Tracer(); t.install(); t.uninstall()"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PERFBENCH)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # SHA-256 over certificate_to_json of each line's certificate, in file
