@@ -418,6 +418,19 @@ def reference_shore_scan(g) -> list[tuple[int, int]]:
     ]
 
 
+def recheck_cut_lp_point(g, value, x) -> None:
+    """Check a cut-LP answer on g against every cut: x in the unit box,
+    every cut covered at least twice (one Fraction sum per shore), and
+    value the sum of x.  Raises AssertionError on the first failure."""
+    if not all(0 <= xe <= 1 for xe in x):
+        raise AssertionError("LP point leaves the unit box")
+    for _, cross in reference_shore_scan(g):
+        if sum((x[e] for e in connectivity._iter_bits(cross)), Fraction(0)) < 2:
+            raise AssertionError("LP point violates a cut constraint")
+    if sum(x, Fraction(0)) != value:
+        raise AssertionError("LP value differs from the sum of its point")
+
+
 def reference_walk_cuts(g, max_size: int) -> tuple[int, list[tuple[int, int]]]:
     """One Gray-code walk over every canonical shore, the body the package
     replaced by its cycle-space index and augmenting-path λ.

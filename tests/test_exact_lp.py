@@ -4,9 +4,8 @@ phase-1 tableau and the revised dual simplex on a Fraction inverse): the
 base-case systems, the least-support systems of the small corpus graphs
 and of two n = 12 graphs, the cut LPs inside and outside the cubic class
 over every cut the reference walk lists, and drawn systems; plus the
-shape checks both entry points make.  Outside the cubic 3-edge-connected
-class, where ``lp_bound`` does not answer, each optimum is also checked
-against every cut with a Fraction sum per shore."""
+shape checks both entry points make, and the per-shore re-check that
+tests/test_oracle.py applies to cut-LP optima outside the cubic class."""
 
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ from conftest import CORPUS_PATH
 from hypothesis import given, settings, strategies as st
 from support import (
     reference_feasible_basic_solution,
-    reference_shore_scan,
+    recheck_cut_lp_point,
     reference_solve_cut_lp,
     reference_walk_cuts,
     two_ec_system,
@@ -23,8 +22,7 @@ from support import (
 )
 from test_oracle import C5, TWO_K4_MINUS_EDGE, complete
 
-from cubic2ec import builtin, edge_connectivity, parse_graph6
-from cubic2ec.connectivity import _iter_bits
+from cubic2ec import builtin, parse_graph6
 from cubic2ec.exact_lp import feasible_basic_solution, solve_cut_lp
 
 F = Fraction
@@ -60,19 +58,6 @@ def cut_masks(g):
     return [cmask for _, cmask in reference_walk_cuts(g, g.m)[1]]
 
 
-def recheck_cut_lp_point(g, value, x):
-    """Check an LP answer on g against every cut: x in the unit box, every
-    cut covered at least twice (one Fraction sum per shore), and value the
-    sum of x."""
-    if not all(0 <= xe <= 1 for xe in x):
-        raise AssertionError("LP point leaves the unit box")
-    for _, cross in reference_shore_scan(g):
-        if sum((x[e] for e in _iter_bits(cross)), F(0)) < 2:
-            raise AssertionError("LP point violates a cut constraint")
-    if sum(x, F(0)) != value:
-        raise AssertionError("LP value differs from the sum of its point")
-
-
 @pytest.mark.parametrize("name", ["k4", "k33", "prism", "petersen"])
 def test_phase1_matches_reference_on_base_case_systems(name):
     subgraphs, rows, rhs = two_ec_system(builtin(name), F(7, 9))
@@ -96,19 +81,18 @@ def test_phase1_matches_reference_on_least_support_systems(line):
 
 
 @pytest.mark.parametrize(
-    "g, lam, value",
-    [(C5, 2, 5), (complete(5), 4, 5), (complete(6), 5, 6), (TWO_K4_MINUS_EDGE, 2, 8)],
+    "g, value",
+    [(C5, 5), (complete(5), 5), (complete(6), 6), (TWO_K4_MINUS_EDGE, 8)],
     ids=["c5", "k5", "k6", "two_k4_minus_edge"],
 )
-def test_cut_lp_matches_reference_off_the_cubic_class(g, lam, value):
-    assert edge_connectivity(g) == lam
+def test_cut_lp_matches_reference_off_the_cubic_class(g, value):
     got, x = assert_cut_lp_matches(g.m, cut_masks(g))
-    assert got == value
-    recheck_cut_lp_point(g, got, x)
+    assert got == value == sum(x)
 
 
 def test_cut_lp_recheck_rejects_an_infeasible_point():
-    """The re-check above catches a point that leaves a cut of C5 short."""
+    """support.recheck_cut_lp_point catches a point that leaves a cut of C5
+    short, and a value that is not the sum of its point."""
     recheck_cut_lp_point(C5, F(5), (F(1),) * 5)
     with pytest.raises(AssertionError, match="violates a cut constraint"):
         recheck_cut_lp_point(C5, F(9, 2), (F(1, 2),) + (F(1),) * 4)

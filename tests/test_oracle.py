@@ -1,7 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from support import brute_force_min_2ec, reference_is_2ec, reference_walk_cuts
+from support import (
+    brute_force_min_2ec,
+    recheck_cut_lp_point,
+    reference_is_2ec,
+    reference_walk_cuts,
+)
 
 from cubic2ec import (
     Graph,
@@ -13,6 +18,7 @@ from cubic2ec import (
     min_support_subgraph,
     support_bound,
 )
+from cubic2ec.exact_lp import solve_cut_lp
 
 F = Fraction
 
@@ -109,13 +115,28 @@ TWO_K4_MINUS_EDGE = Graph(
 
 def test_closed_form_checks_its_own_preconditions():
     """lp_bound answers only on cubic 3-edge-connected graphs; the cut LPs
-    of C5, K5 and two K4 minus an edge are solved in tests/test_exact_lp.py."""
+    of C5, K5 and two K4 minus an edge are left to the simplex below."""
     for g, lam in ((C5, 2), (complete(5), 4), (TWO_K4_MINUS_EDGE, 2)):
         assert edge_connectivity(g) == lam
         with pytest.raises(
             ValueError, match="^lp_bound requires a cubic 3-edge-connected graph$"
         ):
             lp_bound(g)
+
+
+@pytest.mark.parametrize(
+    "g, lam, value",
+    [(C5, 2, 5), (complete(5), 4, 5), (complete(6), 5, 6), (TWO_K4_MINUS_EDGE, 2, 8)],
+    ids=["c5", "k5", "k6", "two_k4_minus_edge"],
+)
+def test_lp_fallback_outside_cubic_3ec(g, lam, value):
+    """Where lp_bound declines, solve_cut_lp over every cut the reference
+    walk lists gives the optimum, and its point meets every cut constraint
+    by a Fraction sum per shore."""
+    assert edge_connectivity(g) == lam
+    got, x = solve_cut_lp(g.m, [cmask for _, cmask in reference_walk_cuts(g, g.m)[1]])
+    assert got == value
+    recheck_cut_lp_point(g, got, x)
 
 
 # gap --------------------------------------------------------------------------
