@@ -24,9 +24,6 @@ default output is ``BENCH_canon.json`` at the repository root.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 from pathlib import Path
 
@@ -36,7 +33,7 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 from cubic2ec import Certifier, Graph, canon, parse_graph6
 from make_corpus import generalized_petersen
-from timing import best_time
+from timing import best_time, write_report
 
 MAX_N = 18
 OUT = ROOT / "BENCH_canon.json"
@@ -125,11 +122,8 @@ def main(argv=None) -> int:
         "max_n": MAX_N,
         "repeat": args.repeat,
         "inputs": rows,
-        "python": platform.python_version(),
-        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} cpus",
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report))
+    write_report(args.out, report)
     return 0
 
 

@@ -4,8 +4,9 @@ index, and write the result as JSON.
 
 For each n in 8, 10, ..., 20 it draws ``--graphs`` random connected cubic
 graphs (the pairing model, seeded by n) and times the Gray-code walk over
-all 2^(n-1) shores that the index replaced (``walk_cuts``, held here) and
-the cycle-space index (``_index_cuts``) on them.  Both must list the same
+all 2^(n-1) shores that the index replaced (``reference_walk_cuts`` of
+``tests/support.py``, which also keeps the least cut size) and the
+cycle-space index (``_index_cuts``) on them.  Both must list the same
 cuts of at most four edges on every graph, or the script raises
 RuntimeError.  Above n = 20, where the walk's time doubles with each
 vertex, it times the index alone, at n = 24, 30 and 60.  Times are process
@@ -20,19 +21,17 @@ The default output is ``BENCH_cuts.json`` at the repository root.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "scripts"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts"), str(ROOT / "tests")]
+
+from support import reference_walk_cuts
+from timing import best_time, write_report
 
 from cubic2ec import Graph, connectivity
-from timing import best_time
 
 WALKED_N = range(8, 21, 2)
 INDEXED_N = (24, 30, 60)
@@ -61,30 +60,8 @@ def random_cubic(n: int, rng: random.Random) -> Graph:
             return g
 
 
-def walk_cuts(g: Graph, max_size: int) -> list[tuple[int, int]]:
-    """Every cut with |crossing| <= max_size as (shore, crossing), in
-    ascending shore order, by one walk over every canonical shore: the
-    shore >> 1 code runs through the Gray code i ^ (i >> 1), so step i
-    flips vertex (i & -i).bit_length(), never vertex 0, and the crossing
-    mask changes by that vertex's incidence mask."""
-    inc = [0] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        inc[u] ^= 1 << e
-        inc[v] ^= 1 << e
-    found = []
-    code = cross = 0
-    for i in range(1, 1 << (g.n - 1)):
-        low = i & -i
-        code ^= low
-        cross ^= inc[low.bit_length()]
-        if cross.bit_count() <= max_size:
-            found.append((code, cross))
-    found.sort()
-    return [(code << 1, cross) for code, cross in found]
-
-
 def walk_all(graphs) -> list:
-    return [walk_cuts(g, 4) for g in graphs]
+    return [reference_walk_cuts(g, 4)[1] for g in graphs]
 
 
 def index_all(graphs) -> list:
@@ -126,11 +103,8 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "note": "seconds are process CPU per graph; walk_s is null above n = 20",
         "sizes": rows,
-        "python": platform.python_version(),
-        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} cpus",
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report))
+    write_report(args.out, report)
     return 0
 
 

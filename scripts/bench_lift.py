@@ -39,10 +39,7 @@ default output is ``BENCH_lift.json`` at the repository root.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
-import platform
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -60,7 +57,7 @@ from cubic2ec import (
     parse_graph6,
     remove_edges_and_smooth,
 )
-from timing import best_time
+from timing import best_time, write_report
 
 OUT = ROOT / "BENCH_lift.json"
 
@@ -252,11 +249,8 @@ def main(argv=None) -> int:
         "max_n": MAX_N,
         "repeat": args.repeat,
         "inputs": rows,
-        "python": platform.python_version(),
-        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} cpus",
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report))
+    write_report(args.out, report)
     return 0
 
 

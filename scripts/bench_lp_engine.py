@@ -29,9 +29,6 @@ root.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 from pathlib import Path
 
@@ -45,7 +42,7 @@ from support import (
     valid_matching_system,
 )
 from test_oracle import C5, TWO_K4_MINUS_EDGE, complete
-from timing import best_time
+from timing import best_time, write_report
 
 from cubic2ec import parse_graph6
 from cubic2ec.exact_lp import feasible_basic_solution, solve_cut_lp
@@ -129,11 +126,8 @@ def main(argv=None) -> int:
         "phase1_totals": totals(phase1),
         "cut_lp": cut_lp,
         "cut_lp_totals": totals(cut_lp),
-        "python": platform.python_version(),
-        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} cpus",
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report))
+    write_report(args.out, report)
     return 0
 
 

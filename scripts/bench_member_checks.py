@@ -20,16 +20,13 @@ repository root.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
-from timing import best_time
+from timing import best_time, write_report
 
 from cubic2ec import Certifier, connectivity, parse_graph6
 
@@ -102,11 +99,8 @@ def main(argv=None) -> int:
         "is_2ec_loop_s": round(loop_s, 6),
         "first_non_2ec_s": round(pass_s, 6),
         "speedup": round(loop_s / pass_s, 2) if pass_s else None,
-        "python": platform.python_version(),
-        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} cpus",
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report))
+    write_report(args.out, report)
     return 0
 
 

@@ -9,7 +9,9 @@ a vertex below two edges, and keeps the counts as running counters.  The
 replaced ``verify_lemma3`` answered every configuration through
 ``essential_4cut_with_pair`` and decided every pivot through
 ``find_safe_pair``, each checking the graph again; today's checks it and
-reads its essential 4-cuts once.  Both replaced bodies are held here.
+reads its essential 4-cuts once.  The replaced ``exact_opt`` is
+``tests/support.py``'s ``reference_exact_opt``; the replaced
+``verify_lemma3`` is held here.
 
 For each input it times both versions of each oracle, over the input's
 graphs (``verify_lemma3`` over those with n > 6 that are essentially
@@ -30,77 +32,21 @@ root.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "scripts"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts"), str(ROOT / "tests")]
 
 from bench_canon import read_graphs
-from cubic2ec import Lemma3Violation, Subgraph, connectivity, oracle
-from cubic2ec.connectivity import Lemma3Report
-from cubic2ec.errors import InvariantViolation
 from make_corpus import generalized_petersen
-from timing import best_time
+from support import reference_exact_opt as replaced_exact_opt
+from timing import best_time, write_report
+
+from cubic2ec import Lemma3Violation, connectivity, oracle
+from cubic2ec.connectivity import Lemma3Report
 
 OUT = ROOT / "BENCH_oracles.json"
-
-
-def replaced_exact_opt(g) -> tuple[int, Subgraph]:
-    """``exact_opt`` as it was: every exclusion and greedy drop asks
-    ``is_2ec``, and every node counts over every vertex."""
-    oracle._guard(g)
-    if not connectivity.is_2ec(g, (1 << g.m) - 1):
-        raise ValueError("exact_opt requires a 2-edge-connected graph")
-    n, m = g.n, g.m
-    inc = [0] * n
-    for e, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << e
-        inc[v] |= 1 << e
-    full = (1 << m) - 1
-    cur = full
-    for e in range(m - 1, -1, -1):
-        trial = cur & ~(1 << e)
-        if connectivity.is_2ec(g, trial):
-            cur = trial
-    best_size = cur.bit_count()
-    best_set = None
-
-    def rec(pos, in_mask, avail_mask):
-        nonlocal best_size, best_set
-        in_count = in_mask.bit_count()
-        deficiency = 0
-        for v in range(n):
-            d = (in_mask & inc[v]).bit_count()
-            if d < 2:
-                deficiency += 2 - d
-        lb = max(n, in_count + (deficiency + 1) // 2)
-        if best_set is None:
-            if lb > best_size:
-                return
-        elif lb >= best_size:
-            return
-        if pos == m:
-            if connectivity.is_2ec(g, in_mask):
-                size = in_mask.bit_count()
-                if size < best_size or best_set is None:
-                    best_size = size
-                    best_set = in_mask
-            return
-        bit = 1 << pos
-        rec(pos + 1, in_mask | bit, avail_mask)
-        reduced = avail_mask & ~bit
-        if connectivity.is_2ec(g, reduced):
-            rec(pos + 1, in_mask, reduced)
-
-    rec(0, 0, full)
-    if best_set is None:
-        raise InvariantViolation("2EC input must admit a solution")
-    return best_size, Subgraph(g, tuple(connectivity._iter_bits(best_set)))
 
 
 def replaced_verify_lemma3(g) -> Lemma3Report:
@@ -210,11 +156,8 @@ def main(argv=None) -> int:
     report = {
         "repeat": args.repeat,
         "inputs": rows,
-        "python": platform.python_version(),
-        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} cpus",
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report))
+    write_report(args.out, report)
     return 0
 
 

@@ -193,19 +193,11 @@ def _ordered(host: Graph, den: int, acc: dict[int, int]) -> _MaskedCombination:
 
 
 def _masked(c) -> _MaskedCombination:
-    """c in the certifier's form; a ConvexCombination's weights must be
-    nonnegative rationals."""
+    """c in the certifier's form: a _MaskedCombination as it is, and a
+    ConvexCombination checked and normalized as ``combination`` does."""
     if type(c) is _MaskedCombination:
         return c
-    m = c.host.m
-    nums, den = _numerators([w for w, _ in c.entries])
-    acc: dict[int, int] = {}
-    for num, (_, es) in zip(nums, c.entries):
-        if num < 0:
-            raise ValueError("weights must be nonnegative")
-        x = _bits(es, m)
-        acc[x] = acc.get(x, 0) + num
-    return _ordered(c.host, den, acc)
+    return _merged(c.host, *_validated(c.host.m, c.entries))
 
 
 def _public(c: _MaskedCombination) -> ConvexCombination:
@@ -234,26 +226,36 @@ def combination(host: Graph, raw_entries, check: bool = True):
     on each finished node.
     """
     if type(raw_entries) is _MaskedCombination:
-        den, entries = raw_entries.den, raw_entries.entries
+        out = _merged(host, raw_entries.den, raw_entries.entries)
     else:
-        den, entries = _validated(host.m, raw_entries)
-    acc: dict[int, int] = {}
-    for num, x in entries:
-        acc[x] = acc.get(x, 0) + num
-    total = sum(acc.values())
-    if total != den:
-        raise ValueError(
-            f"weights must sum to 1 exactly (got {Fraction(total, den)})"
-        )
-    out = _ordered(host, den, acc)
+        out = _merged(host, *_validated(host.m, raw_entries))
     if check:
         _check_members(out, "entry ", ValueError)
     return _like(raw_entries, out)
 
 
+def _merged(host: Graph, den: int, entries) -> _MaskedCombination:
+    """The normalized combination of (numerator, mask) entries over den,
+    numerators of equal masks added; they must sum to den."""
+    acc: dict[int, int] = {}
+    for num, x in entries:
+        acc[x] = acc.get(x, 0) + num
+    return _summed(host, den, acc)
+
+
+def _summed(host: Graph, den: int, acc: dict[int, int]) -> _MaskedCombination:
+    """``_ordered``, once the numerators acc maps its members to sum to den:
+    the tail of ``_merged``, and of ``average``'s own merge."""
+    total = sum(acc.values())
+    if total != den:
+        raise ValueError(f"weights must sum to 1 exactly (got {Fraction(total, den)})")
+    return _ordered(host, den, acc)
+
+
 def _validated(m: int, raw_entries) -> tuple[int, list[tuple[int, int]]]:
     """``(den, [(num, mask), ...])`` of public (weight, edge ids) entries on
-    an m-edge host; zero weights are dropped."""
+    an m-edge host; zero weights are dropped.  The one place such entries
+    become masks."""
     weights: list[Fraction] = []
     masks: list[int] = []
     for weight, edge_ids in raw_entries:
@@ -333,9 +335,8 @@ def _occurrence_nums(c: _MaskedCombination) -> list[int]:
 
 def edge_occurrences(c) -> tuple[Fraction, ...]:
     """Per-edge total weight sum over the members containing the edge."""
-    if type(c) is _MaskedCombination:
-        return tuple(Fraction(x, c.den) for x in _occurrence_nums(c))
-    return _occurrences(c.host.m, c.entries)
+    c = _masked(c)
+    return tuple(Fraction(x, c.den) for x in _occurrence_nums(c))
 
 
 def average(parts):
@@ -369,21 +370,16 @@ def average(parts):
         f = den // (w.denominator * c.den) * w.numerator
         for num, x in c.entries:
             acc[x] = acc.get(x, 0) + f * num
-    total = sum(acc.values())
-    if total != den:
-        raise ValueError(f"weights must sum to 1 exactly (got {Fraction(total, den)})")
-    return _like(parts[0][1], _ordered(host, den, acc))
+    return _like(parts[0][1], _summed(host, den, acc))
 
 
 def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
     """Raise every deficient edge to exactly ``target`` occurrence.
 
-    A public helper; the certifier no longer calls it, since every case-1
-    average is already uniform.  Deficient edges are processed in
-    ascending id; weight is split off entries not containing the edge, in
-    ascending entry index, into copies that add the edge.  Adding edges
-    preserves 2-edge-connectivity, so no re-check is needed; occurrences
-    above target are rejected.
+    Deficient edges are processed in ascending id; weight is split off
+    entries not containing the edge, in ascending entry index, into copies
+    that add the edge.  Adding edges preserves 2-edge-connectivity, so no
+    re-check is needed; occurrences above target are rejected.
     """
     target = Fraction(target)
     occ = edge_occurrences(c)
@@ -465,12 +461,13 @@ def base_case_combination(g: Graph) -> ConvexCombination:
             "base case requires K4 or K3,3 (cubic, 3-edge-connected, "
             "essentially 4-edge-connected, n <= 6)"
         )
+    K = parse_graph6(key)
     try:
-        comb = combination(parse_graph6(key), _BASE_CASES[key])
+        comb = combination(K, _MaskedCombination(K, *_validated(K.m, _BASE_CASES[key])))
     except ValueError as exc:
         raise InvariantViolation(f"base-case table entry {key}: {exc}") from None
     _check_uniform(comb, TARGET)
-    return _public(_map_combination(_masked(comb), g, perm))
+    return _public(_map_combination(comb, g, perm))
 
 
 # ---------------------------------------------------------------------------

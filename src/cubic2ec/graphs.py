@@ -289,22 +289,34 @@ class Reduction:
     cut_correspondence: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if self.forced_include & self.forced_exclude:
-            raise ValueError("forced_include and forced_exclude overlap")
-        seen: set[int] = set()
-        for path in self.edge_provenance:
-            for pe in path:
-                if pe in seen:
-                    raise ValueError(f"parent edge {pe} in two provenance lists")
-                seen.add(pe)
-        if seen & self.forced_exclude:
-            raise ValueError(
-                f"provenance edges {sorted(seen & self.forced_exclude)} are "
-                "also forced_exclude"
-            )
-        covered = seen | self.forced_include | self.forced_exclude
-        if covered != set(range(self.parent.m)):
+        m, provenance = self.parent.m, self.edge_provenance
+        ids = [*self.forced_include, *self.forced_exclude]
+        ids += [pe for path in provenance for pe in path]
+        if any(type(e) is not int or not 0 <= e < m for e in ids):  # bools too
             raise ValueError("provenance does not cover the parent edge set")
+        _check_provenance(m, provenance, self.forced_include, self.forced_exclude)
+
+
+def _check_provenance(m: int, provenance, include: frozenset, exclude):
+    """The Reduction's checks on edge masks, for ids that are ints in [0, m),
+    each of ``exclude`` once: forced_include and forced_exclude are disjoint,
+    and the provenance lists and forced_exclude hold each parent edge at
+    most once and, with forced_include, all of them."""
+    if not include.isdisjoint(exclude):
+        raise ValueError("forced_include and forced_exclude overlap")
+    # the sum of the provenance bits is their OR iff no edge is in two lists
+    bits = [1 << pe for path in provenance for pe in path]
+    seen = sum(bits)
+    if seen.bit_count() != len(bits):
+        twice = next(b for i, b in enumerate(bits) if b in bits[:i]).bit_length() - 1
+        raise ValueError(f"parent edge {twice} in two provenance lists")
+    gone = sum(1 << e for e in exclude)
+    if seen & gone:
+        both = [e for e in sorted(exclude) if seen >> e & 1]
+        raise ValueError(f"provenance edges {both} are also forced_exclude")
+    missing = ((1 << m) - 1) ^ (seen | gone)
+    if missing and missing & ~sum(1 << e for e in include):
+        raise ValueError("provenance does not cover the parent edge set")
 
 
 def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
@@ -342,8 +354,8 @@ def _smooth(g: Graph, e1: int, e2: int):
     edge_provenance, forced_include)``.
 
     Makes every check that function and :class:`Reduction` make, with the
-    same exceptions and messages; the provenance and the removed pair must
-    cover each parent edge exactly once, checked on one edge mask.
+    same exceptions and messages, the Reduction's in the one
+    ``_check_provenance`` it calls.
     """
     if not g.is_cubic:
         raise ValueError("remove_edges_and_smooth requires a cubic graph")
@@ -420,22 +432,7 @@ def _smooth(g: Graph, e1: int, e2: int):
             f"(got n={child.n}, m={child.m} from n={g.n}, m={m})"
         )
 
-    # The Reduction's checks.  forced_include lies inside the provenance,
-    # and a sum of the provenance bits equals their OR iff no parent edge
-    # is in two provenance lists.
-    if e1 in forced or e2 in forced:
-        raise ValueError("forced_include and forced_exclude overlap")
-    bits = [1 << pe for path in provenance for pe in path]
-    seen = sum(bits)
-    if seen.bit_count() != len(bits):
-        twice = next(b for i, b in enumerate(bits) if b in bits[:i]).bit_length() - 1
-        raise ValueError(f"parent edge {twice} in two provenance lists")
-    gone = (1 << e1) | (1 << e2)
-    if seen & gone:
-        both = [e for e in sorted(removed) if seen >> e & 1]
-        raise ValueError(f"provenance edges {both} are also forced_exclude")
-    if seen | gone != (1 << m) - 1:
-        raise ValueError("provenance does not cover the parent edge set")
+    _check_provenance(m, provenance, forced, removed)
     return child, tuple(provenance), forced
 
 

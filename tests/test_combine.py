@@ -105,6 +105,66 @@ def test_combination_rejects_non_int_edge_ids(k4, bad):
         combination(k4, [(1, (0, 1, 2, 3, 4, bad))], check=False)
 
 
+def _public_call(name, k4, petersen, prism, certifier):
+    """(combination, call): a ConvexCombination that the public function
+    ``name`` reads, and that function as a call on it."""
+    if name == "lift":
+        red = remove_edges_and_smooth(
+            petersen, petersen.edge_id(0, 4), petersen.edge_id(1, 6)
+        )
+        return certifier.certify(red.child).combination, lambda c: lift(c, red)
+    if name == "glue":
+        cut = find_essential_3cut(prism)
+        red1 = contract_shore(prism, cut, "inside")
+        red2 = contract_shore(prism, cut, "outside")
+        c2 = certifier.certify(red2.child).combination
+        return (
+            certifier.certify(red1.child).combination,
+            lambda c: glue(c, c2, red1, red2),
+        )
+    calls = {
+        "average": lambda c: average([(1, c)]),
+        "edge_occurrences": edge_occurrences,
+        "pad_to_uniform": lambda c: pad_to_uniform(c, TARGET),
+    }
+    return base_case_combination(k4), calls[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["average", "lift", "glue", "edge_occurrences", "pad_to_uniform"]
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1, r"edge id out of range in entry \(-1, "),
+        ("m", r"edge id out of range in entry \(.*\)$"),
+        (True, r"edge id True in entry \(.*\) is not an int"),
+        (1.0, r"edge id 1\.0 in entry \(.*\) is not an int"),
+    ],
+    ids=["negative", "m", "bool", "float"],
+)
+def test_public_functions_check_entries_as_combination_does(
+    name, bad, message, k4, petersen, prism, certifier
+):
+    """A ConvexCombination reaches the masked form only through
+    combination()'s checks.  Without them -1 becomes bit m of a mask, m a
+    negative shift, True edge 1 and 1.0 a TypeError."""
+    comb, call = _public_call(name, k4, petersen, prism, certifier)
+    bad = comb.host.m if bad == "m" else bad
+    (w, es), *rest = comb.entries
+    edited = ConvexCombination(comb.host, ((w, es + (bad,)), *rest))
+    with pytest.raises(ValueError, match=message):
+        combination(comb.host, edited.entries, check=False)
+    with pytest.raises(ValueError, match=message):
+        call(edited)
+
+
+def test_average_drops_a_zero_weight_entry_as_combination_does(k4):
+    comb = base_case_combination(k4)
+    padded = ConvexCombination(k4, comb.entries + ((F(0), tuple(range(k4.m))),))
+    assert average([(1, padded)]) == combination(k4, padded.entries) == comb
+
+
 def test_occurrences_invariant_under_entry_order_and_dups(k4):
     cycles = k4_cycles(k4)
     a = combination(k4, [(F(2, 9), cycles[0]), (F(2, 9), cycles[1]),

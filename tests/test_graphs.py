@@ -202,6 +202,48 @@ def test_reduction_rejects_provenance_edge_in_forced_exclude(petersen):
         replace(red, forced_exclude=red.forced_exclude | {pe})
 
 
+def _petersen_removal(petersen):
+    return remove_edges_and_smooth(
+        petersen, petersen.edge_id(0, 4), petersen.edge_id(1, 6)
+    )
+
+
+def test_reduction_rejects_overlapping_forced_sets(petersen):
+    red = _petersen_removal(petersen)
+    with pytest.raises(ValueError, match="^forced_include and forced_exclude overlap$"):
+        replace(red, forced_include=red.forced_include | red.forced_exclude)
+
+
+def test_reduction_rejects_a_parent_edge_in_two_provenance_lists(petersen):
+    red = _petersen_removal(petersen)
+    first, _, *rest = red.edge_provenance
+    pe = first[0]
+    with pytest.raises(ValueError, match=f"^parent edge {pe} in two provenance lists$"):
+        replace(red, edge_provenance=(first, first, *rest))
+
+
+def test_reduction_rejects_provenance_that_misses_a_parent_edge(petersen):
+    red = _petersen_removal(petersen)
+    with pytest.raises(
+        ValueError, match="^provenance does not cover the parent edge set$"
+    ):
+        replace(red, edge_provenance=red.edge_provenance[1:])
+
+
+@pytest.mark.parametrize("bad", [-1, "m", "a"], ids=["negative", "m", "str"])
+def test_reduction_rejects_provenance_ids_outside_the_parent(petersen, bad):
+    """An id that names no parent edge leaves the one it replaced uncovered."""
+    red = _petersen_removal(petersen)
+    bad = petersen.m if bad == "m" else bad
+    i = next(i for i, path in enumerate(red.edge_provenance) if len(path) == 1)
+    provenance = list(red.edge_provenance)
+    provenance[i] = (bad,)
+    with pytest.raises(
+        ValueError, match="^provenance does not cover the parent edge set$"
+    ):
+        replace(red, edge_provenance=tuple(provenance))
+
+
 # contract_shore ------------------------------------------------------------
 
 
