@@ -21,7 +21,7 @@ on its own, checking the graph again and reading each essential 4-cut
 through ``essential_4cut_with_pair``, builds a ``Reduction`` for every
 child (``remove_edges_and_smooth``, whose smoothing walk is today's) and
 averages by listing every scaled entry and merging the list again in
-``combination()``.  Both make the same lookups and the same pivot,
+``_merged``.  Both make the same lookups and the same pivot,
 uniformity and member checks; the replaced average skips the part
 checks, which did not change.  It raises if the two give a different
 combination, pivot decision or child key.
@@ -51,7 +51,6 @@ sys.path.insert(0, str(ROOT / "scripts"))
 from bench_canon import MAX_N, default_inputs, read_graphs
 from cubic2ec import (
     Certifier,
-    combination,
     combine,
     connectivity,
     parse_graph6,
@@ -114,15 +113,14 @@ def map_members_calls(path, pulls) -> int:
 
 def listed_average(parts) -> combine._MaskedCombination:
     """The replaced case-1 average: every scaled entry listed, then merged
-    and normalized again by ``combination()``."""
+    and normalized again by ``_merged``."""
     host = parts[0][1].host
-    scaled = [(Fraction(w), combine._masked(c)) for w, c in parts if w]
-    den = math.lcm(*(w.denominator * c.den for w, c in scaled))
+    den = math.lcm(*(w.denominator * c.den for w, c in parts))
     raw = []
-    for w, c in scaled:
+    for w, c in parts:
         f = den // (w.denominator * c.den) * w.numerator
         raw += [(f * num, x) for num, x in c.entries]
-    return combination(host, combine._MaskedCombination(host, den, tuple(raw)), check=False)
+    return combine._merged(host, den, raw)
 
 
 def replaced_safe_pair(g, uv: int) -> tuple[tuple, int]:
@@ -203,7 +201,7 @@ def measure(name: str, graphs, repeat: int) -> dict:
     two_s, want = best_time(two_step, pulls, repeat=repeat)
     one_s, got = best_time(one_pass, pulls, repeat=repeat)
     for args, a, b in zip(pulls, want, got):
-        if combination(args[2], b, check=False) != a:
+        if combine._merged(args[2], b.den, b.entries) != a:
             raise RuntimeError(f"{name}: a one-pass pull differs from the two-step path")
     case1 = sum(not normalize for *_, normalize in pulls)
 

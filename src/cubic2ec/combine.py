@@ -36,9 +36,12 @@ Inside the certifier a combination is one integer denominator and
 average scales each part's numerators by one integer, and an occurrence
 vector is one multiply-add per member.  Members stay in ascending
 edge-tuple order, which ``_tuple_order`` reads off a mask in O(1).
-Weights become fractions.Fraction and members sorted edge-id tuples
-(ConvexCombination) only at the boundary: the certificate ``certify``
-returns, the public functions when given ConvexCombinations, certificate
+Each layer speaks one form: the certifier calls only the private masked
+kernels, and weights become fractions.Fraction and members sorted
+edge-id tuples (ConvexCombination) only at the boundary.  Every public
+combination function takes and returns only ConvexCombinations,
+converted once on the way in (``_masked``) and once on the way out
+(``_public``); so do the certificate ``certify`` returns, certificate
 JSON and ``verify_certificate``.  The recursion memoizes on canonical
 forms, so the same reduced graph is certified once per isomorphism class.
 
@@ -139,7 +142,7 @@ class _MaskedCombination:
     no factor in common with it, in ascending edge-tuple order
     (``_tuple_order``), so equal combinations compare equal.  The one
     exception is a case-1 lift (``_map_members`` without ``normalize``),
-    which only ``average`` reads.
+    which only ``_average`` reads.
     """
 
     host: Graph
@@ -192,11 +195,9 @@ def _ordered(host: Graph, den: int, acc: dict[int, int]) -> _MaskedCombination:
     return _MaskedCombination(host, den, tuple([(acc[x], x) for x in masks]))
 
 
-def _masked(c) -> _MaskedCombination:
-    """c in the certifier's form: a _MaskedCombination as it is, and a
-    ConvexCombination checked and normalized as ``combination`` does."""
-    if type(c) is _MaskedCombination:
-        return c
+def _masked(c: ConvexCombination) -> _MaskedCombination:
+    """c in the certifier's form, checked and normalized as ``combination``
+    does: the one way in for a public function's combinations."""
     return _merged(c.host, *_validated(c.host.m, c.entries))
 
 
@@ -208,30 +209,17 @@ def _public(c: _MaskedCombination) -> ConvexCombination:
     )
 
 
-def _like(c, out: _MaskedCombination):
-    """out in the form c has: masked, or a ConvexCombination."""
-    return out if type(c) is _MaskedCombination else _public(out)
-
-
-def combination(host: Graph, raw_entries, check: bool = True):
+def combination(host: Graph, raw_entries) -> ConvexCombination:
     """Validate, deduplicate and canonically order entries.
 
-    ``raw_entries`` are (weight, edge ids) pairs, and give a
-    ConvexCombination.  Weights must be positive rationals summing to
-    exactly 1, and edge ids ints in [0, m).  Inside the certifier
-    ``raw_entries`` is a _MaskedCombination whose members may repeat, in
-    any order; its numerators must sum to its denominator, and it comes
-    back normalized.  With ``check`` every distinct member must be a
-    spanning 2EC subgraph of the host, the check the certifier runs once
-    on each finished node.
+    ``raw_entries`` are (weight, edge ids) pairs.  Weights must be positive
+    rationals summing to exactly 1, edge ids ints in [0, m), and every
+    distinct member a spanning 2EC subgraph of the host, the check the
+    certifier runs once on each finished node.
     """
-    if type(raw_entries) is _MaskedCombination:
-        out = _merged(host, raw_entries.den, raw_entries.entries)
-    else:
-        out = _merged(host, *_validated(host.m, raw_entries))
-    if check:
-        _check_members(out, "entry ", ValueError)
-    return _like(raw_entries, out)
+    out = _merged(host, *_validated(host.m, raw_entries))
+    _check_members(out, "entry ", ValueError)
+    return _public(out)
 
 
 def _merged(host: Graph, den: int, entries) -> _MaskedCombination:
@@ -245,7 +233,7 @@ def _merged(host: Graph, den: int, entries) -> _MaskedCombination:
 
 def _summed(host: Graph, den: int, acc: dict[int, int]) -> _MaskedCombination:
     """``_ordered``, once the numerators acc maps its members to sum to den:
-    the tail of ``_merged``, and of ``average``'s own merge."""
+    the tail of ``_merged``, and of ``_average``'s own merge."""
     total = sum(acc.values())
     if total != den:
         raise ValueError(f"weights must sum to 1 exactly (got {Fraction(total, den)})")
@@ -333,7 +321,7 @@ def _occurrence_nums(c: _MaskedCombination) -> list[int]:
     return [(acc >> (width * (m - 1 - e))) & lane for e in range(m)]
 
 
-def edge_occurrences(c) -> tuple[Fraction, ...]:
+def edge_occurrences(c: ConvexCombination) -> tuple[Fraction, ...]:
     """Per-edge total weight sum over the members containing the edge."""
     c = _masked(c)
     return tuple(Fraction(x, c.den) for x in _occurrence_nums(c))
@@ -345,8 +333,7 @@ def average(parts):
     Part weights are ints or Fractions.  Each part's numerators are scaled
     by one integer onto a common denominator and added straight into one
     map of member to numerator, whose total must be that denominator; the
-    map is normalized once.  A part may repeat members, as a case-1 lift
-    does.  The result has the form of the first part's combination.
+    map is normalized once (``_average``).
     """
     parts = list(parts)
     if not parts:
@@ -363,32 +350,41 @@ def average(parts):
     for _, comb in parts:
         if comb.host != host:
             raise ValueError("all combinations must share one host graph")
-    scaled = [(Fraction(w), _masked(comb)) for w, comb in parts if w]
-    den = math.lcm(*(w.denominator * c.den for w, c in scaled))
+    return _public(_average(host, [(w, _masked(comb)) for w, comb in parts if w]))
+
+
+def _average(host: Graph, parts) -> _MaskedCombination:
+    """The body of ``average``: parts are (weight, _MaskedCombination) on
+    host, positive int or Fraction weights summing to 1.  A part may repeat
+    members, as a case-1 lift does; its numerators must sum to its
+    denominator."""
+    den = math.lcm(*(w.denominator * c.den for w, c in parts))
     acc: dict[int, int] = {}
-    for w, c in scaled:
+    for w, c in parts:
         f = den // (w.denominator * c.den) * w.numerator
         for num, x in c.entries:
             acc[x] = acc.get(x, 0) + f * num
-    return _like(parts[0][1], _summed(host, den, acc))
+    return _summed(host, den, acc)
 
 
 def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
     """Raise every deficient edge to exactly ``target`` occurrence.
 
     Deficient edges are processed in ascending id; weight is split off
-    entries not containing the edge, in ascending entry index, into copies
-    that add the edge.  Adding edges preserves 2-edge-connectivity, so no
-    re-check is needed; occurrences above target are rejected.
+    entries not containing the edge, in ascending entry index of c as
+    ``combination`` normalizes it, into copies that add the edge.  Adding
+    edges preserves 2-edge-connectivity, so no re-check is needed;
+    occurrences above target are rejected.
     """
     target = Fraction(target)
-    occ = edge_occurrences(c)
+    mc = _masked(c)
+    occ = [Fraction(x, mc.den) for x in _occurrence_nums(mc)]
     for e, val in enumerate(occ):
         if val > target:
             raise ValueError(
                 f"edge {e} occurs {val} > target {target}; cannot pad down"
             )
-    work = [[w, set(es)] for w, es in c.entries]
+    work = [[w, set(es)] for w, es in _public(mc).entries]
     for e in range(c.host.m):
         deficit = target - occ[e]
         i = 0
@@ -404,15 +400,12 @@ def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
             raise InvariantViolation(
                 f"padding could not reach target on edge {e}"
             )
-    out = combination(
-        c.host, ((w, tuple(sorted(es))) for w, es in work if w > 0), check=False
-    )
+    out = _merged(c.host, *_validated(c.host.m, work))
     _check_uniform(out, target)
-    return out
+    return _public(out)
 
 
-def _check_uniform(c, target: Fraction, what: str = "occurrence"):
-    c = _masked(c)
+def _check_uniform(c: _MaskedCombination, target: Fraction, what: str = "occurrence"):
     want, den = target.numerator * c.den, target.denominator
     bad = [e for e, x in enumerate(_occurrence_nums(c)) if x * den != want]
     if bad:
@@ -461,13 +454,18 @@ def base_case_combination(g: Graph) -> ConvexCombination:
             "base case requires K4 or K3,3 (cubic, 3-edge-connected, "
             "essentially 4-edge-connected, n <= 6)"
         )
-    K = parse_graph6(key)
+    return _public(_map_combination(_base_case(parse_graph6(key), key), g, perm))
+
+
+def _base_case(K: Graph, key: str) -> _MaskedCombination:
+    """The table entry of canonical key on K = parse_graph6(key), checked."""
     try:
-        comb = combination(K, _MaskedCombination(K, *_validated(K.m, _BASE_CASES[key])))
+        comb = _merged(K, *_validated(K.m, _BASE_CASES[key]))
+        _check_members(comb, "entry ", ValueError)
     except ValueError as exc:
         raise InvariantViolation(f"base-case table entry {key}: {exc}") from None
     _check_uniform(comb, TARGET)
-    return _public(_map_combination(comb, g, perm))
+    return comb
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +480,7 @@ def _map_members(
     ``always`` and the host edges ``edge_map`` sends its edges to.  With
     ``normalize`` members that land on one edge set add their numerators
     and the result is normalized; without, the images keep comb's entry
-    order and denominator, members may repeat, and only ``average`` may
+    order and denominator, members may repeat, and only ``_average`` may
     read the result.  A member's image is the OR of one table lookup per
     four bits of its mask, each table holding the images of every subset
     of those four edges."""
@@ -516,7 +514,6 @@ def lift(child_combination, red: Reduction):
     Every child edge expands to its provenance path; the edges adjacent to
     the removed pair are always selected and the removed pair is always
     omitted.  Members are checked once, in the node they are averaged into.
-    The result has the child combination's form.
     """
     if red.kind != "case1_removal":
         raise ValueError("lift applies to removal reductions only")
@@ -528,7 +525,7 @@ def lift(child_combination, red: Reduction):
         red.edge_provenance,
         red.forced_include,
     )
-    return _like(child_combination, out)
+    return _public(out)
 
 
 def _case1_expectation(g: Graph, uv: int) -> tuple[int, int, list[int]]:
@@ -616,8 +613,7 @@ def glue(c1, c2, red1: Reduction, red2: Reduction):
     within each pattern class (the cut edge omitted) the two entry lists
     are paired by common refinement of their numerators on one
     denominator, and each glued member is the union of two mapped members;
-    the members are checked once, in the finished node.  The result has
-    c1's form.
+    the members are checked once, in the finished node.
     """
     for red in (red1, red2):
         if red.kind != "case2_contraction":
@@ -639,7 +635,7 @@ def glue(c1, c2, red1: Reduction, red2: Reduction):
         _map_members(_masked(c), red.parent, red.edge_provenance)
         for c, red in ((c1, red1), (c2, red2))
     )
-    return _like(c1, _glue(shore1, shore2, cut1))
+    return _public(_glue(shore1, shore2, cut1))
 
 
 def _glue(
@@ -678,9 +674,7 @@ def _glue(
                 j += 1
         if any(t[0] != 0 for t in lst1[i:]) or any(t[0] != 0 for t in lst2[j:]):
             raise InvariantViolation("pattern class weights fell out of alignment")
-    out = combination(
-        parent, _MaskedCombination(parent, den, tuple(raw)), check=False
-    )
+    out = _merged(parent, den, raw)
     _check_uniform(out, TARGET)
     return out
 
@@ -720,9 +714,7 @@ def _compact(comb: _MaskedCombination) -> _MaskedCombination:
         reduced = _caratheodory(comb, smallest)
         nums, den = _numerators([w for w, _ in reduced])
         raw = tuple(zip(nums, (x for _, x in reduced)))
-        out = combination(
-            comb.host, _MaskedCombination(comb.host, den, raw), check=False
-        )
+        out = _merged(comb.host, den, raw)
     except ValueError as exc:
         raise InvariantViolation(f"compaction: {exc}") from None
     kept = [x for _, x in out.entries]
@@ -989,7 +981,7 @@ class Certifier:
             return self._case2(K, key, cut)
         if K.n <= 6:
             log.debug("base case at n=%d (%s)", K.n, key)
-            comb = _masked(base_case_combination(K))
+            comb = _base_case(K, key)
             record = {
                 "kind": "base",
                 "graph6": key,
@@ -1048,7 +1040,7 @@ class Certifier:
                     "children": [key_a, key_b],
                 }
             )
-        final = average(parts)
+        final = _average(K, parts)
         _check_uniform(final, TARGET, "averaged occurrence")
         _check_members(final, f"node {key}: member ")
         record = {

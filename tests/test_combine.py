@@ -102,7 +102,7 @@ def test_combination_rejects_non_2ec_member(k4):
 def test_combination_rejects_non_int_edge_ids(k4, bad):
     """True would stand for edge 1 and 1.0 would merge into it."""
     with pytest.raises(ValueError, match=f"edge id {bad!r} in entry"):
-        combination(k4, [(1, (0, 1, 2, 3, 4, bad))], check=False)
+        combination(k4, [(1, (0, 1, 2, 3, 4, bad))])
 
 
 def _public_call(name, k4, petersen, prism, certifier):
@@ -154,7 +154,7 @@ def test_public_functions_check_entries_as_combination_does(
     (w, es), *rest = comb.entries
     edited = ConvexCombination(comb.host, ((w, es + (bad,)), *rest))
     with pytest.raises(ValueError, match=message):
-        combination(comb.host, edited.entries, check=False)
+        combination(comb.host, edited.entries)
     with pytest.raises(ValueError, match=message):
         call(edited)
 
@@ -193,6 +193,16 @@ def test_base_case_k33(k33):
 def test_base_case_rejects_prism(prism):
     with pytest.raises(ValueError):
         base_case_combination(prism)
+
+
+@pytest.mark.parametrize("key", sorted(combine._BASE_CASES))
+def test_base_case_graphs_are_their_own_canonical_form(key):
+    """The certifier reads the table straight on K = parse_graph6(key),
+    since K's canonical form is key under the identity, and the public
+    base_case_combination of K is that same table entry."""
+    K = parse_graph6(key)
+    assert canonical_form(K) == (key, tuple(range(K.n)))
+    assert base_case_combination(K) == combine._public(combine._base_case(K, key))
 
 
 def test_base_case_census_is_two():
@@ -299,6 +309,29 @@ def test_certificates_do_not_depend_on_what_the_certifier_has_seen(corpus, cold_
     for g in (cold_e4_n16, generalized_petersen(8, 3)):
         fresh = certificate_to_json(Certifier(max_n=16).certify(g))
         assert certificate_to_json(seasoned.certify(g)) == fresh
+
+
+def test_certifier_calls_no_public_combination_function(k4, prism, petersen, monkeypatch):
+    """The certifier runs on the masked kernels alone: with every public
+    combination function raising, the base case (K4), case 2 (the prism)
+    and case 1 (Petersen, GP(8,3)) give the same certificates."""
+    graphs = [k4, prism, petersen, generalized_petersen(8, 3)]
+    want = [certificate_to_json(Certifier(max_n=16).certify(g)) for g in graphs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certifier called a public combination function")
+
+    for name in (
+        "average",
+        "combination",
+        "base_case_combination",
+        "lift",
+        "glue",
+        "pad_to_uniform",
+        "edge_occurrences",
+    ):
+        monkeypatch.setattr(combine, name, forbidden)
+    assert [certificate_to_json(Certifier(max_n=16).certify(g)) for g in graphs] == want
 
 
 def test_a_fresh_certifier_searches_in_full_for_its_first_graph_of_each_class(
@@ -424,16 +457,18 @@ def test_average_error_messages(k4, k33):
         ([(F(3, 2), w), (F(-1, 2), w)], "part 1 has negative weight -1/2"),
         ([(F(1, 3), w), (F(1, 3), w)], "part weights must sum to 1 exactly (got 2/3)"),
         ([(F(1, 2), w), (F(1, 2), w33)], "all combinations must share one host graph"),
-        # a masked part whose numerators do not sum to its denominator
-        (
-            [(1, combine._MaskedCombination(k4, 9, ((1, (1 << k4.m) - 1),)))],
-            "weights must sum to 1 exactly (got 1/9)",
-        ),
     ]
     for parts, message in cases:
         with pytest.raises(ValueError) as info:
             average(parts)
         assert str(info.value) == message
+
+
+def test_masked_average_rejects_a_part_not_summing_to_its_denominator(k4):
+    part = combine._MaskedCombination(k4, 9, ((1, (1 << k4.m) - 1),))
+    with pytest.raises(ValueError) as info:
+        combine._average(k4, [(1, part)])
+    assert str(info.value) == "weights must sum to 1 exactly (got 1/9)"
 
 
 # the certifier's edge masks ---------------------------------------------------
@@ -533,6 +568,30 @@ def test_pad_single_deficient_edge(k4):
     out = pad_to_uniform(comb, TARGET)
     assert set(edge_occurrences(out)) == {TARGET}
     assert len(out.entries) <= before + 1
+
+
+def test_pad_reads_float_weights_exactly(k4):
+    """Weights are split as combination() reads them: exactly, whatever
+    their type, and off the normalized entries, so a float twin and a
+    reordered twin with a repeated member pad as the Fraction one does."""
+    cycles = k4_cycles(k4)
+    members = cycles + [cycles[0]]
+    fractions = ConvexCombination(k4, tuple((F(1, 4), c) for c in members))
+    floats = ConvexCombination(k4, tuple((0.25, c) for c in members))
+    reordered = ConvexCombination(
+        k4,
+        (
+            (F(1, 8), tuple(reversed(cycles[0]))),
+            (F(1, 4), cycles[2]),
+            (F(1, 4), cycles[0]),
+            (F(1, 4), cycles[1]),
+            (F(1, 8), cycles[0]),
+        ),
+    )
+    padded = pad_to_uniform(fractions, TARGET)
+    assert set(edge_occurrences(padded)) == {TARGET}
+    assert pad_to_uniform(floats, TARGET) == padded
+    assert pad_to_uniform(reordered, TARGET) == padded
 
 
 # one pivot -------------------------------------------------------------------

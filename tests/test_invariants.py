@@ -165,9 +165,9 @@ from cubic2ec import Certifier, builtin, combine
 from cubic2ec.errors import InvariantViolation
 
 assert False, "assert statements must be stripped"
-honest = combine.average
-combine.average = lambda parts: combine._masked(
-    shifted(combine._public(honest(parts)))
+honest = combine._average
+combine._average = lambda host, parts: combine._masked(
+    shifted(combine._public(honest(host, parts)))
 )
 if sys.argv[1] == "cli":
     from cubic2ec.cli import main
