@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Time the certifier's canonical-form lookups, a full search on every
-lookup against the search that stops at a class the Certifier holds, and
-write the result as JSON.
+"""Time the certifier's canonical-form lookups three ways, a full search,
+the search that stops at the least leaf of a held class, and the lookup
+in the Certifier's index of leaf encodings, and write the result as JSON.
 
 Certifies the graphs of each input in order with one fresh ``Certifier``
-and records every canonical-form lookup it makes, together with the keys it
-held for that n at the time.  Then, over the same lookups, it times a full
-search on each (``canonical_lookup`` with no known keys, uncached) and the
-Certifier's own lookup (``canonical_lookup`` with the keys it held), and
-asserts that both return the same key and perm on every lookup.  Times are
-process CPU seconds, the best of ``--repeat`` passes.  A hit is a lookup
-whose class the Certifier already held; leaves are the leaves each search
-visits.
+and records every canonical-form lookup it makes, together with its index
+for that n at the time.  Then, over the same lookups, it times a full
+search on each (``canonical_form`` uncached), the search that stops at
+the first leaf whose encoding is the least of a held class
+(``reference_stopped_search`` of ``tests/support.py``, the lookup the
+index replaced), and the Certifier's own lookup (``canonical_lookup``
+with the index it held, each tree's trie of least leaves cleared before
+every pass, as a fresh Certifier builds it once).  All three must return
+the same key and perm on every lookup, or the script raises RuntimeError.
+Times are process CPU seconds, the best of ``--repeat`` passes.  A hit is
+a lookup whose class the Certifier already held; leaves are the leaves
+each search visits.
 
     python3 scripts/bench_canon.py [--input FILE ...] [--repeat N] [--out FILE]
 
@@ -28,11 +32,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "scripts"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts"), str(ROOT / "tests")]
 
 from cubic2ec import Certifier, Graph, canon, parse_graph6
 from make_corpus import generalized_petersen
+from support import reference_stopped_search
 from timing import best_time, write_report
 
 MAX_N = 18
@@ -55,14 +59,13 @@ def default_inputs() -> list[tuple[str, list[Graph]]]:
 
 
 def record_lookups(graphs) -> list:
-    """(graph, known) of every lookup while a fresh Certifier certifies
-    graphs; known is a copy of the encodings of the keys it held for the
-    graph's n."""
+    """(graph, index) of every lookup while a fresh Certifier certifies
+    graphs; index is a copy of its index for the graph's n."""
     lookups = []
     honest = Certifier._canonical_form
 
     def recorded(self, g):
-        lookups.append((g, set(self._known.get(g.n, ()))))
+        lookups.append((g, dict(self._index.get(g.n, {}))))
         return honest(self, g)
 
     Certifier._canonical_form = recorded
@@ -75,26 +78,43 @@ def record_lookups(graphs) -> list:
     return lookups
 
 
+def held_least(index) -> set[int]:
+    """The least leaf encodings of the classes ``index`` holds."""
+    return {tree.enc for tree in index.values()}
+
+
 def full_searches(lookups) -> list:
-    return [canon.canonical_lookup(g, ()) for g, _ in lookups]
+    return [canon.canonical_form.__wrapped__(g) for g, _ in lookups]
 
 
-def known_searches(lookups) -> list:
-    return [canon.canonical_lookup(g, known) for g, known in lookups]
+def stopped_searches(lookups) -> list:
+    found = []
+    for g, index in lookups:
+        order, enc, _ = reference_stopped_search(g, held_least(index))
+        found.append(canon._labeling(g.n, order, enc))
+    return found
+
+
+def index_lookups(lookups) -> list:
+    for _, index in lookups:
+        for tree in index.values():
+            tree._least = None
+    return [canon.canonical_lookup(g, index)[:2] for g, index in lookups]
 
 
 def measure(name: str, graphs, repeat: int) -> dict:
     lookups = record_lookups(graphs)
     full_s, full = best_time(full_searches, lookups, repeat=repeat)
-    known_s, found = best_time(known_searches, lookups, repeat=repeat)
-    if full != found:
-        raise AssertionError(f"{name}: a lookup differs from the full search")
-    hits = full_leaves = lookup_leaves = 0
-    for g, known in lookups:
-        _, enc, leaves = canon._search(g, known)
-        hits += enc in known
-        lookup_leaves += leaves
+    stopped_s, stopped = best_time(stopped_searches, lookups, repeat=repeat)
+    index_s, found = best_time(index_lookups, lookups, repeat=repeat)
+    if not full == stopped == found:
+        raise RuntimeError(f"{name}: a lookup differs from the full search")
+    hits = full_leaves = stopped_leaves = index_leaves = 0
+    for g, index in lookups:
+        hits += canon._search(g, index)[3] is None
         full_leaves += canon._search(g)[2]
+        stopped_leaves += reference_stopped_search(g, held_least(index))[2]
+        index_leaves += canon._search(g, index)[2]
     return {
         "input": name,
         "graphs": len(graphs),
@@ -102,10 +122,12 @@ def measure(name: str, graphs, repeat: int) -> dict:
         "classes": len({key for key, _ in full}),
         "hits": hits,
         "full_leaves": full_leaves,
-        "lookup_leaves": lookup_leaves,
+        "stopped_leaves": stopped_leaves,
+        "index_leaves": index_leaves,
         "full_s": round(full_s, 6),
-        "lookup_s": round(known_s, 6),
-        "speedup": round(full_s / known_s, 2) if known_s else None,
+        "stopped_s": round(stopped_s, 6),
+        "index_s": round(index_s, 6),
+        "speedup_over_stopped": round(stopped_s / index_s, 2) if index_s else None,
     }
 
 

@@ -155,7 +155,7 @@ def replaced_pivot_loop(certifier: Certifier, K, key: str):
         pulled = []
         for pair in removed:
             red = remove_edges_and_smooth(K, *pair)
-            child_key, perm = certifier._canonical_form(red.child)
+            child_key, perm, _ = certifier._canonical_form(red.child)
             comb_k = certifier._cache[child_key][0]
             edge_map = [
                 red.edge_provenance[ce]

@@ -23,14 +23,18 @@ for the deepest node the two leaves share, whose current child that
 automorphism maps onto an explored one.
 
 Two entry points share one search.  :func:`canonical_form` walks the whole
-tree.  :func:`canonical_lookup` is given the encodings of keys already
-known for ``g.n`` and stops at the first leaf whose encoding is one of
-them, which is the leaf the whole search returns.
+tree.  :func:`canonical_lookup` is given an index of the trees its caller
+already searched in full for ``g.n``: every leaf encoding each one met,
+and the automorphisms it recorded.  A graph of a held class has its first
+leaf in that index, which maps it onto the searched graph, and the held
+automorphisms then give the first least leaf the whole search would
+return.  Any other graph gets the whole search, in the same walk, and its
+tree is handed back for the caller to index.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Mapping
 from functools import lru_cache
 
 from .graphs import Graph, graph6_bits, render_graph6
@@ -149,22 +153,103 @@ def _first_split(cells) -> int | None:
     return None
 
 
-def encoding(g: Graph) -> int:
-    """The leaf encoding of g under its own labeling.  For the graph of a
-    canonical key this is the least leaf encoding of the key's class."""
-    return graph6_bits(g.n, g.edges, range(g.n))
+class _Tree:
+    """What the whole search of a graph's tree holds at its end, kept so
+    that a graph of the same class is placed from its first leaf.
+
+    All in the searched graph's labels: ``seen`` maps every leaf encoding
+    of the tree to ``(order, path)`` of the first leaf that had it, ``enc``
+    is the least of them, and ``autos`` are the automorphisms the search
+    recorded.  ``least()`` is built at the first lookup that needs it.
+    """
+
+    __slots__ = ("enc", "seen", "autos", "_least")
+
+    def __init__(self, enc: int, seen: dict, autos: list[list[int]]):
+        self.enc = enc
+        self.seen = seen
+        self.autos = autos
+        self._least = None
+
+    def least(self) -> dict:
+        """Every least leaf of the tree, as a trie keyed by the vertices
+        individualized on its path, in order; the bottom level maps the last
+        one to the leaf's order.
+
+        The least leaves are the images of the first least leaf L0 under
+        Aut, and the recorded automorphisms generate Aut (McKay, 1981).
+        Were some alpha in Aut outside the group R they generate, take the
+        one whose leaf alpha(L0) has the lexicographically least path.
+        Visited, that leaf would have been recorded as the automorphism
+        L0 -> alpha(L0), alpha itself, since L0 is the first leaf with its
+        encoding.  So the search skipped it, and a skip is always under
+        some gamma in R that maps the skipped subtree onto an explored one
+        with a smaller path; gamma * alpha, outside R too, would have the
+        smaller path.  Only the identity fixes every vertex of a leaf's
+        path, since refinement then gives the same discrete partition, so
+        the images of the path tell the group's elements apart.
+        """
+        if self._least is None:
+            order0, path0 = self.seen[self.enc]
+            self._least = {}
+            group = [list(range(len(order0)))]
+            images = {tuple(path0)}
+            for beta in group:  # grows to the closure
+                node = self._least
+                for p in path0[:-1]:
+                    node = node.setdefault(beta[p], {})
+                node[beta[path0[-1]]] = tuple(beta[v] for v in order0)
+                for gamma in self.autos:
+                    image = [gamma[v] for v in beta]
+                    at = tuple(image[p] for p in path0)
+                    if at not in images:
+                        images.add(at)
+                        group.append(image)
+        return self._least
 
 
-def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int, int]:
-    """``(order, enc, leaves)``: the first least leaf of g's tree in search
-    order, its encoding, and the number of leaves visited.
+def _place(tree: _Tree, enc: int, order: tuple[int, ...]) -> tuple[int, ...]:
+    """The first least leaf of a graph h of ``tree``'s class, from h's first
+    leaf ``order`` with encoding ``enc``.
 
-    The search stops at the first leaf whose encoding is in ``known``.  When
-    ``known`` holds only keys' encodings, the least of their classes, that
-    leaf is the one the whole search returns: its encoding shows that g lies
-    in that class, so no leaf of g encodes lower, and ties never replace the
-    best.  Up to that leaf both searches visit the same leaves and record
-    the same automorphisms, so they prune alike.
+    Two leaves with one encoding give an isomorphism psi from h onto the
+    searched graph, psi(order[i]) = seen[enc][0][i], which maps h's tree
+    onto its tree, leaf for leaf and encoding for encoding.  So h's least
+    leaves are psi^-1 of the tree's least leaves.  Every cell lists its
+    vertices in ascending order (the root is 0..n-1, and neither refinement
+    nor individualization reorders a cell), so the search takes children
+    in ascending order and meets leaves in lexicographic order of their
+    paths; the first least leaf, the one the whole search of h returns, is
+    the one whose path psi^-1 makes least.  Orbit pruning keeps it, as any
+    leaf it skips has an image under a path-fixing automorphism in an
+    explored subtree, with a lexicographically smaller path.
+    """
+    if enc == tree.enc:  # the first leaf is least
+        return order
+    back = [0] * len(order)  # psi^-1
+    for a, b in zip(tree.seen[enc][0], order):
+        back[a] = b
+    node = tree.least()
+    while type(node) is dict:
+        node = node[min(node, key=back.__getitem__)]
+    return tuple(back[v] for v in node)
+
+
+def _search(
+    g: Graph, index: Mapping[int, _Tree] | None = None
+) -> tuple[tuple[int, ...], int, int, _Tree | None]:
+    """``(order, enc, leaves, tree)``: the first least leaf of g's tree in
+    search order, its encoding, the number of leaves visited, and the
+    :class:`_Tree` of the whole search, or None when ``index`` held g's
+    class.
+
+    ``index`` maps leaf encodings of graphs with g.n vertices to the trees
+    they came from.  The whole search meets every leaf encoding of its
+    tree, and an isomorphism maps trees onto each other, so g's class is
+    held exactly when g's first leaf is in ``index``: the search stops
+    there and :func:`_place` reads the answer off the held tree.  Otherwise
+    no later leaf is in ``index`` either, and the walk goes on as the whole
+    search.
 
     Orbit pruning.  Let gamma be an automorphism that fixes every vertex
     individualized on a node's path.  The root partition is invariant under
@@ -173,14 +258,14 @@ def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int,
     with the same leaf encodings.  A child in the orbit of an explored
     sibling, under the group that the recorded automorphisms fixing the
     path generate, therefore holds no leaf encoding that the search has not
-    met, neither a lower one nor a known one.  A leaf that repeats an
-    earlier leaf's encoding gives such an automorphism (earlier[i] ->
-    order[i]) for the deepest node on both leaves' paths: it maps that
-    node's explored child towards the earlier leaf onto its current child,
-    so the search returns to that node and goes on with the next child.
-    Ties never replace the best, so perm stays the first least leaf in
-    search order; _map_combination pulls cached combinations back through
-    perm, and another tied leaf would change the certificate.
+    met.  A leaf that repeats an earlier leaf's encoding gives such an
+    automorphism (earlier[i] -> order[i]) for the deepest node on both
+    leaves' paths: it maps that node's explored child towards the earlier
+    leaf onto its current child, so the search returns to that node and
+    goes on with the next child.  Ties never replace the best, so perm
+    stays the first least leaf in search order; _map_combination pulls
+    cached combinations back through perm, and another tied leaf would
+    change the certificate.
     """
     n = g.n
     if n < 1:
@@ -196,7 +281,7 @@ def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int,
     back = n  # the depth to return to after an automorphism; n for none
 
     def leaf(cells) -> bool:
-        """Visit a leaf; True when its encoding is known."""
+        """Visit a leaf; True when it is the first and index holds it."""
         nonlocal best_enc, best_order, back, leaves
         leaves += 1
         order = tuple(cell[0] for cell in cells)
@@ -217,11 +302,11 @@ def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int,
             seen[enc] = (order, path[:])
             if best_enc < 0 or enc < best_enc:
                 best_enc, best_order = enc, order
-        return enc in known
+        return leaves == 1 and index is not None and enc in index
 
     def search(cells) -> bool:
-        """Search below the equitable partition ``cells``; True once a
-        leaf's encoding is known."""
+        """Search below the equitable partition ``cells``; True once the
+        first leaf is found in index."""
         nonlocal back
         target = _first_split(cells)
         if target is None:
@@ -267,8 +352,10 @@ def _search(g: Graph, known: Container[int] = ()) -> tuple[tuple[int, ...], int,
     root = (tuple(range(n)),)
     if len(set(map(len, nbrs))) > 1:  # on a regular graph it is equitable
         root = _refine(root, nbrs, weight)
-    search(root)
-    return best_order, best_enc, leaves
+    if search(root):  # stopped at the first leaf, so best is that leaf
+        tree = index[best_enc]
+        return _place(tree, best_enc, best_order), tree.enc, leaves, None
+    return best_order, best_enc, leaves, _Tree(best_enc, seen, autos)
 
 
 def _labeling(n: int, order: tuple[int, ...], enc: int) -> tuple[str, tuple[int, ...]]:
@@ -294,18 +381,20 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
     first least leaf in search order (ties never replace the best), which
     orbit pruning preserves.
     """
-    order, enc, _ = _search(g)
+    order, enc, _, _ = _search(g)
     return _labeling(g.n, order, enc)
 
 
-def canonical_lookup(g: Graph, known: Container[int]) -> tuple[str, tuple[int, ...]]:
-    """``canonical_form(g)``, found sooner when g's class is known.
+def canonical_lookup(
+    g: Graph, index: Mapping[int, _Tree]
+) -> tuple[str, tuple[int, ...], _Tree | None]:
+    """``canonical_form(g)`` plus a tree: found from g's first leaf when
+    ``index`` holds g's class, else by the whole search, whose
+    :class:`_Tree` comes third.
 
-    ``known`` holds the :func:`encoding` of the graph of each known key with
-    ``g.n`` vertices.  The search stops at the first leaf whose encoding is
-    one of them, and that leaf's key and perm equal what
-    :func:`canonical_form` returns; with no known class it is the whole
-    search.  Uncached, so that each caller keeps its own index.
+    ``index`` maps every leaf encoding of each tree held for ``g.n`` to its
+    tree; a caller adds a miss's tree under all its ``seen`` encodings.
+    Uncached, so that each caller keeps its own index.
     """
-    order, enc, _ = _search(g, known)
-    return _labeling(g.n, order, enc)
+    order, enc, _, tree = _search(g, index)
+    return (*_labeling(g.n, order, enc), tree)

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connectivity
-from .canon import canonical_form, canonical_lookup, encoding
+from .canon import _Tree, canonical_form, canonical_lookup
 from .errors import InvariantViolation
 from .graphs import Graph, Reduction, _smooth, contract_shore, parse_graph6
 
@@ -897,10 +897,12 @@ class Certifier:
     canonical permutation, so output depends only on the input graph.
     λ is checked on canonical graphs only, so each graph is indexed once.
     A key certified as a root also gets its compacted combination, kept
-    apart from the cache that parents are built from.  Every cached key is
-    indexed by n and by the encoding of its graph, so the canonical search
-    for a graph of a class already held stops at that class's leaf; a
-    fresh Certifier holds none, and output never depends on what it held.
+    apart from the cache that parents are built from.  Each cached class
+    keeps the tree of the full canonical search that found it, indexed by
+    n and by every leaf encoding that search met, so a graph of a class
+    already held is placed from its first leaf, with the key and perm of
+    the full search; a fresh Certifier holds none, and output never
+    depends on what it held.
     """
 
     def __init__(self, max_n: int = DEFAULT_MAX_N):
@@ -909,8 +911,9 @@ class Certifier:
         self.max_n = max_n
         self._cache: dict[str, tuple[_MaskedCombination, dict]] = {}
         self._roots: dict[str, _MaskedCombination] = {}
-        # n -> encodings of the graphs of the keys in _cache with n vertices
-        self._known: dict[int, set[int]] = {}
+        # n -> leaf encoding -> the full search of its class, for each
+        # class in _cache; the same integer encodes other graphs at other n
+        self._index: dict[int, dict[int, _Tree]] = {}
 
     # -- public ops --------------------------------------------------------
 
@@ -922,12 +925,12 @@ class Certifier:
         anyway; a cached key has passed ``_build``'s own check.  The trace
         describes the construction before compaction."""
         self._validate_input(g)
-        key, perm = self._canonical_form(g)
+        key, perm, tree = self._canonical_form(g)
         if key not in self._cache:
             K = parse_graph6(key)
             if connectivity.edge_connectivity(K) < 3:
                 raise ValueError("input graph must be 3-edge-connected")
-            self._insert(K, key)
+            self._insert(K, key, tree)
         if key not in self._roots:
             self._roots[key] = _compact(self._cache[key][0])
         comb = _map_combination(self._roots[key], g, perm)
@@ -949,24 +952,26 @@ class Certifier:
                 f"n={g.n} exceeds the configured maximum {self.max_n}"
             )
 
-    def _canonical_form(self, g: Graph) -> tuple[str, tuple[int, ...]]:
-        """``canonical_form(g)``; the search stops at the first leaf that
-        encodes a key with g.n vertices that this Certifier holds."""
-        return canonical_lookup(g, self._known.get(g.n, ()))
+    def _canonical_form(self, g: Graph) -> tuple[str, tuple[int, ...], _Tree | None]:
+        """``canonical_form(g)`` and, when this Certifier does not hold
+        g's class, the tree of the full search that found it (None when it
+        does, and the search stopped at g's first leaf)."""
+        return canonical_lookup(g, self._index.get(g.n, {}))
 
-    def _insert(self, K: Graph, key: str):
-        """Build the node of canonical graph K and index its key."""
+    def _insert(self, K: Graph, key: str, tree: _Tree):
+        """Build the node of canonical graph K and index ``tree``, the
+        full search of a graph of K's class, under its leaf encodings."""
         self._cache[key] = self._build(K, key)
-        self._known.setdefault(K.n, set()).add(encoding(K))
+        self._index.setdefault(K.n, {}).update(dict.fromkeys(tree.seen, tree))
 
     def _pull(
         self, parent: Graph, child: Graph, provenance, always=(), normalize=True
     ) -> tuple[_MaskedCombination, str]:
         """``_pull_members`` of the child's node, built on a miss, and the
         child's key."""
-        key, perm = self._canonical_form(child)
+        key, perm, tree = self._canonical_form(child)
         if key not in self._cache:
-            self._insert(parse_graph6(key), key)
+            self._insert(parse_graph6(key), key, tree)
         comb_k = self._cache[key][0]
         return _pull_members(comb_k, perm, parent, child, provenance, always, normalize), key
 

@@ -21,7 +21,9 @@ lift and glue with a set per mapped member, lift rebuilt through
 ``reference_combination`` and glue classing members by their
 pseudo-vertex edges in child space; and the case-1 smoothing that walks
 each path outwards from a suppressed vertex in both directions.  Some
-keep a replaced kernel whole: the Gray-code walk over every shore that
+keep a replaced kernel whole: the canonical lookup that stopped at the
+least leaf encoding of a held class (``reference_stopped_search``), the
+Gray-code walk over every shore that
 listed every cut (``reference_walk_cuts``), the 2EC check as Tarjan's
 low-link bridge search, the branch and bound that asked ``is_2ec`` before every exclusion
 (``reference_exact_opt``), the Lemma 3 check that answered every
@@ -50,13 +52,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubic2ec import connectivity
+from cubic2ec import canon, connectivity
 from cubic2ec.canon import canonical_form
 from cubic2ec.combine import TARGET, ConvexCombination, Subgraph, _public, pad_to_uniform
 from cubic2ec.connectivity import Cut, Lemma3Report, find_safe_pair
 from cubic2ec.errors import InvariantViolation, Lemma3Violation, StructuralViolation
 from cubic2ec.oracle import _guard
-from cubic2ec.graphs import Graph, Reduction, remove_edges_and_smooth
+from cubic2ec.graphs import Graph, Reduction, graph6_bits, remove_edges_and_smooth
 
 
 @contextmanager
@@ -766,38 +768,130 @@ def _reference_encode(g, order) -> bytes:
     )
 
 
-def reference_canonical_form(g) -> tuple[str, tuple[int, ...]]:
-    """(key, perm) from the full individualization-refinement tree: every
-    leaf is visited and encoded as bytes, and the first least leaf wins."""
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    best = [None, None]
+def _reference_leaves(g):
+    """(encoding, order) of every leaf of the full individualization-
+    refinement tree, in search order, each encoded as bytes."""
+    nbrs = [g.neighbors(v) for v in range(g.n)]
 
     def search(cells):
         cells = reference_refine(cells, nbrs)
         target = next((ci for ci, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = tuple(cell[0] for cell in cells)
-            enc = _reference_encode(g, order)
-            if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, order
+            yield _reference_encode(g, order), order
             return
         cell = cells[target]
         for v in cell:
-            search(
+            yield from search(
                 cells[:target]
                 + ((v,), tuple(u for u in cell if u != v))
                 + cells[target + 1 :]
             )
 
-    search((tuple(range(n)),))
-    perm = [0] * n
+    yield from search((tuple(range(g.n)),))
+
+
+def reference_canonical_form(g) -> tuple[str, tuple[int, ...]]:
+    """(key, perm) from the full individualization-refinement tree: every
+    leaf is visited and encoded as bytes, and the first least leaf wins."""
+    best = None
+    for enc, order in _reference_leaves(g):
+        if best is None or enc < best[0]:
+            best = enc, order
+    perm = [0] * g.n
     for position, old in enumerate(best[1]):
         perm[old] = position
     relabeled = SimpleNamespace(
-        n=n, edges=[(perm[u], perm[v]) for u, v in g.edges]
+        n=g.n, edges=[(perm[u], perm[v]) for u, v in g.edges]
     )
     return reference_graph6(relabeled), tuple(perm)
+
+
+def reference_least_leaves(g) -> int:
+    """The number of leaves of the full tree with the least encoding, which
+    is the order of g's automorphism group."""
+    encs = [enc for enc, _ in _reference_leaves(g)]
+    return encs.count(min(encs))
+
+
+def reference_stopped_search(g, known) -> tuple[tuple[int, ...], int, int]:
+    """``(order, enc, leaves)`` of the search that stops at the first leaf
+    whose encoding is in ``known``, the least leaf encodings of the classes
+    a Certifier held for g.n: the canonical lookup that the index of leaf
+    encodings and automorphisms replaced.  The least encoding of a class
+    sorts below every other leaf of it, so that leaf is the first least
+    one; with no known class it is the whole search, as in ``canon``."""
+    n = g.n
+    nbrs, weight = canon._tables(g)
+    best = [-1, ()]
+    leaves = 0
+    autos: list[list[int]] = []
+    path: list[int] = []
+    seen: dict[int, tuple] = {}
+    back = n
+
+    def leaf(cells) -> bool:
+        nonlocal back, leaves
+        leaves += 1
+        order = tuple(cell[0] for cell in cells)
+        at = [0] * n
+        for position, old in enumerate(order):
+            at[old] = position
+        enc = graph6_bits(n, g.edges, at)
+        if enc in seen:
+            earlier, earlier_path = seen[enc]
+            gamma = [0] * n
+            for a, b in zip(earlier, order):
+                gamma[a] = b
+            autos.append(gamma)
+            back = 0
+            while path[back] == earlier_path[back]:
+                back += 1
+        else:
+            seen[enc] = (order, path[:])
+            if best[0] < 0 or enc < best[0]:
+                best[:] = enc, order
+        return enc in known
+
+    def search(cells) -> bool:
+        nonlocal back
+        target = canon._first_split(cells)
+        if target is None:
+            return leaf(cells)
+        depth = len(path)
+        cell = cells[target]
+        orbit = list(range(n))
+        used = 0
+        explored: list[int] = []
+
+        def find(u: int) -> int:
+            while orbit[u] != u:
+                u = orbit[u]
+            return u
+
+        for u in cell:
+            for gamma in autos[used:]:
+                if all(gamma[p] == p for p in path):
+                    for a in cell:
+                        ra, rb = find(a), find(gamma[a])
+                        orbit[max(ra, rb)] = min(ra, rb)
+            used = len(autos)
+            if any(find(x) == find(u) for x in explored):
+                continue
+            explored.append(u)
+            path.append(u)
+            child = canon._individualize(cells, target, u)
+            found = search(canon._refine(child, nbrs, weight, u))
+            path.pop()
+            if found:
+                return True
+            if back < depth:
+                return False
+            back = n
+        return False
+
+    search(canon._refine((tuple(range(n)),), nbrs, weight))
+    return best[1], best[0], leaves
 
 
 _REFERENCE_MAX_PIVOTS = 100_000

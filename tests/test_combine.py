@@ -340,22 +340,22 @@ def test_a_fresh_certifier_searches_in_full_for_its_first_graph_of_each_class(
     seasoned = Certifier(max_n=16)
     for g in corpus:
         seasoned.certify(g)
-    stops = []  # per search: whether it stopped at a leaf of a known class
+    searches = []  # per search: (leaves, whether it found g's class held)
     search = canon._search
 
-    def spy_search(g, known=()):
-        out = search(g, known)
-        stops.append(out[1] in known)
+    def spy_search(g, index=None):
+        out = search(g, index)
+        searches.append((out[2], out[3] is None))
         return out
 
-    lookups = []  # (key, stops) per lookup
+    lookups = []  # (key, searches) per lookup
     lookup = Certifier._canonical_form
 
     def spy_lookup(self, g):
-        stops.clear()
-        key, perm = lookup(self, g)
-        lookups.append((key, list(stops)))
-        return key, perm
+        searches.clear()
+        out = lookup(self, g)
+        lookups.append((out[0], list(searches)))
+        return out
 
     monkeypatch.setattr(canon, "_search", spy_search)
     monkeypatch.setattr(Certifier, "_canonical_form", spy_lookup)
@@ -364,7 +364,11 @@ def test_a_fresh_certifier_searches_in_full_for_its_first_graph_of_each_class(
         fresh.certify(g)
     first = {}
     for key, found in lookups:
-        assert found == ([True] if key in first else [False])
+        if key in first:
+            assert found == [(1, True)]
+        else:
+            [(_, hit)] = found
+            assert not hit
         first.setdefault(key, found)
     assert set(first) == set(fresh._cache) >= set(seasoned._cache)
     assert len(lookups) > len(first)

@@ -19,10 +19,11 @@ Tarjan's low-link search it replaced and a per-edge removal scan; the lane-paral
 against that check and both references, member by member; and every
 certified node and root, held as edge masks over integer numerators,
 against the (Fraction, edge tuple) plumbing it replaced, rebuilt from the
-same children; the canonical search that stops at a leaf of a known
-class, and the orbit pruning at every node, against the whole search and
-the full tree; the refinement by one-integer signatures against the
-rounds of neighbor-count vectors it replaced; and every pivot's safe pair
+same children; the canonical lookup placed from the first leaf of a held
+class by the automorphisms its full search recorded, and the orbit
+pruning at every node, against the whole search and the full tree; the
+refinement by one-integer signatures against the rounds of
+neighbor-count vectors it replaced; and every pivot's safe pair
 decided after one check of the graph against ``find_safe_pair``, the
 smoothing kernel against ``remove_edges_and_smooth`` and the reference
 smoothing, the one-map average against ``reference_average``, the
@@ -44,6 +45,7 @@ from support import (
     maxflow_edge_connectivity,
     reference_base_case,
     reference_canonical_form,
+    reference_least_leaves,
     reference_caratheodory,
     reference_crossing_mask,
     reference_edge_occurrences,
@@ -102,7 +104,7 @@ from cubic2ec import (
     verify_lemma3,
 )
 from cubic2ec import canon, combine, connectivity, oracle
-from cubic2ec.canon import canonical_lookup, encoding
+from cubic2ec.canon import canonical_lookup
 from cubic2ec.connectivity import (
     CutIndex,
     _cut_summary,
@@ -112,7 +114,7 @@ from cubic2ec.connectivity import (
 )
 from cubic2ec.errors import Lemma3Violation
 from cubic2ec.exact_lp import solve_cut_lp
-from cubic2ec.graphs import BUILTIN_NAMES, _smooth
+from cubic2ec.graphs import BUILTIN_NAMES, _smooth, graph6_bits
 
 F = Fraction
 
@@ -498,7 +500,7 @@ def certifier_lookups(monkeypatch, certifier, graphs) -> list:
 
     def record(self, g):
         out = honest(self, g)
-        seen.append((g, out))
+        seen.append((g, out[:2]))
         return out
 
     monkeypatch.setattr(Certifier, "_canonical_form", record)
@@ -523,8 +525,8 @@ def test_canonical_form_matches_full_search_on_certified_graphs(corpus, monkeypa
 
 
 def test_certifier_lookups_match_full_search_at_n16(cold_e4_n16, monkeypatch):
-    for g in (generalized_petersen(8, 3), cold_e4_n16):
-        seen = certifier_lookups(monkeypatch, Certifier(max_n=16), [g])
+    for g in (generalized_petersen(8, 3), cold_e4_n16, generalized_petersen(9, 2)):
+        seen = certifier_lookups(monkeypatch, Certifier(max_n=18), [g])
         assert len({key for _, (key, _) in seen}) < len(seen)
         assert_lookups_match_full_search(seen)
 
@@ -597,34 +599,57 @@ def two_switches(g):
             yield Graph(g.n, kept + ((a, c), (b, d)))
 
 
-def assert_lookup_matches_canonical_form(g, others, data):
-    """canonical_lookup on a relabeling of g, given a drawn subset of the
-    keys ``others`` (classes other than g's) with or without g's own key,
-    returns canonical_form's key and perm, and stops early exactly when
-    g's key is among those given."""
-    h = relabel(
+def decoys(g, count) -> list:
+    """One graph of each class among the first ``count`` 2-switches of g,
+    other than g's own class."""
+    first = {}
+    for h in itertools.islice(two_switches(g), count):
+        first.setdefault(reference_canonical_form(h)[0], h)
+    first.pop(reference_canonical_form(g)[0], None)
+    return list(first.values())
+
+
+def held(graphs) -> dict:
+    """The index a Certifier holds after full searches of ``graphs``, one
+    class each, all with one n."""
+    index: dict = {}
+    for g in graphs:
+        *_, tree = canonical_lookup(g, index)
+        assert tree is not None
+        index.update(dict.fromkeys(tree.seen, tree))
+    return index
+
+
+def relabeling(g, data):
+    return relabel(
         g, data.draw(st.permutations(range(g.n))), data.draw(st.permutations(range(g.m)))
     )
-    keys = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+
+
+def assert_lookup_matches_canonical_form(g, others, data):
+    """canonical_lookup on a relabeling of g, given the index of full
+    searches of a drawn subset of ``others`` (graphs of classes other than
+    g's) with or without a drawn labeling of g, returns the key and perm of
+    the full tree, and stops at the first leaf exactly when g's class is
+    held."""
+    h = relabeling(g, data)
+    graphs = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
     own = data.draw(st.booleans())
     if own:
-        keys.append(canonical_form(g)[0])
-    known = {encoding(parse_graph6(key)) for key in keys}
-    assert canonical_lookup(h, known) == canonical_form(h)
-    assert (canon._search(h, known)[1] in known) == own
-
-
-@pytest.fixture(scope="module")
-def corpus_keys(corpus):
-    return [canonical_form(g)[0] for g in corpus]
+        graphs.append(relabeling(g, data))
+    index = held(graphs)
+    key, perm, tree = canonical_lookup(h, index)
+    assert (key, perm) == canonical_form(h) == reference_canonical_form(h)
+    assert (tree is None) == own
+    if own:
+        assert canon._search(h, index)[2] == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_canonical_lookup_matches_canonical_form_on_relabelings(corpus, corpus_keys, data):
+def test_canonical_lookup_matches_canonical_form_on_relabelings(corpus, data):
     g = data.draw(st.sampled_from(corpus))
-    own = canonical_form(g)[0]
-    others = [key for h, key in zip(corpus, corpus_keys) if h.n == g.n and key != own]
+    others = [h for h in corpus if h.n == g.n and h != g]
     assert_lookup_matches_canonical_form(g, others, data)
 
 
@@ -637,11 +662,7 @@ TIED["petersen"] = builtin("petersen")
 @given(data=st.data())
 def test_canonical_lookup_matches_canonical_form_on_symmetric_graphs(name, data):
     g = TIED[name]
-    own = canonical_form(g)[0]
-    others = sorted(
-        {canonical_form(h)[0] for h in itertools.islice(two_switches(g), 8)} - {own}
-    )
-    assert_lookup_matches_canonical_form(g, others, data)
+    assert_lookup_matches_canonical_form(g, decoys(g, 8), data)
 
 
 @st.composite
@@ -720,36 +741,96 @@ PRUNED = {
 }
 
 
-def assert_pruned_search_matches_full_tree(g, decoys):
+def assert_pruned_search_matches_full_tree(g, other, misses):
+    """The full search of g, and lookups of g in the index ``misses`` of
+    other classes with and without the full search of ``other``, a
+    labeling of g's class, return the full tree's key and perm; only the
+    lookup with ``other`` held stops, at g's first leaf."""
     expected = reference_canonical_form(g)
-    others = {encoding(parse_graph6(key)) for key in decoys - {expected[0]}}
-    assert canon._search(g)[:2] == canon._search(g, others)[:2]
-    assert canonical_lookup(g, others) == expected
-    assert canonical_lookup(g, others | {encoding(parse_graph6(expected[0]))}) == expected
     assert canonical_form(g) == expected
+    key, perm, tree = canonical_lookup(g, misses)
+    assert (key, perm) == expected
+    assert tree is not None and tree.enc == canon._search(g)[1]
+    index = held([other]) | misses
+    assert canonical_lookup(g, index) == (*expected, None)
+    assert canon._search(g, index)[2] == 1
 
 
 @pytest.mark.parametrize("name", sorted(PRUNED))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_orbit_pruning_keeps_the_first_least_leaf(name, data):
-    """Full search, and lookups given decoy classes with and without g's
-    own, on g as labeled and on a drawn relabeling, against the full
-    tree."""
+    """Full search, and lookups in an index of decoy classes with and
+    without g's own, on g as labeled and on a drawn relabeling, each found
+    from the other's full search, against the full tree."""
     g = PRUNED[name]
-    decoys = {reference_canonical_form(x)[0] for x in itertools.islice(two_switches(g), 6)}
-    h = relabel(
-        g, data.draw(st.permutations(range(g.n))), data.draw(st.permutations(range(g.m)))
-    )
-    for x in (g, h):
-        assert_pruned_search_matches_full_tree(x, decoys)
+    misses = held(decoys(g, 6))
+    h = relabeling(g, data)
+    for x, other in ((g, h), (h, g)):
+        assert_pruned_search_matches_full_tree(x, other, misses)
+
+
+def count_least(trie) -> int:
+    """The leaves of a tree's trie of least leaves."""
+    if type(trie) is not dict:
+        return 1
+    return sum(count_least(node) for node in trie.values())
+
+
+# |Aut| of each: the number of least leaves in the full, unpruned tree.
+AUTOMORPHISMS = {"k4": 24, "k33": 72, "prism": 12, "cube": 48, "petersen": 120, "GP(8,3)": 96}
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISMS))
+def test_recorded_automorphisms_generate_the_whole_group(name):
+    """The closure of the automorphisms a full search records holds every
+    least leaf of the unpruned tree, one per automorphism, and each is a
+    leaf of the tree with the least encoding."""
+    g = PRUNED[name]
+    *_, tree = canonical_lookup(g, {})
+    least = tree.least()
+    assert count_least(least) == reference_least_leaves(g) == AUTOMORPHISMS[name]
+    stack = [least]
+    while stack:
+        node = stack.pop()
+        for child in node.values():
+            if type(child) is dict:
+                stack.append(child)
+            else:
+                at = [0] * g.n
+                for position, old in enumerate(child):
+                    at[old] = position
+                assert graph6_bits(g.n, g.edges, at) == tree.enc
+
+
+def test_a_held_class_is_placed_at_its_first_least_leaf():
+    """Seeded relabelings of GP(9,2), looked up in the index of its full
+    search as labeled, get the full tree's key and perm.  In some of them
+    the held graph's first least leaf, pulled back through the first
+    leaf's isomorphism, is a least leaf other than the first, so these
+    lookups need the least path over the whole group."""
+    g = SYMMETRIC["GP(9,2)"]
+    index = held([g])
+    [tree] = set(index.values())
+    rng = random.Random(0)
+    pulled_back_elsewhere = 0
+    for _ in range(12):
+        h = relabel(g, rng.sample(range(g.n), g.n), rng.sample(range(g.m), g.m))
+        key, perm = reference_canonical_form(h)
+        assert canonical_lookup(h, index) == (key, perm, None)
+        *_, whole = canonical_lookup(h, {})
+        enc, (first, _) = next(iter(whole.seen.items()))  # h's first leaf
+        back = dict(zip(tree.seen[enc][0], first))
+        order = tuple(back[v] for v in tree.seen[tree.enc][0])
+        pulled_back_elsewhere += order != tuple(sorted(range(g.n), key=perm.__getitem__))
+    assert pulled_back_elsewhere > 0
 
 
 # Leaves visited over every lookup a fresh Certifier makes, as (full search,
-# search stopped at a known class).  The counts are deterministic, so a
+# lookup in the Certifier's index of leaf encodings).  The counts are deterministic, so a
 # change that prunes less, or more, fails here even when every key and
 # perm stays right.
-PINNED_LEAVES = {"cold_e4_n16": (1770, 965), "GP(8,3)": (849, 407)}
+PINNED_LEAVES = {"cold_e4_n16": (1770, 530), "GP(8,3)": (849, 214)}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LEAVES))
@@ -759,14 +840,14 @@ def test_search_visits_the_pinned_number_of_leaves(name, cold_e4_n16, monkeypatc
     honest = Certifier._canonical_form
 
     def record(self, h):
-        lookups.append((h, set(self._known.get(h.n, ()))))
+        lookups.append((h, dict(self._index.get(h.n, {}))))
         return honest(self, h)
 
     monkeypatch.setattr(Certifier, "_canonical_form", record)
     Certifier(max_n=16).certify(g)
     full = sum(canon._search(h)[2] for h, _ in lookups)
-    stopped = sum(canon._search(h, known)[2] for h, known in lookups)
-    assert (full, stopped) == PINNED_LEAVES[name]
+    indexed = sum(canon._search(h, index)[2] for h, index in lookups)
+    assert (full, indexed) == PINNED_LEAVES[name]
 
 
 # base-case table --------------------------------------------------------------

@@ -17,6 +17,7 @@ from test_oracle import TWO_K4_MINUS_EDGE
 from cubic2ec import (
     Certifier,
     builtin,
+    canon,
     canonical_form,
     combine,
     connectivity,
@@ -153,8 +154,25 @@ def test_bench_canon_writes_a_report(monkeypatch, capsys, tmp_path):
     assert row["graphs"] == 2
     assert row["lookups"] > row["classes"] >= 2
     assert 0 < row["hits"] == row["lookups"] - row["classes"]
-    assert row["full_leaves"] > row["lookup_leaves"] >= row["lookups"]
-    assert row["full_s"] >= 0 and row["lookup_s"] >= 0
+    assert row["full_leaves"] > row["stopped_leaves"] >= row["index_leaves"] >= row["lookups"]
+    assert row["full_s"] >= 0 and row["stopped_s"] >= 0 and row["index_s"] >= 0
+
+
+def test_bench_canon_raises_when_a_lookup_differs(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_canon")
+
+    def first_hit(tree, enc, order):
+        """psi^-1 of the searched graph's first least leaf: a least leaf,
+        but not always the first."""
+        back = dict(zip(tree.seen[enc][0], order))
+        return tuple(back[v] for v in tree.seen[tree.enc][0])
+
+    monkeypatch.setattr(canon, "_place", first_hit)
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(bench.generalized_petersen(8, 3))}\n")
+    with pytest.raises(RuntimeError, match="a lookup differs from the full search"):
+        bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(tmp_path / "b.json")])
 
 
 def test_bench_lift_writes_a_report(monkeypatch, capsys, tmp_path):
