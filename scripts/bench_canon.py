@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the certifier's canonical-form lookups three ways, a full search,
 the search that stops at the least leaf of a held class, and the lookup
-in the Certifier's index of leaf encodings, and write the result as JSON.
+in the Certifier's index of leaf encodings, and its carried placements
+against the lookups they replace, and write the result as JSON.
 
 Certifies the graphs of each input in order with one fresh ``Certifier``
 and records every canonical-form lookup it makes, together with its index
@@ -13,9 +14,18 @@ index replaced), and the Certifier's own lookup (``canonical_lookup``
 with the index it held, each tree's trie of least leaves cleared before
 every pass, as a fresh Certifier builds it once).  All three must return
 the same key and perm on every lookup, or the script raises RuntimeError.
+
+It also records every child a case-1 node placed from an automorphism of
+the node instead of looking it up, with the carried least leaf and the
+tree of the child's class, and the index held at the time.  Over those
+it times the placement (``canonical_placement``) and the index lookup it
+replaced (``canonical_lookup``), tries cleared before each pass; both
+must return the full search's key and perm, or the script raises
+RuntimeError.
+
 Times are process CPU seconds, the best of ``--repeat`` passes.  A hit is
 a lookup whose class the Certifier already held; leaves are the leaves
-each search visits.
+each search visits, and a carried placement visits none.
 
     python3 scripts/bench_canon.py [--input FILE ...] [--repeat N] [--out FILE]
 
@@ -58,24 +68,31 @@ def default_inputs() -> list[tuple[str, list[Graph]]]:
     ]
 
 
-def record_lookups(graphs) -> list:
+def record_lookups(graphs) -> tuple[list, list]:
     """(graph, index) of every lookup while a fresh Certifier certifies
-    graphs; index is a copy of its index for the graph's n."""
-    lookups = []
-    honest = Certifier._canonical_form
+    graphs, and (graph, tree, order, index) of every placement it carried;
+    index is a copy of its index for the graph's n."""
+    lookups, carried = [], []
+    lookup, carry = Certifier._canonical_form, Certifier._carried_form
 
     def recorded(self, g):
         lookups.append((g, dict(self._index.get(g.n, {}))))
-        return honest(self, g)
+        return lookup(self, g)
+
+    def recorded_carry(self, g, tree, order):
+        carried.append((g, tree, order, dict(self._index.get(g.n, {}))))
+        return carry(self, g, tree, order)
 
     Certifier._canonical_form = recorded
+    Certifier._carried_form = recorded_carry
     try:
         certifier = Certifier(max_n=MAX_N)
         for g in graphs:
             certifier.certify(g)
     finally:
-        Certifier._canonical_form = honest
-    return lookups
+        Certifier._canonical_form = lookup
+        Certifier._carried_form = carry
+    return lookups, carried
 
 
 def held_least(index) -> set[int]:
@@ -84,7 +101,7 @@ def held_least(index) -> set[int]:
 
 
 def full_searches(lookups) -> list:
-    return [canon.canonical_form.__wrapped__(g) for g, _ in lookups]
+    return [canon.canonical_form.__wrapped__(g) for g, *_ in lookups]
 
 
 def stopped_searches(lookups) -> list:
@@ -95,20 +112,35 @@ def stopped_searches(lookups) -> list:
     return found
 
 
-def index_lookups(lookups) -> list:
-    for _, index in lookups:
+def clear_tries(indexes):
+    for index in indexes:
         for tree in index.values():
             tree._least = None
-    return [canon.canonical_lookup(g, index)[:2] for g, index in lookups]
+
+
+def index_lookups(entries) -> list:
+    """``canonical_lookup`` of each entry's graph, its first item, in the
+    index that is its last."""
+    clear_tries(entry[-1] for entry in entries)
+    return [canon.canonical_lookup(entry[0], entry[-1])[:2] for entry in entries]
+
+
+def placements(carried) -> list:
+    clear_tries(index for *_, index in carried)
+    return [canon.canonical_placement(g, tree, order) for g, tree, order, _ in carried]
 
 
 def measure(name: str, graphs, repeat: int) -> dict:
-    lookups = record_lookups(graphs)
+    lookups, carried = record_lookups(graphs)
     full_s, full = best_time(full_searches, lookups, repeat=repeat)
     stopped_s, stopped = best_time(stopped_searches, lookups, repeat=repeat)
     index_s, found = best_time(index_lookups, lookups, repeat=repeat)
     if not full == stopped == found:
         raise RuntimeError(f"{name}: a lookup differs from the full search")
+    replaced_s, replaced = best_time(index_lookups, carried, repeat=repeat)
+    carried_s, placed = best_time(placements, carried, repeat=repeat)
+    if not full_searches(carried) == replaced == placed:
+        raise RuntimeError(f"{name}: a carried placement differs from the full search")
     hits = full_leaves = stopped_leaves = index_leaves = 0
     for g, index in lookups:
         hits += canon._search(g, index)[3] is None
@@ -128,6 +160,11 @@ def measure(name: str, graphs, repeat: int) -> dict:
         "stopped_s": round(stopped_s, 6),
         "index_s": round(index_s, 6),
         "speedup_over_stopped": round(stopped_s / index_s, 2) if index_s else None,
+        "carried": len(carried),
+        "replaced_lookup_leaves": sum(canon._search(g, index)[2] for g, *_, index in carried),
+        "replaced_lookup_s": round(replaced_s, 6),
+        "carried_s": round(carried_s, 6),
+        "carried_speedup": round(replaced_s / carried_s, 2) if carried_s else None,
     }
 
 

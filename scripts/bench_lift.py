@@ -21,7 +21,9 @@ on its own, checking the graph again and reading each essential 4-cut
 through ``essential_4cut_with_pair``, builds a ``Reduction`` for every
 child (``remove_edges_and_smooth``, whose smoothing walk is today's) and
 averages by listing every scaled entry and merging the list again in
-``_merged``.  Both make the same lookups and the same pivot,
+``_merged``; it looks up every child, while ``_case1`` looks up only the
+first child of each orbit of removed pairs under the node's
+automorphisms and places the rest from it.  Both make the same pivot,
 uniformity and member checks; the replaced average skips the part
 checks, which did not change.  It raises if the two give a different
 combination, pivot decision or child key.
@@ -67,7 +69,8 @@ def record_pulls(graphs) -> tuple[Certifier, list]:
     pulls = []
     honest = combine._pull_members
 
-    def recorded(*args):
+    def recorded(comb_k, perm, parent, child, provenance, always=(), normalize=True):
+        args = (comb_k, perm, parent, child, provenance, always, normalize)
         pulls.append(args)
         return honest(*args)
 
@@ -184,13 +187,13 @@ def replaced_pivot_loop(certifier: Certifier, K, key: str):
 
 
 def replaced_loops(certifier, nodes) -> list:
-    return [replaced_pivot_loop(certifier, K, key) for K, key in nodes]
+    return [replaced_pivot_loop(certifier, K, key) for K, key, _ in nodes]
 
 
 def kernel_loops(certifier, nodes) -> list:
     out = []
-    for K, key in nodes:
-        final, record = certifier._case1(K, key)
+    for K, key, tree in nodes:
+        final, record = certifier._case1(K, key, tree)
         pivots = [(p["removed"], p["orientation"], p["children"]) for p in record["pivots"]]
         out.append((final, pivots))
     return out
@@ -206,9 +209,10 @@ def measure(name: str, graphs, repeat: int) -> dict:
     case1 = sum(not normalize for *_, normalize in pulls)
 
     nodes = [
-        (parse_graph6(key), key)
+        (K, key, certifier._canonical_form(K)[2])  # the held tree of K's class
         for key, (_, record) in certifier._cache.items()
         if record["kind"] == "case1"
+        for K in [parse_graph6(key)]
     ]
     old_s, old = best_time(replaced_loops, certifier, nodes, repeat=repeat)
     new_s, new = best_time(kernel_loops, certifier, nodes, repeat=repeat)
@@ -227,7 +231,7 @@ def measure(name: str, graphs, repeat: int) -> dict:
         "one_pass_s": round(one_s, 6),
         "speedup": round(two_s / one_s, 2) if one_s else None,
         "case1_nodes": len(nodes),
-        "pivots": sum(K.m for K, _ in nodes),
+        "pivots": sum(K.m for K, *_ in nodes),
         "replaced_pivot_loop_s": round(old_s, 6),
         "pivot_loop_s": round(new_s, 6),
         "pivot_loop_speedup": round(old_s / new_s, 2) if new_s else None,

@@ -30,6 +30,13 @@ leaf in that index, which maps it onto the searched graph, and the held
 automorphisms then give the first least leaf the whole search would
 return.  Any other graph gets the whole search, in the same walk, and its
 tree is handed back for the caller to index.
+
+A caller that already knows an isomorphism onto a graph of a held class
+needs no search: :func:`canonical_placement` checks that the least leaf
+it carries has the class's least encoding and moves it to the first
+least leaf, the same step as for a first leaf.  The certifier gets such
+isomorphisms from :func:`canonical_automorphisms`, a full search's
+recorded automorphisms in the canonical labels.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 
+from .errors import InvariantViolation
 from .graphs import Graph, graph6_bits, render_graph6
 
 
@@ -212,7 +220,23 @@ def _place(tree: _Tree, enc: int, order: tuple[int, ...]) -> tuple[int, ...]:
     """The first least leaf of a graph h of ``tree``'s class, from h's first
     leaf ``order`` with encoding ``enc``.
 
-    Two leaves with one encoding give an isomorphism psi from h onto the
+    The search meets leaves in lexicographic order of their paths (see
+    :func:`_least_leaf`), so a first leaf with the least encoding is the
+    first least leaf.  That holds only for a first leaf: a least leaf
+    carried from elsewhere need not be the first, so
+    :func:`canonical_placement` calls ``_least_leaf`` directly, as this
+    does for any other first leaf.
+    """
+    if enc == tree.enc:  # the first leaf is least
+        return order
+    return _least_leaf(tree, enc, order)
+
+
+def _least_leaf(tree: _Tree, enc: int, order: tuple[int, ...]) -> tuple[int, ...]:
+    """The first least leaf of a graph h of ``tree``'s class, from any
+    ordering ``order`` of h's vertices whose encoding ``enc`` the tree met.
+
+    Two orderings with one encoding give an isomorphism psi from h onto the
     searched graph, psi(order[i]) = seen[enc][0][i], which maps h's tree
     onto its tree, leaf for leaf and encoding for encoding.  So h's least
     leaves are psi^-1 of the tree's least leaves.  Every cell lists its
@@ -224,8 +248,6 @@ def _place(tree: _Tree, enc: int, order: tuple[int, ...]) -> tuple[int, ...]:
     leaf it skips has an image under a path-fixing automorphism in an
     explored subtree, with a lexicographically smaller path.
     """
-    if enc == tree.enc:  # the first leaf is least
-        return order
     back = [0] * len(order)  # psi^-1
     for a, b in zip(tree.seen[enc][0], order):
         back[a] = b
@@ -387,14 +409,50 @@ def canonical_form(g: Graph) -> tuple[str, tuple[int, ...]]:
 
 def canonical_lookup(
     g: Graph, index: Mapping[int, _Tree]
-) -> tuple[str, tuple[int, ...], _Tree | None]:
-    """``canonical_form(g)`` plus a tree: found from g's first leaf when
-    ``index`` holds g's class, else by the whole search, whose
-    :class:`_Tree` comes third.
+) -> tuple[str, tuple[int, ...], _Tree]:
+    """``canonical_form(g)`` plus the tree of g's class: found from g's
+    first leaf when ``index`` holds g's class, with the held tree third,
+    else by the whole search, whose new :class:`_Tree` comes third.
 
     ``index`` maps every leaf encoding of each tree held for ``g.n`` to its
     tree; a caller adds a miss's tree under all its ``seen`` encodings.
     Uncached, so that each caller keeps its own index.
     """
     order, enc, _, tree = _search(g, index)
-    return (*_labeling(g.n, order, enc), tree)
+    return (*_labeling(g.n, order, enc), tree or index[enc])
+
+
+def canonical_automorphisms(tree: _Tree) -> list[list[int]]:
+    """The automorphisms ``tree``'s search recorded, which generate the
+    automorphism group of its class, as vertex maps of the canonical graph.
+
+    The canonical graph puts vertex ``order[i]`` of the searched graph at
+    i, for the first least leaf ``order``, so gamma becomes
+    ``sigma[i] = position of gamma(order[i])``.
+    """
+    order = tree.seen[tree.enc][0]
+    at = [0] * len(order)
+    for position, old in enumerate(order):
+        at[old] = position
+    return [[at[gamma[v]] for v in order] for gamma in tree.autos]
+
+
+def canonical_placement(
+    g: Graph, tree: _Tree, order: tuple[int, ...]
+) -> tuple[str, tuple[int, ...]]:
+    """``canonical_form(g)`` for a graph g of ``tree``'s class, from
+    ``order``, any ordering of g's vertices with the class's least encoding
+    (a least leaf carried onto g by an isomorphism), without a search.
+
+    Raises :class:`InvariantViolation` when ``order`` does not have the
+    least encoding; otherwise :func:`_least_leaf` moves it to the first
+    least leaf.
+    """
+    at = [0] * g.n
+    for position, old in enumerate(order):
+        at[old] = position
+    if sorted(order) != list(range(g.n)) or graph6_bits(g.n, g.edges, at) != tree.enc:
+        raise InvariantViolation(
+            "a carried leaf does not have the least encoding of its class"
+        )
+    return _labeling(g.n, _least_leaf(tree, tree.enc, order), tree.enc)

@@ -64,9 +64,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connectivity
-from .canon import _Tree, canonical_form, canonical_lookup
+from .canon import (
+    _Tree,
+    canonical_automorphisms,
+    canonical_form,
+    canonical_lookup,
+    canonical_placement,
+)
 from .errors import InvariantViolation
-from .graphs import Graph, Reduction, _smooth, contract_shore, parse_graph6
+from .graphs import (
+    Graph,
+    Reduction,
+    _smooth,
+    _survivors,
+    contract_shore,
+    parse_graph6,
+)
 
 log = logging.getLogger(__name__)
 
@@ -902,7 +915,10 @@ class Certifier:
     n and by every leaf encoding that search met, so a graph of a class
     already held is placed from its first leaf, with the key and perm of
     the full search; a fresh Certifier holds none, and output never
-    depends on what it held.
+    depends on what it held.  A case-1 node looks up only the first child
+    of each orbit of its removed pairs under its automorphisms, which the
+    tree of its own class gives, and places every later child of the
+    orbit from that one, without a search.
     """
 
     def __init__(self, max_n: int = DEFAULT_MAX_N):
@@ -952,30 +968,43 @@ class Certifier:
                 f"n={g.n} exceeds the configured maximum {self.max_n}"
             )
 
-    def _canonical_form(self, g: Graph) -> tuple[str, tuple[int, ...], _Tree | None]:
-        """``canonical_form(g)`` and, when this Certifier does not hold
-        g's class, the tree of the full search that found it (None when it
-        does, and the search stopped at g's first leaf)."""
+    def _canonical_form(self, g: Graph) -> tuple[str, tuple[int, ...], _Tree]:
+        """``canonical_form(g)`` and the tree of the full search of g's
+        class: the held one when this Certifier holds the class (the
+        search stopped at g's first leaf), else the one just made."""
         return canonical_lookup(g, self._index.get(g.n, {}))
+
+    def _carried_form(
+        self, g: Graph, tree: _Tree, order: tuple[int, ...]
+    ) -> tuple[str, tuple[int, ...]]:
+        """``canonical_form(g)`` from ``order``, a least leaf of a graph of
+        the held class of ``tree`` carried onto g by an isomorphism."""
+        return canonical_placement(g, tree, order)
+
+    def _held(self, g: Graph) -> tuple[str, tuple[int, ...], _Tree]:
+        """``_canonical_form(g)``, with the node of g's class built on a
+        miss."""
+        key, perm, tree = self._canonical_form(g)
+        if key not in self._cache:
+            self._insert(parse_graph6(key), key, tree)
+        return key, perm, tree
 
     def _insert(self, K: Graph, key: str, tree: _Tree):
         """Build the node of canonical graph K and index ``tree``, the
         full search of a graph of K's class, under its leaf encodings."""
-        self._cache[key] = self._build(K, key)
+        self._cache[key] = self._build(K, key, tree)
         self._index.setdefault(K.n, {}).update(dict.fromkeys(tree.seen, tree))
 
     def _pull(
-        self, parent: Graph, child: Graph, provenance, always=(), normalize=True
+        self, parent: Graph, child: Graph, provenance
     ) -> tuple[_MaskedCombination, str]:
         """``_pull_members`` of the child's node, built on a miss, and the
-        child's key."""
-        key, perm, tree = self._canonical_form(child)
-        if key not in self._cache:
-            self._insert(parse_graph6(key), key, tree)
+        child's key: a case-2 shore, normalized."""
+        key, perm, _ = self._held(child)
         comb_k = self._cache[key][0]
-        return _pull_members(comb_k, perm, parent, child, provenance, always, normalize), key
+        return _pull_members(comb_k, perm, parent, child, provenance), key
 
-    def _build(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:
+    def _build(self, K: Graph, key: str, tree: _Tree) -> tuple[_MaskedCombination, dict]:
         if not K.is_cubic or connectivity.edge_connectivity(K) < 3:
             raise InvariantViolation(
                 f"canonical graph {key} is not cubic 3-edge-connected"
@@ -996,9 +1025,9 @@ class Certifier:
             }
             return comb, record
         log.debug("case 1 at n=%d (%s)", K.n, key)
-        return self._case1(K, key)
+        return self._case1(K, key, tree)
 
-    def _case1(self, K: Graph, key: str) -> tuple[_MaskedCombination, dict]:
+    def _case1(self, K: Graph, key: str, tree: _Tree) -> tuple[_MaskedCombination, dict]:
         """One average of all 2m lifted children at 1/(2m) each: 7/9 +
         (2t + r - 8)/(9m) on each edge, so 7/9, as every pivot has 2t + r = 8.
 
@@ -1008,15 +1037,23 @@ class Certifier:
         first: ½ of their summed occurrences is the piecewise profile,
         compared on the integers over the product of the two denominators,
         and 2t + r = 8.  The lifts are not normalized; the one average does
-        that."""
+        that.
+
+        ``tree`` is the full search of K's class; its recorded
+        automorphisms generate Aut(K).  Children whose removed pairs an
+        automorphism maps onto each other are isomorphic, so only the
+        first child of each orbit of removed pairs is looked up, and every
+        later one is placed from it (``_lift``)."""
         weight = Fraction(1, 2 * K.m)
         parts = []
         pivot_records = []
         children: set[str] = set()
+        gens = _edge_automorphisms(K, canonical_automorphisms(tree), key)
+        orbits: dict[tuple[int, int], tuple] = {}
         for decision in connectivity.safe_pairs(K):
             uv = decision.pivot_edge
             (a, key_a), (b, key_b) = [
-                self._pull(K, *_smooth(K, *pair), normalize=False)
+                self._lift(K, pair, gens, orbits)
                 for pair in (decision.pair_a, decision.pair_b)
             ]
             t, r, want = _case1_expectation(K, uv)
@@ -1058,6 +1095,41 @@ class Certifier:
         }
         return final, record
 
+    def _lift(
+        self, K: Graph, pair, gens, orbits: dict
+    ) -> tuple[_MaskedCombination, str]:
+        """The unnormalized lift onto K of the child that removing ``pair``
+        leaves, and the child's key.
+
+        A pair in ``orbits`` is sigma(P) for the first removed pair P of
+        its orbit, whose child was looked up: sigma maps P's survivors onto
+        this pair's, so it carries the least leaf of P's child, as vertices
+        of K, onto a least leaf of this child, which ``_carried_form``
+        checks and moves to the first least leaf.  Any other child is
+        looked up, and its pair's orbit under the automorphisms ``gens``
+        of K goes into ``orbits``.
+        """
+        child, provenance, always = _smooth(K, *pair)
+        pair = tuple(sorted(pair))
+        if pair in orbits:
+            orbit, leaf, tree = orbits[pair]
+            label = [-1] * K.n  # K's vertices as the child's
+            for new, old in enumerate(_survivors(K, *pair)):
+                label[old] = new
+            order = tuple(label[v] for v in _carry(orbit, pair, leaf))
+            key, perm = self._carried_form(child, tree, order)
+        else:
+            key, perm, tree = self._held(child)
+            if gens:
+                survivors = _survivors(K, *pair)
+                leaf = [0] * child.n  # the first least leaf, as vertices of K
+                for old, position in enumerate(perm):
+                    leaf[position] = survivors[old]
+                orbit = _pair_orbit(gens, pair)
+                orbits.update(dict.fromkeys(orbit, (orbit, leaf, tree)))
+        comb_k = self._cache[key][0]
+        return _pull_members(comb_k, perm, K, child, provenance, always, False), key
+
     def _case2(self, K: Graph, key: str, cut) -> tuple[_MaskedCombination, dict]:
         red_in = contract_shore(K, cut, "inside")
         red_out = contract_shore(K, cut, "outside")
@@ -1090,6 +1162,55 @@ class Certifier:
         root = records[0]
         rest = sorted(records[1:], key=lambda r: (r["n"], r["graph6"]))
         return tuple([root] + rest)
+
+
+def _edge_automorphisms(K: Graph, autos, key: str) -> list[tuple[list[int], list[int]]]:
+    """``(sigma, edge_map)`` for each vertex map sigma in ``autos``, with
+    edge_map[e] the edge of K that sigma maps edge e onto.  Raises
+    :class:`InvariantViolation` unless sigma permutes K's vertices and maps
+    every edge onto an edge, which makes it an automorphism of K."""
+    out = []
+    for sigma in autos:
+        edge_map = []
+        if sorted(sigma) == list(range(K.n)):
+            for u, v in K.edges:
+                a, b = sigma[u], sigma[v]
+                edge_map.append(K._ids.get((a, b) if a < b else (b, a)))
+        if len(edge_map) != K.m or None in edge_map:
+            raise InvariantViolation(f"node {key}: {sigma} is not an automorphism")
+        out.append((sigma, edge_map))
+    return out
+
+
+def _pair_orbit(gens, pair: tuple[int, int]) -> dict:
+    """The orbit of the edge pair ``pair`` under the group the ``(sigma,
+    edge_map)`` in ``gens`` generate, by a breadth-first closure: each
+    image maps to the pair it was first reached from and the sigma that
+    reached it (``pair`` itself to None), so the links from an image lead
+    back to ``pair`` along one transversal element."""
+    orbit = {pair: None}
+    queue = [pair]
+    for a, b in queue:
+        for sigma, edge_map in gens:
+            x, y = edge_map[a], edge_map[b]
+            image = (x, y) if x < y else (y, x)
+            if image not in orbit:
+                orbit[image] = ((a, b), sigma)
+                queue.append(image)
+    return orbit
+
+
+def _carry(orbit: dict, pair: tuple[int, int], vertices) -> list[int]:
+    """``vertices`` under the transversal element of ``orbit`` that maps
+    its first pair onto ``pair``: the sigmas on the links from ``pair``
+    back to the first pair, applied first to last."""
+    chain = []
+    while orbit[pair] is not None:
+        pair, sigma = orbit[pair]
+        chain.append(sigma)
+    for sigma in reversed(chain):
+        vertices = [sigma[v] for v in vertices]
+    return vertices
 
 
 def _relabeling(K: Graph, g: Graph, perm: tuple[int, ...]) -> list[int]:

@@ -332,10 +332,11 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
     edge (the pair was unsafe).
 
     The child, its provenance and forced_include come from the private
-    kernel ``_smooth``, which makes every check, the Reduction's own
-    included; the certifier calls the kernel and builds no Reduction.
+    kernel ``_smoothing``, and the Reduction makes the provenance checks;
+    the certifier calls ``_smooth``, which makes them on the kernel's
+    result, and builds no Reduction.
     """
-    child, provenance, forced = _smooth(g, e1, e2)
+    child, provenance, forced = _smoothing(g, e1, e2)
     gone = {*g.edges[e1], *g.edges[e2]}
     survivors = iter(range(child.n))
     return Reduction(
@@ -350,13 +351,21 @@ def remove_edges_and_smooth(g: Graph, e1: int, e2: int) -> Reduction:
 
 
 def _smooth(g: Graph, e1: int, e2: int):
-    """The body of :func:`remove_edges_and_smooth`: ``(child,
-    edge_provenance, forced_include)``.
+    """``(child, edge_provenance, forced_include)`` of
+    :func:`remove_edges_and_smooth`, without a Reduction.
 
     Makes every check that function and :class:`Reduction` make, with the
-    same exceptions and messages, the Reduction's in the one
-    ``_check_provenance`` it calls.
+    same exceptions and messages, in the same order: ``_smoothing``'s, then
+    the Reduction's in the one ``_check_provenance`` it calls.
     """
+    child, provenance, forced = _smoothing(g, e1, e2)
+    _check_provenance(g.m, provenance, forced, (e1, e2))
+    return child, provenance, forced
+
+
+def _smoothing(g: Graph, e1: int, e2: int):
+    """The body of :func:`remove_edges_and_smooth`, with every check but
+    the Reduction's provenance checks, which ``_smooth`` adds."""
     if not g.is_cubic:
         raise ValueError("remove_edges_and_smooth requires a cubic graph")
     m = g.m
@@ -371,7 +380,7 @@ def _smooth(g: Graph, e1: int, e2: int):
         raise ValueError("the two removed edges must not share an endpoint")
     removed = (e1, e2)
     suppressed = {*p1, *p2}
-    survivors = [v for v in range(g.n) if v not in suppressed]
+    survivors = _survivors(g, e1, e2)
     vmap = {old: new for new, old in enumerate(survivors)}
 
     # The untouched parent edges, in parent order, then one child edge per
@@ -432,8 +441,14 @@ def _smooth(g: Graph, e1: int, e2: int):
             f"(got n={child.n}, m={child.m} from n={g.n}, m={m})"
         )
 
-    _check_provenance(m, provenance, forced, removed)
     return child, tuple(provenance), forced
+
+
+def _survivors(g: Graph, e1: int, e2: int) -> list[int]:
+    """The vertices of g that removing edges e1 and e2 leaves, in order;
+    the smoothed child's vertex i is the i-th of them."""
+    gone = {*g.edges[e1], *g.edges[e2]}
+    return [v for v in range(g.n) if v not in gone]
 
 
 def contract_shore(g: Graph, cut: "Cut", side: str) -> Reduction:

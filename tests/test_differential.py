@@ -20,8 +20,9 @@ against that check and both references, member by member; and every
 certified node and root, held as edge masks over integer numerators,
 against the (Fraction, edge tuple) plumbing it replaced, rebuilt from the
 same children; the canonical lookup placed from the first leaf of a held
-class by the automorphisms its full search recorded, and the orbit
-pruning at every node, against the whole search and the full tree; the
+class by the automorphisms its full search recorded, every case-1 child
+placed from an automorphism of its node, and the orbit pruning at every
+node, against the whole search and the full tree; the
 refinement by one-integer signatures against the rounds of
 neighbor-count vectors it replaced; and every pivot's safe pair
 decided after one check of the graph against ``find_safe_pair``, the
@@ -105,6 +106,7 @@ from cubic2ec import (
 )
 from cubic2ec import canon, combine, connectivity, oracle
 from cubic2ec.canon import canonical_lookup
+from cubic2ec.combine import certificate_to_json
 from cubic2ec.connectivity import (
     CutIndex,
     _cut_summary,
@@ -493,17 +495,24 @@ def test_closed_form_lp_matches_simplex(corpus):
 
 
 def certifier_lookups(monkeypatch, certifier, graphs) -> list:
-    """(graph, (key, perm)) of every canonical-form lookup ``certifier``
-    makes while it certifies ``graphs``."""
+    """(graph, (key, perm)) of every canonical-form lookup and every
+    placement carried from an automorphism of the parent that
+    ``certifier`` makes while it certifies ``graphs``."""
     seen = []
-    honest = Certifier._canonical_form
+    lookup, carried = Certifier._canonical_form, Certifier._carried_form
 
     def record(self, g):
-        out = honest(self, g)
+        out = lookup(self, g)
         seen.append((g, out[:2]))
         return out
 
+    def record_carried(self, g, tree, order):
+        out = carried(self, g, tree, order)
+        seen.append((g, out))
+        return out
+
     monkeypatch.setattr(Certifier, "_canonical_form", record)
+    monkeypatch.setattr(Certifier, "_carried_form", record_carried)
     for g in graphs:
         certifier.certify(g)
     monkeypatch.undo()
@@ -630,8 +639,8 @@ def assert_lookup_matches_canonical_form(g, others, data):
     """canonical_lookup on a relabeling of g, given the index of full
     searches of a drawn subset of ``others`` (graphs of classes other than
     g's) with or without a drawn labeling of g, returns the key and perm of
-    the full tree, and stops at the first leaf exactly when g's class is
-    held."""
+    the full tree, and stops at the first leaf, returning the held tree,
+    exactly when g's class is held."""
     h = relabeling(g, data)
     graphs = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
     own = data.draw(st.booleans())
@@ -640,7 +649,7 @@ def assert_lookup_matches_canonical_form(g, others, data):
     index = held(graphs)
     key, perm, tree = canonical_lookup(h, index)
     assert (key, perm) == canonical_form(h) == reference_canonical_form(h)
-    assert (tree is None) == own
+    assert (index.get(tree.enc) is tree) == own
     if own:
         assert canon._search(h, index)[2] == 1
 
@@ -752,7 +761,7 @@ def assert_pruned_search_matches_full_tree(g, other, misses):
     assert (key, perm) == expected
     assert tree is not None and tree.enc == canon._search(g)[1]
     index = held([other]) | misses
-    assert canonical_lookup(g, index) == (*expected, None)
+    assert canonical_lookup(g, index) == (*expected, index[tree.enc])
     assert canon._search(g, index)[2] == 1
 
 
@@ -817,7 +826,7 @@ def test_a_held_class_is_placed_at_its_first_least_leaf():
     for _ in range(12):
         h = relabel(g, rng.sample(range(g.n), g.n), rng.sample(range(g.m), g.m))
         key, perm = reference_canonical_form(h)
-        assert canonical_lookup(h, index) == (key, perm, None)
+        assert canonical_lookup(h, index) == (key, perm, tree)
         *_, whole = canonical_lookup(h, {})
         enc, (first, _) = next(iter(whole.seen.items()))  # h's first leaf
         back = dict(zip(tree.seen[enc][0], first))
@@ -830,24 +839,147 @@ def test_a_held_class_is_placed_at_its_first_least_leaf():
 # lookup in the Certifier's index of leaf encodings).  The counts are deterministic, so a
 # change that prunes less, or more, fails here even when every key and
 # perm stays right.
-PINNED_LEAVES = {"cold_e4_n16": (1770, 530), "GP(8,3)": (849, 214)}
+PINNED_LEAVES = {"cold_e4_n16": (797, 334), "GP(8,3)": (207, 84)}
+
+# The same certification's canonical lookups and placements carried from
+# an automorphism of the parent.  Every case-1 child is one or the other,
+# so with the automorphisms switched off the lookups are their sum.
+PINNED_PLACEMENTS = {"cold_e4_n16": (141, 196), "GP(8,3)": (45, 130)}
+
+
+def fresh_certification_lookups(g, monkeypatch) -> tuple[list, int]:
+    """(graph, index) of every lookup a fresh Certifier makes while it
+    certifies g, the index a copy of the one it held for the graph's n,
+    and the number of placements it carried."""
+    lookups = []
+    carried = []
+    lookup, carry = Certifier._canonical_form, Certifier._carried_form
+
+    def record(self, h):
+        lookups.append((h, dict(self._index.get(h.n, {}))))
+        return lookup(self, h)
+
+    def record_carried(self, h, tree, order):
+        carried.append(h)
+        return carry(self, h, tree, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Certifier, "_canonical_form", record)
+        patch.setattr(Certifier, "_carried_form", record_carried)
+        Certifier(max_n=16).certify(g)
+    return lookups, len(carried)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LEAVES))
 def test_search_visits_the_pinned_number_of_leaves(name, cold_e4_n16, monkeypatch):
     g = cold_e4_n16 if name == "cold_e4_n16" else generalized_petersen(8, 3)
-    lookups = []
-    honest = Certifier._canonical_form
-
-    def record(self, h):
-        lookups.append((h, dict(self._index.get(h.n, {}))))
-        return honest(self, h)
-
-    monkeypatch.setattr(Certifier, "_canonical_form", record)
-    Certifier(max_n=16).certify(g)
+    lookups, carried = fresh_certification_lookups(g, monkeypatch)
     full = sum(canon._search(h)[2] for h, _ in lookups)
     indexed = sum(canon._search(h, index)[2] for h, index in lookups)
     assert (full, indexed) == PINNED_LEAVES[name]
+    assert (len(lookups), carried) == PINNED_PLACEMENTS[name]
+    monkeypatch.setattr(combine, "canonical_automorphisms", lambda tree: [])
+    alone, none = fresh_certification_lookups(g, monkeypatch)
+    assert (len(alone), none) == (len(lookups) + carried, 0)
+
+
+# carried placements -----------------------------------------------------------
+
+
+def certified_with_carries(graphs) -> tuple[list, list]:
+    """The certificate JSON of ``graphs`` from one fresh Certifier, and
+    (child, (key, perm)) of every placement it carried."""
+    carried = []
+    honest = Certifier._carried_form
+
+    def record(self, g, tree, order):
+        out = honest(self, g, tree, order)
+        carried.append((g, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Certifier, "_carried_form", record)
+        certifier = Certifier(max_n=18)
+        certificates = [certificate_to_json(certifier.certify(g)) for g in graphs]
+    return certificates, carried
+
+
+def assert_carried_placements_match_full_search(graphs) -> list:
+    """Every placement carried while a fresh Certifier certifies ``graphs``
+    gets the key and perm of the full search and of the full tree, and the
+    certificates equal those certified with every node's group trivial,
+    where nothing is carried."""
+    certificates, carried = certified_with_carries(graphs)
+    for g, found in carried:
+        assert found == canonical_form(g)
+    for g in dict.fromkeys(g for g, _ in carried):
+        assert canonical_form(g) == reference_canonical_form(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combine, "canonical_automorphisms", lambda tree: [])
+        assert certified_with_carries(graphs) == (certificates, [])
+    return carried
+
+
+CARRIED = ["corpus", "cold_e4_n16", *sorted(TIED)]
+
+
+@pytest.mark.parametrize("name", CARRIED)
+def test_carried_placements_match_full_search(name, request):
+    if name in TIED:
+        graphs = [TIED[name]]
+    else:
+        graphs = request.getfixturevalue(name)
+        graphs = graphs if name == "corpus" else [graphs]
+    carried = assert_carried_placements_match_full_search(graphs)
+    assert (len(carried) > 0) == (name != "K3,3")  # K3,3 is a base case
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_carried_placements_match_full_search_on_relabelings(corpus, data):
+    g = data.draw(st.sampled_from([h for h in corpus if h.n >= 10] + list(TIED.values())))
+    assert_carried_placements_match_full_search([relabeling(g, data)])
+
+
+@pytest.mark.parametrize("name", ["prism", "cube", "petersen", "GP(8,3)"])
+def test_conjugated_automorphisms_act_on_the_canonical_graph(name):
+    """The generators a full search records, conjugated into the canonical
+    labels, are automorphisms of the canonical graph, which the Certifier
+    accepts, and they generate the whole group; unconjugated, those of a
+    relabeling are not all automorphisms of it."""
+    g = PRUNED[name]
+    rng = random.Random(1)
+    h = relabel(g, rng.sample(range(g.n), g.n), rng.sample(range(g.m), g.m))
+    for x in (g, h):
+        key, _, tree = canonical_lookup(x, {})
+        K = parse_graph6(key)
+        gens = canon.canonical_automorphisms(tree)
+        for sigma in gens:
+            assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in K.edges} == set(K.edges)
+        assert [sigma for sigma, _ in combine._edge_automorphisms(K, gens, key)] == gens
+        group = {tuple(range(K.n))}
+        frontier = list(group)
+        for beta in frontier:
+            for sigma in gens:
+                image = tuple(sigma[v] for v in beta)
+                if image not in group:
+                    group.add(image)
+                    frontier.append(image)
+        assert len(group) == AUTOMORPHISMS[name]
+    with pytest.raises(InvariantViolation, match="is not an automorphism"):
+        combine._edge_automorphisms(K, tree.autos, key)
+
+
+def test_a_carried_leaf_without_the_least_encoding_is_rejected():
+    """canonical_placement takes only an ordering with the least encoding
+    of the class, and a permutation of the graph's vertices."""
+    g = SYMMETRIC["GP(8,3)"]
+    *_, tree = canonical_lookup(g, {})
+    order = tree.seen[tree.enc][0]
+    assert canon.canonical_placement(g, tree, order) == canonical_form(g)
+    for bad in (order[1:] + order[:1], order[1:] + (-1,), order[:-1] + order[:1]):
+        with pytest.raises(InvariantViolation, match="least encoding of its class"):
+            canon.canonical_placement(g, tree, bad)
 
 
 # base-case table --------------------------------------------------------------

@@ -18,6 +18,7 @@ from cubic2ec import (
     remove_edges_and_smooth,
     to_graph6,
 )
+from cubic2ec import graphs
 from cubic2ec.connectivity import is_essential_cut
 
 
@@ -242,6 +243,29 @@ def test_reduction_rejects_provenance_ids_outside_the_parent(petersen, bad):
         ValueError, match="^provenance does not cover the parent edge set$"
     ):
         replace(red, edge_provenance=tuple(provenance))
+
+
+def test_remove_edges_and_smooth_checks_provenance_once(petersen, monkeypatch):
+    """The public removal makes the provenance checks once, in its
+    Reduction; the certifier's kernel makes them once too."""
+    calls = []
+    honest = graphs._check_provenance
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(graphs, "_check_provenance", counted)
+    pair = petersen.edge_id(0, 4), petersen.edge_id(1, 6)
+    red = remove_edges_and_smooth(petersen, *pair)
+    assert len(calls) == 1
+    calls.clear()
+    assert graphs._smooth(petersen, *pair) == (
+        red.child,
+        red.edge_provenance,
+        red.forced_include,
+    )
+    assert len(calls) == 1
 
 
 # contract_shore ------------------------------------------------------------

@@ -6,6 +6,7 @@ check runs in a child interpreter started with ``-O``.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,54 @@ def test_forced_mismatch_maps_to_exit_3_under_optimize():
     assert proc.returncode == 3
     assert "internal invariant violation" in proc.stderr
     assert "pivot 0: occurrences deviate from the piecewise profile" in proc.stderr
+
+
+# A case-1 node places a child from an automorphism of the node: patch in
+# a transposition of two canonical vertices as the node's only generator
+# (no automorphism of the Petersen graph, whose girth is 5), or carry the
+# first child's least leaf without the automorphism.
+CARRIED_MISMATCH = """
+import sys
+from cubic2ec import Certifier, builtin, combine
+from cubic2ec.errors import InvariantViolation
+
+assert False, "assert statements must be stripped"
+
+def transposition(tree):
+    n = len(tree.seen[tree.enc][0])
+    return [[1, 0, *range(2, n)]]
+
+if sys.argv[1] == "transposition":
+    combine.canonical_automorphisms = transposition
+else:
+    combine._carry = lambda orbit, pair, vertices: vertices
+if sys.argv[2:] == ["cli"]:
+    from cubic2ec.cli import main
+    sys.exit(main(["certify", "--graph", "petersen"]))
+try:
+    Certifier().certify(builtin("petersen"))
+except InvariantViolation as exc:
+    print(f"optimize={sys.flags.optimize} {exc}")
+    sys.exit(0)
+sys.exit("a wrong automorphism went unnoticed")
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("transposition", r"node I\S+: \[1, 0, 2, 3, 4, 5, 6, 7, 8, 9\] is not an automorphism"),
+        ("identity", "a carried leaf does not have the least encoding of its class"),
+    ],
+)
+def test_a_wrong_automorphism_raises_under_optimize(mode, message):
+    proc = run_optimized("-c", CARRIED_MISMATCH, mode)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(f"optimize=1 {message}", proc.stdout.strip())
+    proc = run_optimized("-c", CARRIED_MISMATCH, mode, "cli")
+    assert proc.returncode == 3
+    assert "internal invariant violation" in proc.stderr
+    assert re.search(message, proc.stderr)
 
 
 REPRODUCE = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_bounds.py"

@@ -156,6 +156,26 @@ def test_bench_canon_writes_a_report(monkeypatch, capsys, tmp_path):
     assert 0 < row["hits"] == row["lookups"] - row["classes"]
     assert row["full_leaves"] > row["stopped_leaves"] >= row["index_leaves"] >= row["lookups"]
     assert row["full_s"] >= 0 and row["stopped_s"] >= 0 and row["index_s"] >= 0
+    assert row["carried"] == row["replaced_lookup_leaves"] > 0  # a hit visits one leaf
+    assert row["carried_s"] >= 0 and row["replaced_lookup_s"] >= 0
+
+
+def test_bench_canon_raises_when_a_carried_placement_differs(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("bench_canon")
+    honest = canon.canonical_placement
+
+    def carried_unmoved(g, tree, order):
+        """The carried least leaf itself: a least leaf, but not always the
+        first."""
+        key, _ = honest(g, tree, order)
+        return key, tuple(map(order.index, range(g.n)))
+
+    monkeypatch.setattr(canon, "canonical_placement", carried_unmoved)
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(f"{to_graph6(bench.generalized_petersen(8, 3))}\n")
+    with pytest.raises(RuntimeError, match="a carried placement differs from the full search"):
+        bench.main(["--input", str(graphs), "--repeat", "1", "--out", str(tmp_path / "b.json")])
 
 
 def test_bench_canon_raises_when_a_lookup_differs(monkeypatch, tmp_path):
@@ -205,8 +225,8 @@ def test_bench_lift_raises_when_a_pivot_loop_differs(monkeypatch, tmp_path):
     bench = load("bench_lift")
     honest = combine.Certifier._case1
 
-    def reordered(self, K, key):
-        final, record = honest(self, K, key)
+    def reordered(self, K, key, tree):
+        final, record = honest(self, K, key, tree)
         record["pivots"] = record["pivots"][::-1]
         return final, record
 
