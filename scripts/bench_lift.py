@@ -53,8 +53,10 @@ sys.path.insert(0, str(ROOT / "scripts"))
 from bench_canon import MAX_N, default_inputs, read_graphs
 from cubic2ec import (
     Certifier,
+    certificate,
     combine,
     connectivity,
+    masked,
     parse_graph6,
     remove_edges_and_smooth,
 )
@@ -114,7 +116,7 @@ def map_members_calls(path, pulls) -> int:
     return calls
 
 
-def listed_average(parts) -> combine._MaskedCombination:
+def listed_average(parts) -> masked._MaskedCombination:
     """The replaced case-1 average: every scaled entry listed, then merged
     and normalized again by ``_merged``."""
     host = parts[0][1].host
@@ -123,7 +125,7 @@ def listed_average(parts) -> combine._MaskedCombination:
     for w, c in parts:
         f = den // (w.denominator * c.den) * w.numerator
         raw += [(f * num, x) for num, x in c.entries]
-    return combine._merged(host, den, raw)
+    return masked._merged(host, den, raw)
 
 
 def replaced_safe_pair(g, uv: int) -> tuple[tuple, int]:
@@ -172,7 +174,7 @@ def replaced_pivot_loop(certifier: Certifier, K, key: str):
         t, r, want = combine._case1_expectation(K, uv)
         scale = 2 * a.den * b.den
         occurrences = zip(
-            combine._occurrence_nums(a), combine._occurrence_nums(b), want
+            masked._occurrence_nums(a), masked._occurrence_nums(b), want
         )
         if any(18 * (x * b.den + y * a.den) != w * scale for x, y, w in occurrences):
             raise RuntimeError(f"pivot {uv}: occurrences deviate from the profile")
@@ -181,8 +183,8 @@ def replaced_pivot_loop(certifier: Certifier, K, key: str):
         parts += [(weight, a), (weight, b)]
         pivots.append(([list(pair) for pair in removed], orientation, [key_a, key_b]))
     final = listed_average(parts)
-    combine._check_uniform(final, combine.TARGET, "averaged occurrence")
-    combine._check_members(final, f"node {key}: member ")
+    masked._check_uniform(final, certificate.TARGET, "averaged occurrence")
+    masked._check_members(final, f"node {key}: member ")
     return final, pivots
 
 
@@ -204,7 +206,7 @@ def measure(name: str, graphs, repeat: int) -> dict:
     two_s, want = best_time(two_step, pulls, repeat=repeat)
     one_s, got = best_time(one_pass, pulls, repeat=repeat)
     for args, a, b in zip(pulls, want, got):
-        if combine._merged(args[2], b.den, b.entries) != a:
+        if masked._merged(args[2], b.den, b.entries) != a:
             raise RuntimeError(f"{name}: a one-pass pull differs from the two-step path")
     case1 = sum(not normalize for *_, normalize in pulls)
 

@@ -2,26 +2,28 @@
 
 from . import exact_lp  # perfbench's tracer needs it loaded; no module imports it
 from .canon import canonical_form
-from .combine import (
+from .certificate import (
     Certificate,
-    Certifier,
     ConvexCombination,
     Subgraph,
     TARGET,
     VerificationReport,
-    average,
-    base_case_combination,
     certificate_from_json,
     certificate_to_json,
+    min_support_subgraph,
+    support_bound,
+    verify_certificate,
+)
+from .combine import (
+    Certifier,
+    average,
+    base_case_combination,
     certify,
     combination,
     edge_occurrences,
     glue,
     lift,
-    min_support_subgraph,
     pad_to_uniform,
-    support_bound,
-    verify_certificate,
 )
 from .connectivity import (
     Cut,

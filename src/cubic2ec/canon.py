@@ -36,7 +36,9 @@ needs no search: :func:`canonical_placement` checks that the least leaf
 it carries has the class's least encoding and moves it to the first
 least leaf, the same step as for a first leaf.  The certifier gets such
 isomorphisms from :func:`canonical_automorphisms`, a full search's
-recorded automorphisms in the canonical labels.
+recorded automorphisms in the canonical labels, and acts with them on
+edges and edge pairs through ``_edge_automorphisms``, ``_pair_orbit`` and
+``_carry``.
 """
 
 from __future__ import annotations
@@ -456,3 +458,52 @@ def canonical_placement(
             "a carried leaf does not have the least encoding of its class"
         )
     return _labeling(g.n, _least_leaf(tree, tree.enc, order), tree.enc)
+
+
+def _edge_automorphisms(K: Graph, autos, key: str) -> list[tuple[list[int], list[int]]]:
+    """``(sigma, edge_map)`` for each vertex map sigma in ``autos``, with
+    edge_map[e] the edge of K that sigma maps edge e onto.  Raises
+    :class:`InvariantViolation` unless sigma permutes K's vertices and maps
+    every edge onto an edge, which makes it an automorphism of K."""
+    out = []
+    for sigma in autos:
+        edge_map = []
+        if sorted(sigma) == list(range(K.n)):
+            for u, v in K.edges:
+                a, b = sigma[u], sigma[v]
+                edge_map.append(K._ids.get((a, b) if a < b else (b, a)))
+        if len(edge_map) != K.m or None in edge_map:
+            raise InvariantViolation(f"node {key}: {sigma} is not an automorphism")
+        out.append((sigma, edge_map))
+    return out
+
+
+def _pair_orbit(gens, pair: tuple[int, int]) -> dict:
+    """The orbit of the edge pair ``pair`` under the group the ``(sigma,
+    edge_map)`` in ``gens`` generate, by a breadth-first closure: each
+    image maps to the pair it was first reached from and the sigma that
+    reached it (``pair`` itself to None), so the links from an image lead
+    back to ``pair`` along one transversal element."""
+    orbit = {pair: None}
+    queue = [pair]
+    for a, b in queue:
+        for sigma, edge_map in gens:
+            x, y = edge_map[a], edge_map[b]
+            image = (x, y) if x < y else (y, x)
+            if image not in orbit:
+                orbit[image] = ((a, b), sigma)
+                queue.append(image)
+    return orbit
+
+
+def _carry(orbit: dict, pair: tuple[int, int], vertices) -> list[int]:
+    """``vertices`` under the transversal element of ``orbit`` that maps
+    its first pair onto ``pair``: the sigmas on the links from ``pair``
+    back to the first pair, applied first to last."""
+    chain = []
+    while orbit[pair] is not None:
+        pair, sigma = orbit[pair]
+        chain.append(sigma)
+    for sigma in reversed(chain):
+        vertices = [sigma[v] for v in vertices]
+    return vertices

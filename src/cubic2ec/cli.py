@@ -17,14 +17,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import combine, connectivity, oracle
-from .combine import (
-    Certifier,
+from .certificate import (
     certificate_from_json,
     certificate_to_json,
     min_support_subgraph,
     support_bound,
     verify_certificate,
 )
+from .combine import Certifier
 from .errors import GraphFormatError, InvariantViolation
 from .graphs import BUILTIN_NAMES, Graph, builtin, parse_edge_list, parse_graph6
 

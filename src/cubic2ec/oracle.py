@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connectivity
-from .combine import Subgraph
+from .certificate import Subgraph
 from .connectivity import Cut, _iter_bits
 from .errors import InvariantViolation
 from .graphs import Graph

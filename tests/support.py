@@ -54,7 +54,9 @@ import pytest
 
 from cubic2ec import canon, connectivity
 from cubic2ec.canon import canonical_form
-from cubic2ec.combine import TARGET, ConvexCombination, Subgraph, _public, pad_to_uniform
+from cubic2ec.certificate import TARGET, ConvexCombination, Subgraph
+from cubic2ec.combine import pad_to_uniform
+from cubic2ec.masked import _public
 from cubic2ec.connectivity import Cut, Lemma3Report, find_safe_pair
 from cubic2ec.errors import InvariantViolation, Lemma3Violation, StructuralViolation
 from cubic2ec.oracle import _guard

@@ -104,6 +104,11 @@ MALFORMED = {
         lambda doc: {**doc, "min_support_size": [doc["min_support_size"]]},
         "'min_support_size'",
     ),
+    "trace_is_string": (lambda doc: {**doc, "trace": "xyz"}, "'trace'"),
+    "entries_is_object": (
+        lambda doc: {**doc, "entries": dict(enumerate(doc["entries"]))},
+        "'entries'",
+    ),
     "min_support_is_bool": (
         lambda doc: {**doc, "min_support_size": True},
         "'min_support_size'",
@@ -331,6 +336,6 @@ def test_verbose_logs_compaction_and_leaves_outputs_unchanged(tmp_path):
         assert certified.returncode == swept.returncode == 0, certified.stderr + swept.stderr
         outputs[flags] = (cert.read_bytes(), rows.read_bytes(), certified.stdout)
         # k4 and the prism have 6 entries each, at most m + 1 already
-        logged = ["cubic2ec.combine: compacted 132 -> 13 entries (n=10)"] if flags else []
+        logged = ["cubic2ec.compact: compacted 132 -> 13 entries (n=10)"] if flags else []
         assert certified.stderr.splitlines() == swept.stderr.splitlines() == logged
     assert outputs[()] == outputs[("-v",)]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -48,8 +49,10 @@ from cubic2ec import (
     InvariantViolation,
     canon,
     canonical_form,
+    certificate,
     combine,
     connectivity,
+    masked,
     parse_graph6,
 )
 from cubic2ec.cli import main
@@ -159,6 +162,35 @@ def test_public_functions_check_entries_as_combination_does(
         call(edited)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["combination", "average", "lift", "glue", "edge_occurrences", "pad_to_uniform"],
+)
+@pytest.mark.parametrize(
+    "bad",
+    [None, object(), "x", float("inf"), float("-inf"), float("nan")],
+    ids=["none", "object", "str", "inf", "minus_inf", "nan"],
+)
+def test_public_functions_reject_unreadable_weights_by_entry(
+    name, bad, k4, petersen, prism, certifier
+):
+    """An entry weight is read as verify_certificate reads it
+    (``certificate._exact``): one that Fraction() cannot read exactly is a
+    ValueError naming the entry, not a TypeError or an OverflowError."""
+    if name == "combination":
+        comb, call = base_case_combination(k4), None
+    else:
+        comb, call = _public_call(name, k4, petersen, prism, certifier)
+    (_, es), *rest = comb.entries
+    edited = ConvexCombination(comb.host, ((bad, es), *rest))
+    message = rf"entry 0 has weight {re.escape(repr(bad))}, not a number"
+    with pytest.raises(ValueError, match=message):
+        combination(comb.host, edited.entries)
+    if call is not None:
+        with pytest.raises(ValueError, match=message):
+            call(edited)
+
+
 def test_average_drops_a_zero_weight_entry_as_combination_does(k4):
     comb = base_case_combination(k4)
     padded = ConvexCombination(k4, comb.entries + ((F(0), tuple(range(k4.m))),))
@@ -202,7 +234,7 @@ def test_base_case_graphs_are_their_own_canonical_form(key):
     base_case_combination of K is that same table entry."""
     K = parse_graph6(key)
     assert canonical_form(K) == (key, tuple(range(K.n)))
-    assert base_case_combination(K) == combine._public(combine._base_case(K, key))
+    assert base_case_combination(K) == masked._public(combine._base_case(K, key))
 
 
 def test_base_case_census_is_two():
@@ -482,9 +514,9 @@ def test_average_error_messages(k4, k33):
 
 
 def test_masked_average_rejects_a_part_not_summing_to_its_denominator(k4):
-    part = combine._MaskedCombination(k4, 9, ((1, (1 << k4.m) - 1),))
+    part = masked._MaskedCombination(k4, 9, ((1, (1 << k4.m) - 1),))
     with pytest.raises(ValueError) as info:
-        combine._average(k4, [(1, part)])
+        masked._average(k4, [(1, part)])
     assert str(info.value) == "weights must sum to 1 exactly (got 1/9)"
 
 
@@ -498,8 +530,8 @@ def mask_of(es, m):
 def assert_tuple_order(members, m):
     """Sorting masks by _tuple_order gives the order of sorted tuples."""
     masks = [mask_of(es, m) for es in members]
-    by_key = sorted(masks, key=combine._tuple_order(m))
-    assert [combine._edges(x, m) for x in by_key] == sorted(members)
+    by_key = sorted(masks, key=masked._tuple_order(m))
+    assert [masked._edges(x, m) for x in by_key] == sorted(members)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -526,25 +558,25 @@ def test_tuple_order_matches_tuples_on_random_masks_at_27_edges():
     ids=["prefix", "longer-first", "shorter-first", "empty"],
 )
 def test_tuple_order_on_named_pairs(first, second):
-    order = combine._tuple_order(8)
+    order = masked._tuple_order(8)
     want = first < second
     assert (order(mask_of(first, 8)) < order(mask_of(second, 8))) == want
 
 
 def test_masked_round_trip_keeps_entries(petersen, certifier):
     comb = certifier.certify(petersen).combination
-    masked = combine._masked(comb)
-    assert [combine._edges(x, petersen.m) for _, x in masked.entries] == [
+    held = masked._masked(comb)
+    assert [masked._edges(x, petersen.m) for _, x in held.entries] == [
         es for _, es in comb.entries
     ]
-    assert combine._public(masked) == comb
+    assert masked._public(held) == comb
     assert [
-        combine.connectivity.is_2ec(petersen, natural_mask(x, petersen.m))
-        for _, x in masked.entries
+        connectivity.is_2ec(petersen, natural_mask(x, petersen.m))
+        for _, x in held.entries
     ] == [True] * len(comb.entries)
-    for _, x in masked.entries:
+    for _, x in held.entries:
         natural = natural_mask(x, petersen.m)
-        assert natural == sum(1 << e for e in combine._edges(x, petersen.m))
+        assert natural == sum(1 << e for e in masked._edges(x, petersen.m))
 
 
 # pad_to_uniform -------------------------------------------------------------
@@ -870,6 +902,15 @@ def test_certificate_json_keeps_a_target_other_than_7_9(petersen, certifier):
     assert failed(loaded) == failed(cert)
 
 
+@pytest.mark.parametrize("max_n", [10.5, 10.0, True, "10", None])
+def test_certifier_rejects_a_max_n_that_is_not_an_int(max_n):
+    """A bool is no vertex count, and 10.5 no int (``--max-n`` already
+    rejects both)."""
+    message = rf"max_n must be an int, not {re.escape(repr(max_n))}"
+    with pytest.raises(ValueError, match=message):
+        Certifier(max_n)
+
+
 def test_certify_k33_support_within_bound(k33, certifier):
     cert = certifier.certify(k33)
     assert len(min_support_subgraph(cert).edges) <= support_bound(6) == 7
@@ -913,5 +954,5 @@ def test_smallest_member_rule_holds_for_unsorted_entries(k4):
     ]
     cert = certificate_from_json(json.dumps(doc))
     assert [es for _, es in cert.combination.entries] == sorted(cycles, reverse=True)
-    assert combine._smallest(cert.combination) == min(cycles)
+    assert certificate._smallest(cert.combination) == min(cycles)
     assert min_support_subgraph(cert).edges == min(cycles)

@@ -104,9 +104,9 @@ from cubic2ec import (
     to_graph6,
     verify_lemma3,
 )
-from cubic2ec import canon, combine, connectivity, oracle
+from cubic2ec import canon, certificate, combine, compact, connectivity, masked, oracle
 from cubic2ec.canon import canonical_lookup
-from cubic2ec.combine import certificate_to_json
+from cubic2ec.certificate import certificate_to_json
 from cubic2ec.connectivity import (
     CutIndex,
     _cut_summary,
@@ -956,7 +956,7 @@ def test_conjugated_automorphisms_act_on_the_canonical_graph(name):
         gens = canon.canonical_automorphisms(tree)
         for sigma in gens:
             assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in K.edges} == set(K.edges)
-        assert [sigma for sigma, _ in combine._edge_automorphisms(K, gens, key)] == gens
+        assert [sigma for sigma, _ in canon._edge_automorphisms(K, gens, key)] == gens
         group = {tuple(range(K.n))}
         frontier = list(group)
         for beta in frontier:
@@ -967,7 +967,7 @@ def test_conjugated_automorphisms_act_on_the_canonical_graph(name):
                     frontier.append(image)
         assert len(group) == AUTOMORPHISMS[name]
     with pytest.raises(InvariantViolation, match="is not an automorphism"):
-        combine._edge_automorphisms(K, tree.autos, key)
+        canon._edge_automorphisms(K, tree.autos, key)
 
 
 def test_a_carried_leaf_without_the_least_encoding_is_rejected():
@@ -1022,7 +1022,7 @@ def test_compaction_matches_fraction_reference(compacted):
     reduced = [(full, red) for full, red in compacted if len(full.entries) > full.host.m + 1]
     assert len(reduced) == 19  # 18 corpus roots and GP(8,3)
     for full, red in reduced:
-        full, red = combine._public(full), combine._public(red)
+        full, red = masked._public(full), masked._public(red)
         assert combination(full.host, reference_caratheodory(full)) == red
 
 
@@ -1030,9 +1030,9 @@ def test_compaction_matches_fraction_reference(compacted):
 def test_compaction_is_independent_of_lane_width(compacted, monkeypatch, bits):
     """Lanes wider than the bound needs (n = 18 needs 128 bits) give the
     same compaction as the 64-bit lanes the corpus needs."""
-    monkeypatch.setattr(combine, "_lane_bits", lambda bound: bits)
+    monkeypatch.setattr(compact, "_lane_bits", lambda bound: bits)
     for full, red in compacted:
-        assert combine._compact(full) == red
+        assert compact._compact(full) == red
 
 
 def assert_compacted(full, red):
@@ -1048,7 +1048,7 @@ def assert_compacted(full, red):
 
 def test_compaction_keeps_members_occurrences_and_min_size(compacted):
     for full, red in compacted:
-        assert_compacted(combine._public(full), combine._public(red))
+        assert_compacted(masked._public(full), masked._public(red))
         if len(full.entries) <= full.host.m + 1:
             assert red is full
 
@@ -1063,7 +1063,7 @@ def test_compaction_keeps_min_size_on_relabelings(corpus, certifier, data):
     cert = certifier.certify(h)
     key, kperm = canonical_form(h)
     full = combine._map_combination(certifier._cache[key][0], h, kperm)
-    assert_compacted(combine._public(full), cert.combination)
+    assert_compacted(masked._public(full), cert.combination)
 
 
 # the one-map average -----------------------------------------------------------
@@ -1075,8 +1075,8 @@ def assert_average_matches_reference(parts):
     want = reference_average(parts)
     assert average(parts) == want
     host = parts[0][1].host
-    masked = combine._average(host, [(w, combine._masked(c)) for w, c in parts if w])
-    assert combine._public(masked) == want
+    held = masked._average(host, [(w, masked._masked(c)) for w, c in parts if w])
+    assert masked._public(held) == want
 
 
 def test_average_matches_reference_on_fixed_parts(corpus, certifier):
@@ -1121,7 +1121,7 @@ def test_case1_nodes_match_per_pivot_construction(corpus, certified):
         key, _ = canonical_form(g)
         comb, record = certified._cache[key]
         assert record["kind"] == "case1"
-        assert combine._public(comb) == reference_case1_combination(
+        assert masked._public(comb) == reference_case1_combination(
             parse_graph6(key), certified
         )
 
@@ -1136,8 +1136,8 @@ def test_map_combination_matches_rebuild_on_relabelings(corpus, certified, data)
     key, kperm = canonical_form(h)
     for comb in (certified._cache[key][0], certified._roots[key]):
         mapped = combine._map_combination(comb, h, kperm)
-        assert combine._public(mapped) == reference_map_combination(
-            combine._public(comb), h, kperm
+        assert masked._public(mapped) == reference_map_combination(
+            masked._public(comb), h, kperm
         )
 
 
@@ -1154,7 +1154,7 @@ def reference_node(certifier, key):
     def child(g):
         child_key, perm = canonical_form(g)
         assert child_key in record["children"]
-        comb = combine._public(certifier._cache[child_key][0])
+        comb = masked._public(certifier._cache[child_key][0])
         return reference_map_combination(comb, g, perm)
 
     if record["kind"] == "base":
@@ -1179,16 +1179,16 @@ def assert_nodes_match_references(certifier):
     (Fraction, edge tuple) entries, equals its reference rebuild entry for
     entry, in order, and has the reference occurrences."""
     for key, (node, record) in certifier._cache.items():
-        public = combine._public(node)
+        public = masked._public(node)
         assert public == reference_node(certifier, key), key
         assert len(public.entries) == record["entries"]
         occ = reference_occurrences(node.host.m, public.entries)
         assert edge_occurrences(public) == occ
     for key, root in certifier._roots.items():
-        full = combine._public(certifier._cache[key][0])
+        full = masked._public(certifier._cache[key][0])
         if len(full.entries) > full.host.m + 1:
             full = reference_combination(full.host, reference_caratheodory(full), check=False)
-        assert combine._public(root) == full, key
+        assert masked._public(root) == full, key
 
 
 def test_nodes_match_references_on_corpus(corpus):
@@ -1211,7 +1211,7 @@ def test_nodes_match_references_on_relabelings(corpus, data):
     cert = certifier.certify(h)
     assert_nodes_match_references(certifier)
     key, kperm = canonical_form(h)
-    root = combine._public(certifier._roots[key])
+    root = masked._public(certifier._roots[key])
     assert cert.combination == reference_map_combination(root, h, kperm)
 
 
@@ -1251,10 +1251,10 @@ def certify_recording(monkeypatch, graphs):
     def pulled(comb_k, perm, *reduced):
         out = pull_members(comb_k, perm, *reduced)
         red = pulled_reduction(*reduced)
-        child = reference_map_combination(combine._public(comb_k), red.child, perm)
+        child = reference_map_combination(masked._public(comb_k), red.child, perm)
         if red.kind == "case1_removal":
-            lifted = combine._merged(red.parent, out.den, out.entries)
-            calls.append((reference_lift, (child, red), combine._public(lifted)))
+            lifted = masked._merged(red.parent, out.den, out.entries)
+            calls.append((reference_lift, (child, red), masked._public(lifted)))
         else:
             shores.setdefault(red.parent, []).append((child, red))
         return out
@@ -1262,7 +1262,7 @@ def certify_recording(monkeypatch, graphs):
     def glued(shore1, shore2, cut):
         out = glue_shores(shore1, shore2, cut)
         (c1, red1), (c2, red2) = shores.pop(shore1.host)
-        calls.append((reference_glue, (c1, c2, red1, red2), combine._public(out)))
+        calls.append((reference_glue, (c1, c2, red1, red2), masked._public(out)))
         return out
 
     monkeypatch.setattr(combine, "_pull_members", pulled)
@@ -1309,10 +1309,10 @@ def test_pulls_match_the_two_step_path(corpus, cold_e4_n16, monkeypatch):
         assert out.host == red.parent
         if red.kind == "case1_removal":
             assert (out.den, len(out.entries)) == (comb_k.den, len(comb_k.entries))
-            lifted = combine._merged(red.parent, out.den, out.entries)
-            assert combine._public(lifted) == lift(combine._public(child), red)
+            lifted = masked._merged(red.parent, out.den, out.entries)
+            assert masked._public(lifted) == lift(masked._public(child), red)
         else:
-            assert out == combine._map_members(child, red.parent, red.edge_provenance)
+            assert out == masked._map_members(child, red.parent, red.edge_provenance)
         kinds.append(red.kind)
         return out
 
@@ -1333,7 +1333,7 @@ def test_lifted_and_glued_members_are_each_checked_once(corpus, monkeypatch):
     honest = connectivity.first_non_2ec
 
     def counted(g, masks):
-        checked.extend((to_graph6(g), combine._edges(x, g.m)) for x in masks)
+        checked.extend((to_graph6(g), masked._edges(x, g.m)) for x in masks)
         return honest(g, masks)
 
     monkeypatch.setattr(connectivity, "first_non_2ec", counted)
@@ -1444,11 +1444,11 @@ def recorded_is_2ec_calls(monkeypatch, corpus):
         first = k = honest_kernel(g, masks)
         rest = list(masks)
         while k is not None:
-            calls.extend((g, combine._edges(x, g.m), True) for x in rest[:k])
-            calls.append((g, combine._edges(rest[k], g.m), False))
+            calls.extend((g, masked._edges(x, g.m), True) for x in rest[:k])
+            calls.append((g, masked._edges(rest[k], g.m), False))
             rest = rest[k + 1 :]
             k = honest_kernel(g, rest)
-        calls.extend((g, combine._edges(x, g.m), True) for x in rest)
+        calls.extend((g, masked._edges(x, g.m), True) for x in rest)
         return first
 
     monkeypatch.setattr(connectivity, "is_2ec", recorded)
@@ -1578,7 +1578,7 @@ def member_answers(g, masks):
     and the per-edge removal scan agree with it."""
     answers = []
     for x in masks:
-        ids = combine._edges(x, g.m)
+        ids = masked._edges(x, g.m)
         got = connectivity.is_2ec(g, ids)
         assert got == reference_tarjan_is_2ec(g, ids) == reference_is_2ec(g, set(ids))
         answers.append(got)
@@ -1647,7 +1647,7 @@ def test_first_non_2ec_matches_references_on_drawn_lists(corpus, data):
     g = data.draw(st.sampled_from([builtin(name) for name in BUILTIN_NAMES] + corpus))
     full = (1 << g.m) - 1
     near_full = st.sets(st.integers(0, g.m - 1), max_size=2).map(
-        lambda left_out: full ^ combine._bits(left_out, g.m)
+        lambda left_out: full ^ certificate._bits(left_out, g.m)
     )
     masks = data.draw(st.lists(near_full, max_size=12))
     for x in data.draw(st.lists(st.integers(0, full), max_size=3)):
@@ -1659,8 +1659,8 @@ def kernel_edge_cases():
     """Named edge cases as (graph, masks, first non-2EC index)."""
     g, outer, inner = petersen_cycles()
     full = (1 << g.m) - 1
-    cycles = combine._bits(outer + inner, g.m)
-    bridged = combine._bits(outer + inner + [g.edge_id(0, 5)], g.m)
+    cycles = certificate._bits(outer + inner, g.m)
+    bridged = certificate._bits(outer + inner + [g.edge_id(0, 5)], g.m)
     return {
         "no-members": (g, [], None),
         "one-full": (g, [full], None),

@@ -176,7 +176,7 @@ def test_reproduce_bounds_under_optimize():
 # the weights still sum to 1, but the edges in one member and not the
 # other leave 7/9.
 SHIFT_WEIGHT = """
-from cubic2ec.combine import ConvexCombination
+from cubic2ec.certificate import ConvexCombination
 
 def shifted(comb):
     (w0, s0), (w1, s1), *rest = comb.entries
@@ -210,13 +210,13 @@ def test_reproduce_bounds_counts_nonuniform_occurrences_under_optimize():
 # before a parent's pivot check or the compaction sees the damage.
 SKEWED_AVERAGE = SHIFT_WEIGHT + """
 import sys
-from cubic2ec import Certifier, builtin, combine
+from cubic2ec import Certifier, builtin, combine, masked
 from cubic2ec.errors import InvariantViolation
 
 assert False, "assert statements must be stripped"
 honest = combine._average
-combine._average = lambda host, parts: combine._masked(
-    shifted(combine._public(honest(host, parts)))
+combine._average = lambda host, parts: masked._masked(
+    shifted(masked._public(honest(host, parts)))
 )
 if sys.argv[1] == "cli":
     from cubic2ec.cli import main
@@ -251,11 +251,11 @@ def test_skewed_case1_average_exits_3_under_optimize():
 BROKEN_COMPACTION = """
 import sys
 from fractions import Fraction
-from cubic2ec import Certifier, builtin, combine
+from cubic2ec import Certifier, builtin, compact
 from cubic2ec.errors import InvariantViolation
 
 assert False, "assert statements must be stripped"
-honest = combine._caratheodory
+honest = compact._caratheodory
 
 def foreign(comb, smallest):
     (w, _), *rest = honest(comb, smallest)
@@ -272,9 +272,9 @@ def no_smallest(comb, smallest):
 
 broken = {"foreign": foreign, "perturbed": perturbed, "no_smallest": no_smallest}
 if sys.argv[1] == "narrow_lanes":
-    combine._lane_bits = lambda bound: 16
+    compact._lane_bits = lambda bound: 16
 else:
-    combine._caratheodory = broken[sys.argv[1]]
+    compact._caratheodory = broken[sys.argv[1]]
 if sys.argv[2] == "cli":
     from cubic2ec.cli import main
     sys.exit(main(["certify", "--graph", "petersen"]))
