@@ -124,7 +124,7 @@ def listed_average(parts) -> masked._MaskedCombination:
     raw = []
     for w, c in parts:
         f = den // (w.denominator * c.den) * w.numerator
-        raw += [(f * num, x) for num, x in c.entries]
+        raw += [(f * num, x) for num, x in zip(c.nums, c.masks)]
     return masked._merged(host, den, raw)
 
 
@@ -206,7 +206,7 @@ def measure(name: str, graphs, repeat: int) -> dict:
     two_s, want = best_time(two_step, pulls, repeat=repeat)
     one_s, got = best_time(one_pass, pulls, repeat=repeat)
     for args, a, b in zip(pulls, want, got):
-        if masked._merged(args[2], b.den, b.entries) != a:
+        if masked._merged(args[2], b.den, zip(b.nums, b.masks)) != a:
             raise RuntimeError(f"{name}: a one-pass pull differs from the two-step path")
     case1 = sum(not normalize for *_, normalize in pulls)
 
@@ -226,7 +226,7 @@ def measure(name: str, graphs, repeat: int) -> dict:
         "children": len(pulls),
         "case1_children": case1,
         "case2_children": len(pulls) - case1,
-        "entries_mapped": sum(len(args[0].entries) for args in pulls),
+        "entries_mapped": sum(len(args[0].masks) for args in pulls),
         "two_step_map_members_calls": map_members_calls(two_step, pulls),
         "one_pass_map_members_calls": map_members_calls(one_pass, pulls),
         "two_step_s": round(two_s, 6),

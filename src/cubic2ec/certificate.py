@@ -113,11 +113,12 @@ def min_support_subgraph(cert: Certificate) -> Subgraph:
 
 
 def _exact(w) -> Fraction | None:
-    """w as an exact Fraction, or None if Fraction() cannot read it."""
+    """w as an exact Fraction, or None if it is a bool (True is not 1) or
+    Fraction() cannot read it."""
     if type(w) is Fraction:
         return w
     try:
-        return Fraction(w)
+        return None if type(w) is bool else Fraction(w)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         return None
 

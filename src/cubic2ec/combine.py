@@ -44,7 +44,7 @@ from .canon import (
     canonical_lookup,
     canonical_placement,
 )
-from .certificate import TARGET, Certificate, ConvexCombination
+from .certificate import TARGET, Certificate, ConvexCombination, _exact
 from .certificate import (  # perfbench/worker.py reads these through this module
     certificate_to_json,
     min_support_subgraph,
@@ -133,9 +133,12 @@ def pad_to_uniform(c: ConvexCombination, target: Fraction) -> ConvexCombination:
     entries not containing the edge, in ascending entry index of c as
     ``combination`` normalizes it, into copies that add the edge.  Adding
     edges preserves 2-edge-connectivity, so no re-check is needed;
-    occurrences above target are rejected.
+    occurrences above target are rejected; target is read as a weight is.
     """
-    target = Fraction(target)
+    exact = _exact(target)
+    if exact is None:
+        raise ValueError(f"target {target!r} is not a number")
+    target = exact
     mc = _masked(c)
     occ = [Fraction(x, mc.den) for x in _occurrence_nums(mc)]
     for e, val in enumerate(occ):
@@ -447,7 +450,7 @@ class Certifier:
                 "kind": "base",
                 "graph6": key,
                 "n": K.n,
-                "entries": len(comb.entries),
+                "entries": len(comb.masks),
                 "children": [],
             }
             return comb, record
@@ -516,7 +519,7 @@ class Certifier:
             "kind": "case1",
             "graph6": key,
             "n": K.n,
-            "entries": len(final.entries),
+            "entries": len(final.masks),
             "pivots": pivot_records,
             "children": sorted(children),
         }
@@ -568,7 +571,7 @@ class Certifier:
             "kind": "case2",
             "graph6": key,
             "n": K.n,
-            "entries": len(comb.entries),
+            "entries": len(comb.masks),
             "shore": list(cut.shore),
             "cut": list(cut.crossing),
             "children": sorted({key_in, key_out}),

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import logging
 import math
-from fractions import Fraction
 
-from .certificate import TARGET, _numerators
+from .certificate import TARGET
 from .errors import InvariantViolation
 from .masked import _MaskedCombination, _check_uniform, _merged, _tuple_order
 
@@ -24,9 +23,9 @@ log = logging.getLogger(__name__)
 
 def _smallest_mask(comb: _MaskedCombination) -> int:
     """The mask of the least member by (|S|, edges), as ``_smallest``."""
-    size = min(x.bit_count() for _, x in comb.entries)
+    size = min(x.bit_count() for x in comb.masks)
     return min(
-        (x for _, x in comb.entries if x.bit_count() == size),
+        (x for x in comb.masks if x.bit_count() == size),
         key=_tuple_order(comb.host.m),
     )
 
@@ -39,18 +38,15 @@ def _compact(comb: _MaskedCombination) -> _MaskedCombination:
     comb's smallest member and be uniform; otherwise InvariantViolation.
     """
     size = comb.host.m + 1
-    if len(comb.entries) <= size:
+    if len(comb.masks) <= size:
         return comb
     smallest = _smallest_mask(comb)
     try:
-        reduced = _caratheodory(comb, smallest)
-        nums, den = _numerators([w for w, _ in reduced])
-        raw = tuple(zip(nums, (x for _, x in reduced)))
-        out = _merged(comb.host, den, raw)
+        out = _merged(comb.host, *_caratheodory(comb, smallest))
     except ValueError as exc:
         raise InvariantViolation(f"compaction: {exc}") from None
-    kept = [x for _, x in out.entries]
-    if len(kept) > size or not {x for _, x in comb.entries}.issuperset(kept):
+    kept = out.masks
+    if len(kept) > size or not set(comb.masks).issuperset(kept):
         raise InvariantViolation(
             f"compaction kept {len(kept)} members, not at most {size} of the "
             "combination's own"
@@ -59,7 +55,7 @@ def _compact(comb: _MaskedCombination) -> _MaskedCombination:
         raise InvariantViolation("compaction dropped the smallest member")
     _check_uniform(out, TARGET)
     log.info(
-        "compacted %d -> %d entries (n=%d)", len(comb.entries), len(kept), comb.host.n
+        "compacted %d -> %d entries (n=%d)", len(comb.masks), len(kept), comb.host.n
     )
     return out
 
@@ -70,9 +66,11 @@ def _lane_bits(bound: int) -> int:
     return 64 * (bound.bit_length() // 64 + 1)
 
 
-def _caratheodory(comb: _MaskedCombination, smallest: int) -> list[tuple[Fraction, int]]:
+def _caratheodory(comb: _MaskedCombination, smallest: int) -> tuple[int, list]:
     """At most m + 1 of comb's members (masks), reweighted to the same point,
-    keeping ``smallest``, the mask ``_smallest_mask(comb)``.
+    keeping ``smallest``, the mask ``_smallest_mask(comb)``, in integers:
+    ``(den·d, [(lam_i, mask), ...])`` in basis position order, each member
+    at weight lam_i / (den·d), as defined below.
 
     Each member S is the column a = (x_M, 1) of its omitted edges
     M = E - S; (x_S, 1) = T·a for one invertible T, so both columns have
@@ -104,8 +102,7 @@ def _caratheodory(comb: _MaskedCombination, smallest: int) -> list[tuple[Fractio
     """
     m = comb.host.m
     size = m + 1
-    members = [x for _, x in comb.entries]
-    nums, den = [num for num, _ in comb.entries], comb.den
+    members, nums, den = comb.masks, comb.nums, comb.den
     first = members.index(smallest)
     order = sorted(range(len(members)), key=nums.__getitem__, reverse=True)
     order.remove(first)
@@ -194,8 +191,8 @@ def _caratheodory(comb: _MaskedCombination, smallest: int) -> list[tuple[Fractio
                 cols[i] = (d << (bits * i)) + bias
         lam += ((w * d) << shift) + lam_bias
         at[k] = j
-    return [
-        (Fraction(li, den * d), members[at[i]])
+    return den * d, [
+        (li, members[at[i]])
         for i, li in enumerate(unpack(lam - lam_bias))
         if li and at[i] is not None
     ]

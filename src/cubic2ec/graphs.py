@@ -31,9 +31,9 @@ class Graph:
     """Immutable simple graph.
 
     ``edges[e]`` is the pair ``(u, v)`` with ``u < v``; the position ``e``
-    is the edge's id.  Construction rejects loops, parallel edges and
-    out-of-range endpoints.  ``is_cubic`` (n >= 4 and every degree 3) is
-    decided once, at construction.
+    is the edge's id.  Construction rejects a count or endpoint that is not
+    an int (True is not vertex 1), loops, parallel edges and out-of-range
+    endpoints.  ``is_cubic`` (n >= 4 and every degree 3) is decided once.
     """
 
     n: int
@@ -45,10 +45,12 @@ class Graph:
     is_cubic: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"vertex count {self.n!r} is not a nonnegative int")
         norm = []
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -172,8 +174,8 @@ def graph6_bits(n: int, edges, at) -> int:
 def render_graph6(n: int, bits: int) -> str:
     """The graph6 line of :func:`graph6_bits` ``bits`` on n vertices, zero
     padded to whole 6-bit groups."""
-    if n < 1:
-        raise ValueError("graph6 requires n >= 1")
+    if n < 0:
+        raise ValueError("graph6 requires n >= 0")
     if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding limited to n <= {GRAPH6_MAX_N}")
     nbits = n * (n - 1) // 2

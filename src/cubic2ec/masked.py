@@ -1,14 +1,15 @@
 """The certifier's combination form and every kernel that reads or writes it.
 
 All arithmetic is exact; no floats anywhere in the certification path.  A
-combination is one integer denominator and (numerator, edge mask) entries,
-edge e of an m-edge host at bit m - 1 - e (``_MaskedCombination``): lift
-and glue OR the masks of mapped edges, average scales each part's
-numerators by one integer, and an occurrence vector is one multiply-add
-per member.  Members stay in ascending edge-tuple order, which
-``_tuple_order`` reads off a mask in O(1).  A public ConvexCombination
-enters this form only through ``_masked`` (checked by ``_validated``) and
-leaves it through ``_public``.
+combination is one integer denominator and two parallel columns, integer
+numerators and edge masks, edge e of an m-edge host at bit m - 1 - e
+(``_MaskedCombination``): lift and glue OR the masks of mapped edges,
+average scales each part's numerators by one integer, and an occurrence
+vector is one multiply-add per member.  Members stay in ascending
+edge-tuple order, which ``_tuple_order`` reads off a mask in O(1).  Only
+this module builds one, and only ``_ordered`` normalizes.  A public
+ConvexCombination enters this form only through ``_masked`` (checked by
+``_validated``) and leaves it through ``_public``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .graphs import Graph
 class _MaskedCombination:
     """A combination in the certifier's working form.
 
-    Entry ``(num, mask)`` weighs num / den, and its member holds edge e of
-    the host iff bit m - 1 - e of mask is set.  Every function here returns
-    one normalized: distinct masks, positive numerators summing to den with
-    no factor in common with it, in ascending edge-tuple order
+    Member i weighs nums[i] / den, and holds edge e of the host iff bit
+    m - 1 - e of masks[i] is set.  Every function here returns one
+    normalized (``_ordered``): distinct masks, positive numerators summing
+    to den with no factor in common with it, in ascending edge-tuple order
     (``_tuple_order``), so equal combinations compare equal.  The one
     exception is a case-1 lift (``_map_members`` without ``normalize``),
     which only ``_average`` reads.
@@ -38,7 +39,8 @@ class _MaskedCombination:
 
     host: Graph
     den: int
-    entries: tuple[tuple[int, int], ...]
+    nums: tuple[int, ...]
+    masks: tuple[int, ...]
 
 
 def _edges(x: int, m: int) -> tuple[int, ...]:
@@ -69,13 +71,15 @@ def _tuple_order(m: int):
 
 def _ordered(host: Graph, den: int, acc: dict[int, int]) -> _MaskedCombination:
     """The normalized combination of the members ``acc`` maps to their
-    numerators over den."""
+    numerators over den, which must sum to den: the one way a normalized
+    combination is made."""
+    total = sum(acc.values())
+    if total != den:
+        raise ValueError(f"weights must sum to 1 exactly (got {Fraction(total, den)})")
     g = math.gcd(den, *acc.values())
-    masks = sorted(acc, key=_tuple_order(host.m))
-    if g > 1:
-        entries = tuple([(acc[x] // g, x) for x in masks])
-        return _MaskedCombination(host, den // g, entries)
-    return _MaskedCombination(host, den, tuple([(acc[x], x) for x in masks]))
+    masks = tuple(sorted(acc, key=_tuple_order(host.m)))
+    nums = tuple([acc[x] // g for x in masks])
+    return _MaskedCombination(host, den // g, nums, masks)
 
 
 def _masked(c: ConvexCombination) -> _MaskedCombination:
@@ -88,7 +92,8 @@ def _public(c: _MaskedCombination) -> ConvexCombination:
     """c as (Fraction, edge ids) entries."""
     m, den = c.host.m, c.den
     return ConvexCombination(
-        c.host, tuple((Fraction(num, den), _edges(x, m)) for num, x in c.entries)
+        c.host,
+        tuple((Fraction(num, den), _edges(x, m)) for num, x in zip(c.nums, c.masks)),
     )
 
 
@@ -98,15 +103,6 @@ def _merged(host: Graph, den: int, entries) -> _MaskedCombination:
     acc: dict[int, int] = {}
     for num, x in entries:
         acc[x] = acc.get(x, 0) + num
-    return _summed(host, den, acc)
-
-
-def _summed(host: Graph, den: int, acc: dict[int, int]) -> _MaskedCombination:
-    """``_ordered``, once the numerators acc maps its members to sum to den:
-    the tail of ``_merged``, and of ``_average``'s own merge."""
-    total = sum(acc.values())
-    if total != den:
-        raise ValueError(f"weights must sum to 1 exactly (got {Fraction(total, den)})")
     return _ordered(host, den, acc)
 
 
@@ -144,10 +140,9 @@ def _check_members(c: _MaskedCombination, what: str, error=InvariantViolation):
     """Raise ``error``, prefixed by ``what``, at the first member in entry
     order that is not spanning 2EC; one ``first_non_2ec`` pass checks all."""
     g = c.host
-    masks = [x for _, x in c.entries]
-    k = connectivity.first_non_2ec(g, masks)
+    k = connectivity.first_non_2ec(g, c.masks)
     if k is not None:
-        es = _edges(masks[k], g.m)
+        es = _edges(c.masks[k], g.m)
         raise error(f"{what}{es} is not a spanning 2-edge-connected subgraph")
 
 
@@ -166,7 +161,7 @@ def _occurrence_nums(c: _MaskedCombination) -> list[int]:
     spread = ((1 << ((width - 1) * m)) - 1) // ((1 << (width - 1)) - 1)
     lanes = ((1 << (width * m)) - 1) // ((1 << width) - 1)
     acc = 0
-    for num, x in c.entries:
+    for num, x in zip(c.nums, c.masks):
         acc += num * (x * spread & lanes)
     lane = (1 << width) - 1
     return [(acc >> (width * (m - 1 - e))) & lane for e in range(m)]
@@ -181,9 +176,9 @@ def _average(host: Graph, parts) -> _MaskedCombination:
     acc: dict[int, int] = {}
     for w, c in parts:
         f = den // (w.denominator * c.den) * w.numerator
-        for num, x in c.entries:
+        for num, x in zip(c.nums, c.masks):
             acc[x] = acc.get(x, 0) + f * num
-    return _summed(host, den, acc)
+    return _ordered(host, den, acc)
 
 
 def _check_uniform(c: _MaskedCombination, target: Fraction, what: str = "occurrence"):
@@ -201,9 +196,9 @@ def _map_members(
     ``normalize`` members that land on one edge set add their numerators
     and the result is normalized; without, the images keep comb's entry
     order and denominator, members may repeat, and only ``_average`` may
-    read the result.  A member's image is the OR of one table lookup per
-    four bits of its mask, each table holding the images of every subset
-    of those four edges."""
+    read the result, which shares comb's numerators column.  A member's
+    image is the OR of one table lookup per four bits of its mask, each
+    table holding the images of every subset of those four edges."""
     m = host.m
     images = [_bits(edge_map[ce], m) for ce in reversed(range(comb.host.m))]
     tables = []
@@ -214,16 +209,16 @@ def _map_members(
         tables.append(table)
     base = _bits(always, m)
     out = []
-    for num, x in comb.entries:
+    for x in comb.masks:
         y = base
         for table in tables:
             y |= table[x & 15]
             x >>= 4
-        out.append((num, y))
+        out.append(y)
     if not normalize:
-        return _MaskedCombination(host, comb.den, tuple(out))
+        return _MaskedCombination(host, comb.den, comb.nums, tuple(out))
     acc: dict[int, int] = {}
-    for num, y in out:
+    for num, y in zip(comb.nums, out):
         acc[y] = acc.get(y, 0) + num
     return _ordered(host, comb.den, acc)
 
@@ -245,7 +240,7 @@ def _pattern_classes(lifted: _MaskedCombination, cut: list[int]):
     by_bit[0] = None  # a member that omits no cut edge
     classes: dict[int | None, list[tuple[int, int]]] = {pe: [] for pe in cut}
     classes[None] = []
-    for num, x in lifted.entries:
+    for num, x in zip(lifted.nums, lifted.masks):
         omitted = cut_mask & ~x
         if omitted & (omitted - 1):
             raise InvariantViolation(

@@ -191,6 +191,31 @@ def test_public_functions_reject_unreadable_weights_by_entry(
             call(edited)
 
 
+@pytest.mark.parametrize(
+    "name", ["combination", "edge_occurrences", "pad_to_uniform", "verify_certificate"]
+)
+def test_a_bool_weight_is_not_a_number(name, k4):
+    """True is not the weight 1: every reader of a weight reads it through
+    ``certificate._exact``, which refuses a bool as an edge id is refused."""
+    full = tuple(range(k4.m))
+    bogus = ConvexCombination(k4, ((True, full),))
+    if name == "verify_certificate":
+        report = verify_certificate(k4, Certificate(k4, bogus, TARGET, ()))
+        failed = {check.name for check in report.checks if not check.passed}
+        assert {"weights_positive", "weights_sum_to_one"} <= failed
+        return
+    calls = {
+        "combination": lambda: combination(k4, bogus.entries),
+        "edge_occurrences": lambda: edge_occurrences(bogus),
+        "pad_to_uniform": lambda: pad_to_uniform(bogus, TARGET),
+    }
+    with pytest.raises(ValueError, match="entry 0 has weight True, not a number"):
+        calls[name]()
+    if name == "pad_to_uniform":
+        with pytest.raises(ValueError, match="target True is not a number"):
+            pad_to_uniform(combination(k4, [(1, full)]), True)
+
+
 def test_average_drops_a_zero_weight_entry_as_combination_does(k4):
     comb = base_case_combination(k4)
     padded = ConvexCombination(k4, comb.entries + ((F(0), tuple(range(k4.m))),))
@@ -514,7 +539,8 @@ def test_average_error_messages(k4, k33):
 
 
 def test_masked_average_rejects_a_part_not_summing_to_its_denominator(k4):
-    part = masked._MaskedCombination(k4, 9, ((1, (1 << k4.m) - 1),))
+    whole = masked._merged(k4, 1, [(1, (1 << k4.m) - 1)])
+    part = dataclasses.replace(whole, den=9)
     with pytest.raises(ValueError) as info:
         masked._average(k4, [(1, part)])
     assert str(info.value) == "weights must sum to 1 exactly (got 1/9)"
@@ -566,15 +592,15 @@ def test_tuple_order_on_named_pairs(first, second):
 def test_masked_round_trip_keeps_entries(petersen, certifier):
     comb = certifier.certify(petersen).combination
     held = masked._masked(comb)
-    assert [masked._edges(x, petersen.m) for _, x in held.entries] == [
+    assert [masked._edges(x, petersen.m) for x in held.masks] == [
         es for _, es in comb.entries
     ]
     assert masked._public(held) == comb
     assert [
         connectivity.is_2ec(petersen, natural_mask(x, petersen.m))
-        for _, x in held.entries
+        for x in held.masks
     ] == [True] * len(comb.entries)
-    for _, x in held.entries:
+    for x in held.masks:
         natural = natural_mask(x, petersen.m)
         assert natural == sum(1 << e for e in masked._edges(x, petersen.m))
 
@@ -723,13 +749,13 @@ def test_compacted_children_leave_their_parents_unchanged(corpus_lines, name):
     for key in children:
         child = parse_graph6(key)
         compacted += len(warm.certify(child).combination.entries) < len(
-            warm._cache[key][0].entries
+            warm._cache[key][0].masks
         )
     assert compacted == (name == CASE2_N14)
     assert certificate_to_json(warm.certify(g)) == certificate_to_json(cert)
     for key in children:
         assert warm._cache[key][0] == cold._cache[key][0]
-        assert len(warm._cache[key][0].entries) == warm._cache[key][1]["entries"]
+        assert len(warm._cache[key][0].masks) == warm._cache[key][1]["entries"]
 
 
 # glue -----------------------------------------------------------------------

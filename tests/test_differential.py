@@ -34,6 +34,7 @@ degree-pruned branch and bound against the search that asked ``is_2ec``
 before every exclusion."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -1019,7 +1020,7 @@ def compacted(corpus, certified):
 
 
 def test_compaction_matches_fraction_reference(compacted):
-    reduced = [(full, red) for full, red in compacted if len(full.entries) > full.host.m + 1]
+    reduced = [(full, red) for full, red in compacted if len(full.masks) > full.host.m + 1]
     assert len(reduced) == 19  # 18 corpus roots and GP(8,3)
     for full, red in reduced:
         full, red = masked._public(full), masked._public(red)
@@ -1049,8 +1050,27 @@ def assert_compacted(full, red):
 def test_compaction_keeps_members_occurrences_and_min_size(compacted):
     for full, red in compacted:
         assert_compacted(masked._public(full), masked._public(red))
-        if len(full.entries) <= full.host.m + 1:
+        if len(full.masks) <= full.host.m + 1:
             assert red is full
+
+
+def test_nodes_and_roots_hold_two_normalized_columns(certified):
+    """Every cached node and every root of a corpus-wide Certifier holds
+    two columns of one length: distinct masks, ascending by ``_tuple_order``
+    and by their edge tuples, and positive numerators that sum to den and
+    share no factor with it."""
+    nodes = [node for node, _ in certified._cache.values()]
+    for comb in nodes + list(certified._roots.values()):
+        m = comb.host.m
+        assert len(comb.nums) == len(comb.masks) > 0
+        assert len(set(comb.masks)) == len(comb.masks)
+        order = list(map(masked._tuple_order(m), comb.masks))
+        assert order == sorted(order)
+        members = [masked._edges(x, m) for x in comb.masks]
+        assert members == sorted(members)
+        assert all(num > 0 for num in comb.nums)
+        assert sum(comb.nums) == comb.den
+        assert math.gcd(comb.den, *comb.nums) == 1
 
 
 @settings(max_examples=10, deadline=None)
@@ -1253,7 +1273,7 @@ def certify_recording(monkeypatch, graphs):
         red = pulled_reduction(*reduced)
         child = reference_map_combination(masked._public(comb_k), red.child, perm)
         if red.kind == "case1_removal":
-            lifted = masked._merged(red.parent, out.den, out.entries)
+            lifted = masked._merged(red.parent, out.den, zip(out.nums, out.masks))
             calls.append((reference_lift, (child, red), masked._public(lifted)))
         else:
             shores.setdefault(red.parent, []).append((child, red))
@@ -1308,8 +1328,8 @@ def test_pulls_match_the_two_step_path(corpus, cold_e4_n16, monkeypatch):
         child = combine._map_combination(comb_k, red.child, perm)
         assert out.host == red.parent
         if red.kind == "case1_removal":
-            assert (out.den, len(out.entries)) == (comb_k.den, len(comb_k.entries))
-            lifted = masked._merged(red.parent, out.den, out.entries)
+            assert (out.den, len(out.masks)) == (comb_k.den, len(comb_k.masks))
+            lifted = masked._merged(red.parent, out.den, zip(out.nums, out.masks))
             assert masked._public(lifted) == lift(masked._public(child), red)
         else:
             assert out == masked._map_members(child, red.parent, red.edge_provenance)
@@ -1321,6 +1341,32 @@ def test_pulls_match_the_two_step_path(corpus, cold_e4_n16, monkeypatch):
     for g in corpus + [generalized_petersen(8, 3), cold_e4_n16]:
         certifier.certify(g)
     assert set(kinds) == {"case1_removal", "case2_contraction"}
+
+
+def test_case1_lift_shares_its_childs_numerators(cold_e4_n16, monkeypatch):
+    """A case-1 lift builds only a masks column: its numerators are the
+    very column of the child's cached node."""
+    lifts = []
+    pull_members = combine._pull_members
+
+    def recorded(comb_k, perm, parent, child, provenance, always=(), normalize=True):
+        out = pull_members(comb_k, perm, parent, child, provenance, always, normalize)
+        if not normalize:
+            lifts.append((comb_k, out))
+        return out
+
+    monkeypatch.setattr(combine, "_pull_members", recorded)
+    certifier = Certifier(max_n=16)
+    certifier.certify(cold_e4_n16)
+    nodes = {id(node) for node, _ in certifier._cache.values()}
+    assert len(lifts) == 2 * sum(
+        parse_graph6(key).m
+        for key, (_, record) in certifier._cache.items()
+        if record["kind"] == "case1"
+    )
+    for comb_k, out in lifts:
+        assert id(comb_k) in nodes
+        assert out.nums is comb_k.nums
 
 
 # member checks ----------------------------------------------------------------

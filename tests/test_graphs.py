@@ -8,6 +8,10 @@ from cubic2ec import (
     GraphFormatError,
     StructuralViolation,
     builtin,
+    canonical_form,
+    certificate_from_json,
+    certificate_to_json,
+    certify,
     contract_shore,
     enumerate_cuts,
     find_essential_3cut,
@@ -31,6 +35,28 @@ def test_graph_rejects_loops_parallels_and_range():
         Graph(2, ((0, 2),))
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [(True, ()), (4.0, ()), (4, ((0, True),)), (4, ((0.0, 1),)), (4, ((0, "1"),))],
+    ids=["bool_n", "float_n", "bool_vertex", "float_vertex", "str_vertex"],
+)
+def test_graph_rejects_a_count_or_vertex_that_is_not_an_int(n, edges):
+    with pytest.raises(ValueError, match="is not an? (nonnegative )?int"):
+        Graph(n, edges)
+
+
+def test_text_forms_round_trip_because_a_bool_vertex_is_refused(k4):
+    """With True taken for vertex 1, K4 wrote ``[0, true]`` to certificate
+    JSON and ``0 True`` to an edge list, and neither reader took it back."""
+    with pytest.raises(ValueError, match="not an int"):
+        Graph(4, tuple((u, True) if v == 1 else (u, v) for u, v in k4.edges))
+    assert parse_edge_list(format_edge_list(k4)) == k4
+    text = certificate_to_json(certify(k4))
+    back = certificate_from_json(text)
+    assert back.graph == k4
+    assert certificate_to_json(back) == text
+
+
 def test_graph_normalizes_pairs_and_indexes_edges():
     g = Graph(4, ((3, 0), (1, 2)))
     assert g.edges == ((0, 3), (1, 2))
@@ -52,6 +78,18 @@ def test_graph6_single_edge_and_trivial():
     g = parse_graph6("A_")
     assert g.n == 2 and g.edges == ((0, 1),)
     assert to_graph6(Graph(1, ())) == "@"
+
+
+@pytest.mark.parametrize("line, n", [("?", 0), ("@", 1)])
+def test_graph6_round_trips_at_n_0_and_1(line, n):
+    g = parse_graph6(line)
+    assert g == Graph(n, ())
+    assert to_graph6(g) == line
+
+
+def test_canonical_form_still_needs_a_vertex():
+    with pytest.raises(ValueError, match="canonical_form requires n >= 1"):
+        canonical_form(Graph(0, ()))
 
 
 def test_graph6_bit_order_assigns_edge_ids_column_major():

@@ -247,10 +247,10 @@ def test_skewed_case1_average_exits_3_under_optimize():
 
 # Compactions that break their contract, by name: no certificate may be
 # issued.  `foreign` puts in the full edge set, which is not a Petersen
-# member.  Members are edge masks, as the certifier holds them.
+# member.  A compaction is (denominator, [(numerator, edge mask), ...]) in
+# integers, as the certifier holds it.
 BROKEN_COMPACTION = """
 import sys
-from fractions import Fraction
 from cubic2ec import Certifier, builtin, compact
 from cubic2ec.errors import InvariantViolation
 
@@ -258,17 +258,18 @@ assert False, "assert statements must be stripped"
 honest = compact._caratheodory
 
 def foreign(comb, smallest):
-    (w, _), *rest = honest(comb, smallest)
-    return [(w, (1 << comb.host.m) - 1)] + rest
+    den, ((num, _), *rest) = honest(comb, smallest)
+    return den, [(num, (1 << comb.host.m) - 1)] + rest
 
 def perturbed(comb, smallest):
-    (w, es), *rest = honest(comb, smallest)
-    return [(w * Fraction(1000001, 1000000), es)] + rest
+    den, ((num, x), *rest) = honest(comb, smallest)
+    return den, [(num + 1, x)] + rest
 
 def no_smallest(comb, smallest):
-    out = [(w, es) for w, es in honest(comb, smallest) if es != smallest]
-    lost = 1 - sum(w for w, _ in out)
-    return [(out[0][0] + lost, out[0][1])] + out[1:]
+    den, reduced = honest(comb, smallest)
+    (lost,) = [num for num, x in reduced if x == smallest]
+    out = [(num, x) for num, x in reduced if x != smallest]
+    return den, [(out[0][0] + lost, out[0][1])] + out[1:]
 
 broken = {"foreign": foreign, "perturbed": perturbed, "no_smallest": no_smallest}
 if sys.argv[1] == "narrow_lanes":

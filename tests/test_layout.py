@@ -55,3 +55,23 @@ def test_oracle_does_not_import_the_certifier():
 @pytest.mark.parametrize("module", ["masked", "compact"])
 def test_kernels_do_not_import_combine(module):
     assert "combine" not in package_imports(module)
+
+
+def test_only_masked_constructs_a_masked_combination():
+    """The entry layout is built in one module, so changing how it is
+    stored changes no other: no other module of the package, script or
+    test calls the constructor."""
+    callers = set()
+    for folder in ("src/cubic2ec", "scripts", "tests"):
+        for path in (PACKAGE.parent.parent / folder).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "_MaskedCombination":
+                        callers.add(f"{folder}/{path.name}")
+    assert callers == {"src/cubic2ec/masked.py"}
+
+
+def test_compaction_makes_no_fraction():
+    assert not any(name.split(".")[0] == "fractions" for name in imports("compact"))
